@@ -122,9 +122,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -220,18 +217,6 @@ def div(a, b):
     return _make(out, (a, b), backward)
 
 
-def power(a, p):
-    a = _lift(a)
-    if not isinstance(p, (int, float)):
-        raise TypeError("exponent must be a python number")
-    out = a.value**p
-
-    def backward(g):
-        a._accumulate(g * p * a.value ** (p - 1))
-
-    return _make(out, (a,), backward)
-
-
 def square(a):
     a = _lift(a)
     out = a.value * a.value
@@ -248,16 +233,6 @@ def exp(a):
 
     def backward(g):
         a._accumulate(g * out)
-
-    return _make(out, (a,), backward)
-
-
-def log(a):
-    a = _lift(a)
-    out = np.log(a.value)
-
-    def backward(g):
-        a._accumulate(g / a.value)
 
     return _make(out, (a,), backward)
 
@@ -359,16 +334,6 @@ def getitem(a, idx):
         else:
             np.add.at(full, idx, g)
         a._accumulate(full)
-
-    return _make(out, (a,), backward)
-
-
-def reshape(a, shape):
-    a = _lift(a)
-    out = a.value.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.value.shape))
 
     return _make(out, (a,), backward)
 

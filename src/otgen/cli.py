@@ -175,7 +175,6 @@ def _load_run_config(args, data=None):
 
 
 def cmd_train(args) -> int:
-    from . import dataio
     from .experiment import run_experiment
     config = _load_run_config(args, data=args.data)
     report, model, artifacts = run_experiment(config)
@@ -190,55 +189,26 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     from . import dataio
-    from .density import GaussianCurveDensity
-    from .experiment import AffineScaler
+    from .experiment import task_for_model
     from .transport import generate_density, generate_mean, nrmse
-    model, preprocessing = dataio.load_model(args.model)
+    model = dataio.load_model(args.model)
     if not model.trained:
         raise ValueError("model was saved untrained; re-run training")
-    scaler = None
-    if preprocessing and "scaler" in preprocessing:
-        scaler = AffineScaler.from_dict(preprocessing["scaler"])
-        if model.pca_basis is not None:
-            model.coeff_scaler = scaler
+    task = task_for_model(model)
     t = model.normalizer.normalize(args.target)
-    diag = {"target_raw": args.target, "t_norm": t}
-    if isinstance(model.reference_density, GaussianCurveDensity):
-        curve = generate_mean(model, t)
-        if scaler is not None:
-            curve = scaler.inverse(curve)
-        dataio.write_curves(args.out, [
-            _curve_snapshot(args.target, curve[:, 0], curve[:, 1])])
-        cloud = generate_density(model, t, n=args.samples, seed=model.config.seed)
-        diag["dropped_j_fraction"] = cloud.dropped_fraction
-        if args.reference:
-            ref = dataio.ingest_curves(args.reference)[0]
-            grid = np.linspace(max(curve[0, 0], ref.strains[0]),
-                               min(curve[-1, 0], ref.strains[-1]), 50)
-            diag["nrmse_vs_reference"] = nrmse(
-                np.interp(grid, curve[:, 0], curve[:, 1]),
-                np.interp(grid, ref.strains, ref.stresses))
-        if args.plot:
-            from . import svgplot
-            series = [("generated", curve)]
-            if args.reference:
-                series.append(("reference", ref.points))
-            svgplot.plot_curves(series, args.plot, title="generated curve")
-    else:
-        mean_field = generate_mean(model, t, n=args.samples,
-                                   seed=model.config.seed)
-        dataio.write_fields(args.out, [args.target], mean_field[None, :])
-        cloud = generate_density(model, t, n=args.samples, seed=model.config.seed)
-        diag["dropped_j_fraction"] = cloud.dropped_fraction
-        if args.reference:
-            _, rows = dataio.ingest_fields(args.reference)
-            diag["nrmse_vs_reference"] = nrmse(mean_field, rows[0])
-        if args.plot:
-            from . import svgplot
-            idx = np.arange(len(mean_field), dtype=float)
-            svgplot.plot_curves([("generated", np.column_stack([idx, mean_field]))],
-                                args.plot, xlabel="component", ylabel="value",
-                                title="generated field")
+    cloud = generate_density(model, t, n=args.samples, seed=model.config.seed)
+    mean = generate_mean(model, t, cloud=cloud)
+    task.write(args.out, args.target, mean)
+    diag = {"target_raw": args.target, "t_norm": t,
+            "dropped_j_fraction": cloud.dropped_fraction}
+    values = task.values(mean)
+    series = [("generated", values)]
+    if args.reference:
+        ref = task.read_reference(args.reference)
+        diag["nrmse_vs_reference"] = nrmse(values, ref)
+        series.append(("reference", ref))
+    if args.plot:
+        task.plot(args.plot, series, "generated data")
     sidecar = Path(args.out).with_suffix(".diag.json")
     diag["loss_history"] = [list(row) for row in model.loss_history]
     with open(sidecar, "w") as f:
@@ -247,18 +217,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _curve_snapshot(cond, x, y):
-    from .density import CurveSnapshot
-    return CurveSnapshot(cond, np.column_stack([x, y]))
-
-
 def cmd_baseline(args) -> int:
     from . import dataio, fpca_gpr
+    from .experiment import common_grid
     snapshots = dataio.ingest_curves(args.data)
-    lo = max(s.strains[0] for s in snapshots)
-    hi = min(s.strains[-1] for s in snapshots)
-    grid = np.linspace(lo, hi, args.grid_points)
-    curves = np.stack([np.interp(grid, s.strains, s.stresses) for s in snapshots])
+    grid, curves = common_grid(snapshots, args.grid_points)
     conds = np.array([s.condition_raw for s in snapshots])
     mean, std = fpca_gpr.fit_predict_baseline(grid, curves, conds, args.target)
     with open(args.out, "w", newline="") as f:
@@ -328,31 +291,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    from .dataio import DataFormatError
     from .experiment import StageError
     from .transport import TrainingDivergence
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except StageError as e:
-        cause = e.cause
+    except (StageError, TrainingDivergence, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        cause = e.cause if isinstance(e, StageError) else e
         if isinstance(cause, TrainingDivergence):
-            print(f"error: {e}", file=sys.stderr)
             return EXIT_DIVERGENCE
-        if isinstance(cause, (OSError, FileNotFoundError)):
-            print(f"error: {e}", file=sys.stderr)
+        if isinstance(cause, OSError):
             return EXIT_IO
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TrainingDivergence as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (DataFormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

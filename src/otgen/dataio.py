@@ -1,10 +1,15 @@
 """CSV ingestion and versioned JSON persistence.
 
 Curve files carry `condition,strain,stress` rows (many conditions per
-file); field files carry one row per condition: `condition,v1..vD`. Model
-documents bundle both network weights, the pseudo-time normalizer, the
-reference density, preprocessing transforms, and training history; floats
-are written with 17 significant digits so round trips are bit-exact.
+file); field files carry one row per condition: `condition,v1..vD`.
+
+Model documents (format 2) hold everything generation needs: both network
+weights, the pseudo-time normalizer, the output scaler, the reference
+density, the optional PCA basis, and the training history. A reloaded
+model therefore generates exactly what the in-memory one does. Floats are
+written with 17 significant digits so round trips are bit-exact. Format 1
+documents, which kept the scaler in a free-form `preprocessing` entry, are
+still read.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ import numpy as np
 from . import nn
 from .density import CurveSnapshot, GaussianCurveDensity, ReducedGaussianDensity
 from .pca import basis_from_dict, basis_to_dict
-from .transport import (BodyForceField, ConditionNormalizer, DisplacementField,
-                        TrainConfig, TransportModel)
+from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
+                        DisplacementField, TrainConfig, TransportModel)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class DataFormatError(ValueError):
@@ -177,7 +182,7 @@ def density_from_dict(doc: dict):
     raise DataFormatError(f"unknown density kind {doc.get('kind')!r}")
 
 
-def model_to_dict(model: TransportModel, preprocessing: dict | None = None) -> dict:
+def model_to_dict(model: TransportModel) -> dict:
     cfg = asdict(model.config)
     cfg["dnn_hidden"] = list(cfg["dnn_hidden"])
     cfg["fnn_hidden"] = list(cfg["fnn_hidden"])
@@ -199,6 +204,9 @@ def model_to_dict(model: TransportModel, preprocessing: dict | None = None) -> d
             "raw_max": nn._fmt(model.normalizer.raw_max),
             "unit": model.normalizer.unit,
         },
+        "scaler": ({"offset": nn._arr_out(model.scaler.offset),
+                    "scale": nn._arr_out(model.scaler.scale)}
+                   if model.scaler is not None else None),
         "config": cfg,
         "loss_history": [[nn._fmt(v) for v in row] for row in model.loss_history],
         "dropped_fraction": nn._fmt(model.dropped_fraction),
@@ -206,14 +214,15 @@ def model_to_dict(model: TransportModel, preprocessing: dict | None = None) -> d
                               if model.reference_density is not None else None),
         "pca_basis": (basis_to_dict(model.pca_basis)
                       if model.pca_basis is not None else None),
-        "preprocessing": preprocessing,
         "trained": model.trained,
     }
     return doc
 
 
-def model_from_dict(doc: dict) -> tuple[TransportModel, dict | None]:
-    if doc.get("version") != MODEL_FORMAT_VERSION:
+def model_from_dict(doc: dict) -> TransportModel:
+    if doc.get("version") == 1:
+        doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
+    elif doc.get("version") != MODEL_FORMAT_VERSION:
         raise DataFormatError(f"unsupported model version {doc.get('version')}")
     ddoc = doc["displacement"]
     disp = DisplacementField(
@@ -240,14 +249,18 @@ def model_from_dict(doc: dict) -> tuple[TransportModel, dict | None]:
         model.reference_density = density_from_dict(doc["reference_density"])
     if doc.get("pca_basis") is not None:
         model.pca_basis = basis_from_dict(doc["pca_basis"])
-    return model, doc.get("preprocessing")
+    if doc.get("scaler") is not None:
+        model.scaler = AffineScaler(
+            np.array(doc["scaler"]["offset"], dtype=np.float64),
+            np.array(doc["scaler"]["scale"], dtype=np.float64))
+    return model
 
 
-def save_model(model: TransportModel, path, preprocessing: dict | None = None):
+def save_model(model: TransportModel, path):
     with open(path, "w") as f:
-        json.dump(model_to_dict(model, preprocessing), f, sort_keys=True)
+        json.dump(model_to_dict(model), f, sort_keys=True)
 
 
-def load_model(path) -> tuple[TransportModel, dict | None]:
+def load_model(path) -> TransportModel:
     with open(path) as f:
         return model_from_dict(json.load(f))

@@ -19,8 +19,6 @@ from . import rng
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-CONDITION_UNITS = ("degC", "K", "1/s", "m/s", "dimensionless")
-
 
 @dataclass(frozen=True)
 class CurveSnapshot:
@@ -155,18 +153,6 @@ class ReducedGaussianDensity:
             raise ValueError("need n >= 1 samples")
         gen = rng.stream(seed, 0x5B)
         return self.mean + self.sigma * rng.normal(gen, (n, self.dim))
-
-
-def density_eval(model, x):
-    """Density value(s) at x; accepts a single point or [n, dim]."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    out = model.pdf(x)
-    return float(out[0]) if single else out
-
-
-def sample(model, n, seed):
-    return model.sample(n, seed)
 
 
 def field_to_samples(field_mean, sigma, n, seed) -> np.ndarray:

@@ -3,7 +3,9 @@
 A run is fully described by a RunConfig (JSON-serializable); every random
 choice derives from its seed, so two runs with the same config produce
 bit-identical reports. Wall-clock goes to a separate meta file to keep the
-report deterministic.
+report deterministic. One pipeline serves both tasks: a small task object
+(`CurveTask`, `FieldTask`) supplies what differs between curves and fields,
+and `otgen generate` picks the same object for a saved model.
 """
 
 from __future__ import annotations
@@ -11,17 +13,19 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, fpca_gpr, svgplot
-from .density import GaussianCurveDensity, ReducedGaussianDensity, field_to_samples
+from .density import (CurveSnapshot, GaussianCurveDensity,
+                      ReducedGaussianDensity, field_to_samples)
 from .pca import fit_pca, project, reconstruct, subspace_residual
-from .transport import (ConditionNormalizer, Snapshot, SnapshotDataset,
-                        TrainConfig, generate_density, generate_mean, nrmse,
-                        train)
+from .transport import (AffineScaler, ConditionNormalizer, Snapshot,
+                        SnapshotDataset, TrainConfig, generate_density,
+                        generate_mean, nrmse, train)
 
 
 class StageError(RuntimeError):
@@ -104,11 +108,6 @@ class RunConfig:
         doc["train"] = TrainConfig(**tr)
         return cls(**doc)
 
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 @dataclass
 class ExperimentReport:
@@ -134,47 +133,18 @@ class ExperimentReport:
         return doc
 
 
-@dataclass
-class AffineScaler:
-    """Per-dimension affine map onto roughly [0, 1]."""
-
-    offset: np.ndarray
-    scale: np.ndarray
-
-    @classmethod
-    def from_bounds(cls, lo, hi):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        scale = np.where(hi > lo, hi - lo, 1.0)
-        return cls(lo, scale)
-
-    def forward(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.offset) / self.scale
-
-    def inverse(self, y):
-        return np.asarray(y, dtype=np.float64) * self.scale + self.offset
-
-    def to_dict(self):
-        from .nn import _arr_out
-        return {"offset": _arr_out(self.offset), "scale": _arr_out(self.scale)}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(np.array(doc["offset"], dtype=np.float64),
-                   np.array(doc["scale"], dtype=np.float64))
-
-
+@contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return None
+    """Wrap an ordinary failure inside the block as a StageError.
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    KeyboardInterrupt and SystemExit are not `Exception`s and pass through.
+    """
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as e:
+        raise StageError(name, e) from e
 
 
 def _build_normalizer(config: RunConfig, conditions) -> ConditionNormalizer:
@@ -187,15 +157,22 @@ def _anchor_indices(m, count):
     return np.unique(np.linspace(0, m - 1, count).round().astype(int))
 
 
-def prepare_curve_dataset(config: RunConfig, snapshots):
-    """Resample curves to a common grid, normalize, build densities."""
+def common_grid(snapshots, points):
+    """Strains spanning the range every curve covers, and each curve on them."""
     lo = max(s.strains[0] for s in snapshots)
     hi = min(s.strains[-1] for s in snapshots)
     if hi <= lo:
         raise ValueError("curves share no common strain range")
-    grid = np.linspace(lo, hi, config.grid_points)
-    means = np.stack([np.interp(grid, s.strains, s.stresses) for s in snapshots])
-    scaler = AffineScaler.from_bounds([lo, means.min()], [hi, means.max()])
+    grid = np.linspace(lo, hi, points)
+    return grid, np.stack([np.interp(grid, s.strains, s.stresses)
+                           for s in snapshots])
+
+
+def prepare_curve_dataset(config: RunConfig, snapshots):
+    """Resample curves to a common grid, normalize, build densities."""
+    grid, means = common_grid(snapshots, config.grid_points)
+    scaler = AffineScaler.from_bounds([grid[0], means.min()],
+                                      [grid[-1], means.max()])
     grid_n = scaler.forward(np.column_stack([grid, np.zeros_like(grid)]))[:, 0]
     anchors = _anchor_indices(len(grid), config.boundary_anchors)
 
@@ -216,131 +193,6 @@ def prepare_curve_dataset(config: RunConfig, snapshots):
                                (mean - scaler.offset[1])[anchors] / scaler.scale[1]])
         snaps.append(Snapshot(t, dens, (ref_pts, dst)))
     return SnapshotDataset(snaps), normalizer, scaler, grid, means
-
-
-def run_curve_experiment(config: RunConfig):
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-
-    with _stage("ingest"):
-        snapshots = dataio.ingest_curves(config.data)
-        if any(s.condition_raw > config.target_raw for s in snapshots) \
-                and config.time_mode == "linear":
-            warnings.warn("target condition lies inside the training range")
-
-    with _stage("prepare"):
-        dataset, normalizer, scaler, grid, means = prepare_curve_dataset(
-            config, snapshots)
-
-    with _stage("train"):
-        tcfg = config.train
-        if tcfg.seed != config.seed:
-            tcfg = replace(tcfg, seed=config.seed)
-        model = train(dataset, tcfg, normalizer=normalizer)
-
-    if not model.trained:
-        report, artifacts = _emit_untrained(config, model, out, "curves")
-    else:
-        report, artifacts = _score_and_emit_curves(
-            config, model, normalizer, scaler, grid, means, snapshots, out)
-    _write_meta(out, config, time.perf_counter() - t_start)
-    return report, model, artifacts
-
-
-def _emit_untrained(config, model, out, task):
-    # zero-epoch runs persist the initial model but skip generation
-    with _stage("emit"):
-        dataio.save_model(model, out / "model.json")
-        report = ExperimentReport(
-            task=task, seed=config.seed, target_raw=config.target_raw,
-            training_nrmse={}, target_nrmse=None, dropped_j_fraction=0.0,
-            loss_first=-1.0, loss_best=-1.0, loss_last=-1.0, epochs_run=0,
-            untrained=True)
-        _write_report(out / "report.json", report)
-    return report, {"model": str(out / "model.json"),
-                    "report": str(out / "report.json")}
-
-
-def _mean_curve_raw(model, t, scaler):
-    curve_n = generate_mean(model, t)
-    return scaler.inverse(curve_n)
-
-
-def _score_and_emit_curves(config, model, normalizer, scaler, grid,
-                           means, snapshots, out):
-    with _stage("generate"):
-        t_target = normalizer.normalize(config.target_raw)
-        gen_curve = _mean_curve_raw(model, t_target, scaler)
-        gen_on_grid = np.interp(grid, gen_curve[:, 0], gen_curve[:, 1])
-        cloud = generate_density(model, t_target, n=config.gen_samples,
-                                 seed=config.seed)
-
-    with _stage("score"):
-        training_nrmse = {}
-        for snap, mean in zip(snapshots, means):
-            t_i = normalizer.normalize(snap.condition_raw)
-            fit_curve = _mean_curve_raw(model, t_i, scaler)
-            fit_on_grid = np.interp(grid, fit_curve[:, 0], fit_curve[:, 1])
-            training_nrmse[str(snap.condition_raw)] = nrmse(fit_on_grid, mean)
-        target_nrmse = None
-        ref_on_grid = None
-        if config.reference:
-            ref_snaps = dataio.ingest_curves(config.reference)
-            ref = ref_snaps[0]
-            ref_on_grid = np.interp(grid, ref.strains, ref.stresses)
-            target_nrmse = nrmse(gen_on_grid, ref_on_grid)
-
-        baseline_nrmse = None
-        if config.baseline:
-            conds = np.array([s.condition_raw for s in snapshots])
-            base_mean, _ = fpca_gpr.fit_predict_baseline(
-                grid, means, conds, config.target_raw)
-            if ref_on_grid is not None:
-                baseline_nrmse = nrmse(base_mean, ref_on_grid)
-            dataio.write_curves(out / "baseline_pred.csv", [
-                _as_snapshot(config.target_raw, grid, base_mean)])
-
-    with _stage("emit"):
-        dataio.write_curves(out / "generated.csv",
-                            [_as_snapshot(config.target_raw, gen_curve[:, 0],
-                                          gen_curve[:, 1])])
-        dataio.save_model(model, out / "model.json",
-                          preprocessing={"scaler": scaler.to_dict(),
-                                         "grid": [float(g) for g in grid]})
-        _write_loss_history(out / "loss_history.csv", model.loss_history)
-        hist = model.loss_history
-        report = ExperimentReport(
-            task="curves", seed=config.seed, target_raw=config.target_raw,
-            training_nrmse=training_nrmse, target_nrmse=target_nrmse,
-            dropped_j_fraction=cloud.dropped_fraction,
-            loss_first=hist[0][0] if hist else -1.0,
-            loss_best=min(h[0] for h in hist) if hist else -1.0,
-            loss_last=hist[-1][0] if hist else -1.0,
-            epochs_run=len(hist), baseline_nrmse=baseline_nrmse)
-        _write_report(out / "report.json", report)
-        artifacts = {"generated": str(out / "generated.csv"),
-                     "model": str(out / "model.json"),
-                     "report": str(out / "report.json")}
-        if config.plots:
-            series = [(f"train {s.condition_raw:g}",
-                       np.column_stack([grid, m]))
-                      for s, m in zip(snapshots, means)]
-            series.append((f"generated {config.target_raw:g}",
-                           np.column_stack([grid, gen_on_grid])))
-            svgplot.plot_curves(series, out / "curves.svg",
-                                title="generated vs training curves")
-            pts_raw = scaler.inverse(cloud.points)
-            svgplot.plot_cloud(pts_raw, out / "cloud.svg", weights=cloud.weights,
-                               xlabel="strain", ylabel="stress",
-                               title="transported density")
-            artifacts["plots"] = [str(out / "curves.svg"), str(out / "cloud.svg")]
-    return report, artifacts
-
-
-def _as_snapshot(cond, x, y):
-    from .density import CurveSnapshot
-    return CurveSnapshot(cond, np.column_stack([x, y]))
 
 
 def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
@@ -369,107 +221,185 @@ def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
     return SnapshotDataset(snaps), normalizer, scaler, basis
 
 
-def run_field_experiment(config: RunConfig):
+class CurveTask:
+    """Stress-strain curves, compared as stresses on a common strain grid."""
+
+    def __init__(self, grid=None):
+        self.grid = grid
+
+    def ingest(self, config):
+        self.snapshots = dataio.ingest_curves(config.data)
+        self.conditions = [s.condition_raw for s in self.snapshots]
+
+    def prepare(self, config):
+        """(dataset, normalizer, scaler, PCA basis); sets grid and truths."""
+        dataset, normalizer, scaler, self.grid, self.truths = \
+            prepare_curve_dataset(config, self.snapshots)
+        return dataset, normalizer, scaler, None
+
+    def values(self, curve):
+        """A curve [m, 2] as stresses on the grid: the form scores compare."""
+        return np.interp(self.grid, curve[:, 0], curve[:, 1])
+
+    def read_reference(self, path):
+        return self.values(dataio.ingest_curves(path)[0].points)
+
+    def write(self, path, condition, curve):
+        dataio.write_curves(path, [CurveSnapshot(condition, curve)])
+
+    def baseline(self, target_raw):
+        mean, _ = fpca_gpr.fit_predict_baseline(
+            self.grid, self.truths, np.array(self.conditions), target_raw)
+        return np.column_stack([self.grid, mean])
+
+    def plot(self, path, series, title):
+        svgplot.plot_curves([(label, np.column_stack([self.grid, v]))
+                             for label, v in series], path, title=title)
+
+
+class FieldTask:
+    """Fields of D values per condition, trained in PCA coordinates."""
+
+    def ingest(self, config):
+        self.conditions, self.truths = dataio.ingest_fields(config.data)
+
+    def prepare(self, config):
+        """(dataset, normalizer, scaler, PCA basis)."""
+        dataset, normalizer, scaler, self.basis = prepare_field_dataset(
+            config, self.conditions, self.truths, config.seed)
+        return dataset, normalizer, scaler, self.basis
+
+    def values(self, field):
+        return field
+
+    def read_reference(self, path):
+        return dataio.ingest_fields(path)[1][0]
+
+    def write(self, path, condition, field):
+        dataio.write_fields(path, [condition], field[None, :])
+
+    def baseline(self, target_raw):
+        """GP regression of each reduced coordinate over the condition."""
+        coeffs = project(self.basis, self.truths)
+        pred = np.empty(self.basis.d)
+        for k in range(self.basis.d):
+            g = fpca_gpr.gpr_fit(self.conditions, coeffs[:, k])
+            pred[k], _ = fpca_gpr.gpr_predict(g, target_raw)
+        return reconstruct(self.basis, pred)
+
+    def plot(self, path, series, title):
+        idx = np.arange(len(series[0][1]), dtype=float)
+        svgplot.plot_curves([(label, np.column_stack([idx, v]))
+                             for label, v in series], path,
+                            xlabel="component", ylabel="value", title=title)
+
+
+TASKS = {"curves": CurveTask, "fields": FieldTask}
+
+
+def task_for_model(model):
+    """The task object of a trained model, told by its reference density."""
+    if isinstance(model.reference_density, GaussianCurveDensity):
+        curve = model.to_data_units(model.reference_density.mean_curve())
+        return CurveTask(grid=curve[:, 0])
+    return FieldTask()
+
+
+def run_experiment(config: RunConfig):
+    """Ingest, prepare, train, generate, score and emit one run.
+
+    Returns (ExperimentReport, model, artifact paths).
+    """
+    if not Path(config.data).exists():
+        raise StageError("ingest", FileNotFoundError(config.data))
+    if config.reference and not Path(config.reference).exists():
+        raise StageError("ingest", FileNotFoundError(config.reference))
+    task = TASKS[config.task]()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
 
     with _stage("ingest"):
-        conditions, fields = dataio.ingest_fields(config.data)
+        task.ingest(config)
+        if config.time_mode == "linear" \
+                and np.max(task.conditions) > config.target_raw:
+            warnings.warn("target condition lies inside the training range")
 
     with _stage("prepare"):
-        dataset, normalizer, scaler, basis = prepare_field_dataset(
-            config, conditions, fields, config.seed)
+        dataset, normalizer, scaler, basis = task.prepare(config)
 
     with _stage("train"):
-        tcfg = config.train
-        if tcfg.seed != config.seed:
-            tcfg = replace(tcfg, seed=config.seed)
-        if config.mean_anchor is False and tcfg.w2 != 0.0:
-            tcfg = replace(tcfg, w2=0.0)
-        model = train(dataset, tcfg, normalizer=normalizer)
-        model.pca_basis = basis
-        model.coeff_scaler = scaler
+        model = train(dataset, replace(config.train, seed=config.seed),
+                      normalizer=normalizer)
+        model.scaler, model.pca_basis = scaler, basis
 
+    artifacts = {"model": str(out / "model.json"),
+                 "report": str(out / "report.json")}
     if not model.trained:
-        report, artifacts = _emit_untrained(config, model, out, "fields")
+        # zero-epoch runs persist the initial model but skip generation
+        with _stage("emit"):
+            dataio.save_model(model, out / "model.json")
+            report = _report(config, model, training_nrmse={},
+                             target_nrmse=None, dropped_j_fraction=0.0)
+            _write_report(out / "report.json", report)
         _write_meta(out, config, time.perf_counter() - t_start)
         return report, model, artifacts
 
+    n, seed = config.gen_samples, config.seed
     with _stage("generate"):
         t_target = normalizer.normalize(config.target_raw)
-        cloud = generate_density(model, t_target, n=config.gen_samples,
-                                 seed=config.seed)
-        mean_reduced = scaler.inverse(cloud.weights @ cloud.points)
-        gen_field = reconstruct(basis, mean_reduced)
+        cloud = generate_density(model, t_target, n=n, seed=seed)
+        generated = generate_mean(model, t_target, cloud=cloud)
 
     with _stage("score"):
         training_nrmse = {}
-        for cond, fld in zip(conditions, fields):
-            t_i = normalizer.normalize(cond)
-            cl = generate_density(model, t_i, n=config.gen_samples,
-                                  seed=config.seed)
-            mr = scaler.inverse(cl.weights @ cl.points)
-            training_nrmse[str(cond)] = nrmse(reconstruct(basis, mr), fld)
-        target_nrmse = None
-        pca_resid = None
-        ref_field = None
-        if config.reference:
-            _, ref_rows = dataio.ingest_fields(config.reference)
-            ref_field = ref_rows[0]
-            target_nrmse = nrmse(gen_field, ref_field)
-            pca_resid = subspace_residual(basis, ref_field)
-
-        baseline_nrmse = None
-        if config.baseline and ref_field is not None:
-            coeffs = project(basis, fields)
-            pred = np.empty(basis.d)
-            for k in range(basis.d):
-                g = fpca_gpr.gpr_fit(conditions, coeffs[:, k])
-                pred[k], _ = fpca_gpr.gpr_predict(g, config.target_raw)
-            baseline_nrmse = nrmse(reconstruct(basis, pred), ref_field)
+        for cond, truth in zip(task.conditions, task.truths):
+            fit = generate_mean(model, normalizer.normalize(cond), n=n, seed=seed)
+            training_nrmse[str(cond)] = nrmse(task.values(fit), truth)
+        ref = task.read_reference(config.reference) if config.reference else None
+        target_nrmse = pca_resid = baseline_nrmse = None
+        if ref is not None:
+            target_nrmse = nrmse(task.values(generated), ref)
+            if basis is not None:
+                pca_resid = subspace_residual(basis, ref)
+        if config.baseline:
+            base = task.baseline(config.target_raw)
+            task.write(out / "baseline_pred.csv", config.target_raw, base)
+            if ref is not None:
+                baseline_nrmse = nrmse(task.values(base), ref)
 
     with _stage("emit"):
-        dataio.write_fields(out / "generated.csv", [config.target_raw],
-                            gen_field[None, :])
-        dataio.save_model(model, out / "model.json",
-                          preprocessing={"scaler": scaler.to_dict()})
+        task.write(out / "generated.csv", config.target_raw, generated)
+        dataio.save_model(model, out / "model.json")
         _write_loss_history(out / "loss_history.csv", model.loss_history)
-        hist = model.loss_history
-        report = ExperimentReport(
-            task="fields", seed=config.seed, target_raw=config.target_raw,
-            training_nrmse=training_nrmse, target_nrmse=target_nrmse,
-            dropped_j_fraction=cloud.dropped_fraction,
-            loss_first=hist[0][0] if hist else -1.0,
-            loss_best=min(h[0] for h in hist) if hist else -1.0,
-            loss_last=hist[-1][0] if hist else -1.0,
-            epochs_run=len(hist), baseline_nrmse=baseline_nrmse,
-            pca_target_residual=pca_resid)
+        report = _report(config, model, training_nrmse=training_nrmse,
+                         target_nrmse=target_nrmse,
+                         dropped_j_fraction=cloud.dropped_fraction,
+                         baseline_nrmse=baseline_nrmse,
+                         pca_target_residual=pca_resid)
         _write_report(out / "report.json", report)
-        artifacts = {"generated": str(out / "generated.csv"),
-                     "model": str(out / "model.json"),
-                     "report": str(out / "report.json")}
-        if config.plots and ref_field is not None:
-            idx = np.arange(len(gen_field), dtype=float)
-            svgplot.plot_curves(
-                [("reference", np.column_stack([idx, ref_field])),
-                 ("generated", np.column_stack([idx, gen_field]))],
-                out / "field.svg", xlabel="component", ylabel="value",
-                title="generated vs reference field")
-            artifacts["plots"] = [str(out / "field.svg")]
+        artifacts["generated"] = str(out / "generated.csv")
+        if config.plots:
+            series = [(f"train {c:g}", v)
+                      for c, v in zip(task.conditions, task.truths)]
+            series.append((f"generated {config.target_raw:g}",
+                           task.values(generated)))
+            if ref is not None:
+                series.append(("reference", ref))
+            plot = out / f"{config.task}.svg"
+            task.plot(plot, series, "generated vs training data")
+            artifacts["plots"] = [str(plot)]
     _write_meta(out, config, time.perf_counter() - t_start)
     return report, model, artifacts
 
 
-def run_experiment(config: RunConfig):
-    """Dispatch on task; returns (ExperimentReport, model, artifact paths)."""
-    if not Path(config.data).exists():
-        raise StageError("ingest", FileNotFoundError(config.data))
-    if config.reference and not Path(config.reference).exists():
-        raise StageError("ingest", FileNotFoundError(config.reference))
-    if config.task == "curves":
-        return run_curve_experiment(config)
-    return run_field_experiment(config)
+def _report(config, model, **scores) -> ExperimentReport:
+    totals = [h[0] for h in model.loss_history] or [-1.0]
+    return ExperimentReport(
+        task=config.task, seed=config.seed, target_raw=config.target_raw,
+        loss_first=totals[0], loss_best=min(totals), loss_last=totals[-1],
+        epochs_run=len(model.loss_history), untrained=not model.trained,
+        **scores)
 
 
 def _write_report(path, report: ExperimentReport):

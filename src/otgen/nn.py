@@ -2,9 +2,9 @@
 
 Provides multilayer perceptrons with SELU / softplus / leaky-ReLU
 activations and per-layer dropout, a sinusoidal feature embedding with
-learnable spectral weights, finite-difference input derivatives that stay
-on the tape (so parameter gradients flow through them), the Adam
-optimizer, and a versioned JSON weight format with bit-exact round trips.
+learnable spectral weights, the Adam optimizer, and a versioned JSON
+weight format with bit-exact round trips. Input derivatives of the
+displacement field live in `otgen.transport`.
 """
 
 from __future__ import annotations
@@ -204,49 +204,6 @@ def param_grad(loss_fn, params: list[ad.Tensor]) -> list[np.ndarray]:
     loss.backward()
     return [np.zeros_like(p.value) if p.grad is None else p.grad.copy()
             for p in params]
-
-
-def input_derivs(net: Mlp, embedding, X, t, h=1e-3):
-    """Finite-difference input derivatives, recorded on the tape.
-
-    For u(X, t) with X [n, d] and scalar/[n] time t, returns
-
-    - du_dt       [n, out]: (u(X, t+h) - u(X, t-h)) / 2h
-    - d2u_dt2     [n, out]: (u(X, t+h) - 2 u(X, t) + u(X, t-h)) / h^2
-    - jacobian    [n, out, d]: central differences along each coordinate
-
-    Every stencil evaluation is an ordinary forward pass, so gradients of
-    any downstream loss w.r.t. network parameters include the dependence
-    through these derivative estimates. Time stencil points must stay
-    inside [-0.5, 1.5].
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    n, d = X.shape
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (n, 1))
-    if np.any(t + h > 1.5) or np.any(t - h < -0.5):
-        raise ValueError("time stencil leaves the [-0.5, 1.5] guard band")
-
-    def u(Xa, ta):
-        inp = ad.constant(np.concatenate([Xa, ta], axis=1))
-        return forward(net, embedding, inp, mode="eval")
-
-    u0 = u(X, t)
-    up = u(X, t + h)
-    um = u(X, t - h)
-    inv2h = 1.0 / (2.0 * h)
-    du_dt = ad.mul(ad.sub(up, um), inv2h)
-    d2u_dt2 = ad.mul(ad.sub(ad.add(up, um), ad.mul(u0, 2.0)), 1.0 / h**2)
-    cols = []
-    for j in range(d):
-        dX = np.zeros_like(X)
-        dX[:, j] = h
-        cols.append(ad.mul(ad.sub(u(X + dX, t), u(X - dX, t)), inv2h))
-    jac = ad.stack_last(cols)
-    return du_dt, d2u_dt2, jac
 
 
 # -- Adam --------------------------------------------------------------------

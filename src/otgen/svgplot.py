@@ -1,8 +1,8 @@
 """Minimal deterministic SVG plotting.
 
 Hand-rolled SVG so identical inputs produce identical bytes (no library
-version strings or timestamps). Covers the two shapes this package needs:
-line overlays of curves and scatter clouds with opacity-encoded weight.
+version strings or timestamps). Covers the one shape this package needs:
+line overlays of curves.
 """
 
 from __future__ import annotations
@@ -110,39 +110,6 @@ def plot_curves(series, path, xlabel="strain", ylabel="stress", title=""):
                         f'stroke="{color}" stroke-width="1.5"/>')
         legend.append((label, color))
     cv.legend(legend)
-    data = cv.finish()
-    with open(path, "w", newline="") as f:
-        f.write(data)
-    return data
-
-
-def plot_cloud(points, path, weights=None, xlabel="x1", ylabel="x2", title="",
-               extra_series=()):
-    """Scatter of a 2-D particle cloud, opacity encoding relative weight."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) == 0:
-        raise ValueError("nothing to plot")
-    arrays = [points] + [np.atleast_2d(a) for _, a in extra_series]
-    xlim, ylim = _ranges(arrays)
-    cv = _Canvas(xlim, ylim, xlabel, ylabel, title)
-    if weights is None:
-        opac = np.full(len(points), 0.35)
-    else:
-        w = np.asarray(weights, dtype=float)
-        opac = 0.1 + 0.85 * (w / w.max())
-    for (x, y), o in zip(points, opac):
-        cv.parts.append(f'<circle cx="{_fmt(cv.px(x))}" cy="{_fmt(cv.py(y))}" '
-                        f'r="1.6" fill="#1f77b4" fill-opacity="{o:.3f}"/>')
-    legend = []
-    for k, (label, arr) in enumerate(extra_series):
-        color = PALETTE[(k + 1) % len(PALETTE)]
-        arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        pts = " ".join(f"{_fmt(cv.px(x))},{_fmt(cv.py(y))}" for x, y in arr)
-        cv.parts.append(f'<polyline points="{pts}" fill="none" '
-                        f'stroke="{color}" stroke-width="1.5"/>')
-        legend.append((label, color))
-    if legend:
-        cv.legend(legend)
     data = cv.finish()
     with open(path, "w", newline="") as f:
         f.write(data)

@@ -30,6 +30,7 @@ from . import autodiff as ad
 from . import nn
 from . import rng
 from .density import GaussianCurveDensity
+from .pca import reconstruct
 
 TIME_GUARD = (-0.05, 1.05)
 
@@ -73,8 +74,25 @@ class ConditionNormalizer:
         return 10.0 ** (lo + t * (hi - lo))
 
 
-def normalize_time(norm: ConditionNormalizer, raw: float) -> float:
-    return norm.normalize(raw)
+@dataclass
+class AffineScaler:
+    """Per-dimension affine map of data coordinates onto roughly [0, 1]."""
+
+    offset: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def from_bounds(cls, lo, hi):
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        scale = np.where(hi > lo, hi - lo, 1.0)
+        return cls(lo, scale)
+
+    def forward(self, x):
+        return (np.asarray(x, dtype=np.float64) - self.offset) / self.scale
+
+    def inverse(self, y):
+        return np.asarray(y, dtype=np.float64) * self.scale + self.offset
 
 
 # -- network fields -------------------------------------------------------------
@@ -258,12 +276,25 @@ class TransportModel:
     loss_history: list = field(default_factory=list)
     dropped_fraction: float = 0.0
     pca_basis: object = None
-    coeff_scaler: object = None   # inverse() maps training coords to raw reduced
+    scaler: AffineScaler | None = None
     reference_density: object = None
     trained: bool = False
 
     def parameters(self) -> list[ad.Tensor]:
         return self.displacement.parameters() + self.body_force.parameters()
+
+    def to_data_units(self, y) -> np.ndarray:
+        """Map training coordinates to data units.
+
+        The scaler's inverse undoes the training normalization; with a PCA
+        basis attached the reduced coordinates are then reconstructed to
+        full fields. Without either, y comes back unchanged.
+        """
+        if self.scaler is not None:
+            y = self.scaler.inverse(y)
+        if self.pca_basis is not None:
+            y = reconstruct(self.pca_basis, y)
+        return y
 
 
 def init_model(dataset: SnapshotDataset, normalizer: ConditionNormalizer,
@@ -301,14 +332,13 @@ def spatial_jacobian_t(fieldo: DisplacementField, X, t, h) -> ad.Tensor:
 
 
 def time_derivs_t(fieldo: DisplacementField, X, t, h):
-    """(u, du/dt, d2u/dt2) at fixed points, as tape tensors."""
+    """(u, d2u/dt2) at fixed points, as tape tensors."""
     _check_time(t, h)
     u0 = fieldo.u(X, t)
     up = fieldo.u(X, np.asarray(t) + h)
     um = fieldo.u(X, np.asarray(t) - h)
-    du = ad.mul(ad.sub(up, um), 1.0 / (2.0 * h))
     d2u = ad.mul(ad.sub(ad.add(up, um), ad.mul(u0, 2.0)), 1.0 / h**2)
-    return u0, du, d2u
+    return u0, d2u
 
 
 def deformation_gradient(model: TransportModel, X, t, h=None) -> np.ndarray:
@@ -323,24 +353,11 @@ def deformation_gradient(model: TransportModel, X, t, h=None) -> np.ndarray:
     return F[0] if single else F
 
 
-def neo_hookean_energy(F, G) -> float:
-    """Deformation energy 0.5 G (Tr(F F^T) - N); may be negative in compression."""
-    F = np.asarray(F, dtype=np.float64)
-    n = F.shape[-1]
-    C = F @ np.swapaxes(F, -1, -2)
-    return float(0.5 * G * (np.trace(C, axis1=-2, axis2=-1) - n))
-
-
-def first_pk_stress(F, G) -> np.ndarray:
-    """Stress conjugate to F for the energy above: P = G F."""
-    return G * np.asarray(F, dtype=np.float64)
-
-
 def eom_residual_t(model: TransportModel, X, t, h, mode="eval", seed=0) -> ad.Tensor:
     """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape."""
     fieldo = model.displacement
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    u0, _, d2u = time_derivs_t(fieldo, X, t, h)
+    u0, d2u = time_derivs_t(fieldo, X, t, h)
     r = d2u
     G = model.config.shear_modulus
     if G != 0.0:
@@ -587,15 +604,6 @@ class ParticleCloudDensity:
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
 
-    def kde(self, query, bandwidth) -> np.ndarray:
-        """Gaussian kernel density estimate of the cloud at query points."""
-        q = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        d = self.points.shape[1]
-        norm = (2.0 * np.pi * bandwidth**2) ** (d / 2.0)
-        diff = q[:, None, :] - self.points[None, :, :]
-        k = np.exp(-0.5 * np.einsum("qnd,qnd->qn", diff, diff) / bandwidth**2)
-        return (k @ self.weights) / norm
-
 
 def generate_density(model: TransportModel, t_target_norm, n=2048,
                      seed=0) -> ParticleCloudDensity:
@@ -624,31 +632,29 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
                                 float(dropped_fraction))
 
 
-def generate_mean(model: TransportModel, t_target_norm, n=2048, seed=0):
-    """Mean of the transported density.
+def generate_mean(model: TransportModel, t_target_norm, n=2048, seed=0,
+                  cloud: ParticleCloudDensity | None = None):
+    """Mean of the transported density at pseudo-time t, in data units.
 
     For a curve reference the conditional mean stress along strain is the
-    mapped mean curve, returned as [m, 2] sorted by strain. Otherwise the
-    weighted mean of the particle cloud is returned; with a PCA basis
-    attached it is reconstructed back to data space.
+    mapped mean curve, returned as [m, 2] sorted by strain. Otherwise it is
+    the weighted mean of the particle cloud at t: `cloud` when the caller
+    already generated one there, else one drawn with n and seed. Either
+    mean is mapped by `TransportModel.to_data_units`, so a field model with
+    a PCA basis returns the reconstructed field.
     """
     ref = model.reference_density
     if ref is None:
         raise ValueError("model has no reference density attached")
     if isinstance(ref, GaussianCurveDensity):
         P = ref.mean_curve()
-        u0 = model.displacement.u_values(P, t_target_norm)
-        mapped = P + u0
-        order = np.argsort(mapped[:, 0], kind="stable")
-        return mapped[order]
-    cloud = generate_density(model, t_target_norm, n=n, seed=seed)
-    mean = cloud.mean()
-    if model.coeff_scaler is not None:
-        mean = model.coeff_scaler.inverse(mean)
-    if model.pca_basis is not None:
-        from .pca import reconstruct
-        return reconstruct(model.pca_basis, mean)
-    return mean
+        mapped = P + model.displacement.u_values(P, t_target_norm)
+        mean = mapped[np.argsort(mapped[:, 0], kind="stable")]
+    else:
+        if cloud is None:
+            cloud = generate_density(model, t_target_norm, n=n, seed=seed)
+        mean = cloud.mean()
+    return model.to_data_units(mean)
 
 
 def nrmse(pred, target) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 from otgen import cli, dataio
 from otgen.fixtures import curve_family, field_family, synth_fixture
-from otgen.svgplot import plot_cloud, plot_curves
+from otgen.svgplot import plot_curves
 from otgen.transport import TrainConfig
 
 
@@ -65,14 +65,6 @@ class TestSvg:
                             ("b", np.array([[0, 1], [1, 0]]))], path)
         assert data.count("<polyline") == 2
         assert path.read_text() == data
-
-    def test_cloud_scatter_with_opacity(self, tmp_path):
-        gen = np.random.default_rng(0)
-        pts = gen.normal(size=(40, 2))
-        w = np.abs(gen.normal(size=40)) + 0.1
-        data = plot_cloud(pts, tmp_path / "c.svg", weights=w)
-        assert data.count("<circle") == 40
-        assert "fill-opacity" in data
 
     def test_deterministic_bytes(self, tmp_path):
         series = [("x", np.array([[0, 0], [0.5, 2], [1, 1]]))]
@@ -226,7 +218,7 @@ class TestRunAndGenerateCommands:
             "reference": paths["target"], "target_raw": 1.0,
             "pca_d": 3, "pca_samples": 16, "reduced_sigma": 0.05,
             "train": SMALL_TRAIN, "gen_samples": 128, "baseline": True,
-            "out_dir": str(tmp_path / "out"), "seed": 0,
+            "plots": True, "out_dir": str(tmp_path / "out"), "seed": 0,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -243,16 +235,59 @@ class TestRunAndGenerateCommands:
         code = run_cli("generate", "--model",
                        str(tmp_path / "out" / "model.json"),
                        "--target", "0.9", "--out", str(gen_out),
-                       "--samples", "64", "--reference", paths["target"])
+                       "--samples", "64", "--reference", paths["target"],
+                       "--plot", str(tmp_path / "genf.svg"))
         assert code == 0
         _, grows = dataio.ingest_fields(gen_out)
         assert grows.shape == (1, 30)
+        for svg in (tmp_path / "out" / "fields.svg", tmp_path / "genf.svg"):
+            assert svg.read_text().count("<polyline") >= 2
+
+    def test_field_generate_builds_one_cloud(self, tmp_path, capsys,
+                                             monkeypatch):
+        from otgen import transport
+        paths = synth_fixture("fields", tmp_path / "fx", seed=1,
+                              taus=[0.0, 0.5], params={"D": 20})
+        doc = {"task": "fields", "data": paths["train"], "target_raw": 1.0,
+               "pca_d": 2, "pca_samples": 16, "train": SMALL_TRAIN,
+               "gen_samples": 64, "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg_path)) == 0
+        calls = []
+        original = transport.generate_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "generate_density", counted)
+        assert run_cli("generate", "--model",
+                       str(tmp_path / "out" / "model.json"), "--target", "1.0",
+                       "--out", str(tmp_path / "g.csv"), "--samples", "64",
+                       "--reference", paths["target"]) == 0
+        assert len(calls) == 1
+
+    def test_interrupt_during_stage_propagates(self, tmp_path, capsys,
+                                               monkeypatch):
+        from otgen import experiment
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5])
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"])
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "train", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--config", cfg_path)
 
 
 class TestReportInvariants:
     def test_report_matches_emitted_artifacts(self, tmp_path):
         # NRMSE recomputed from the emitted CSVs equals the report value
-        from otgen.experiment import RunConfig, run_experiment
+        from otgen.experiment import (RunConfig, prepare_curve_dataset,
+                                      run_experiment)
         from otgen.transport import nrmse
         paths = synth_fixture("curves", tmp_path / "fx", seed=0,
                               taus=[0.0, 0.5])
@@ -265,8 +300,7 @@ class TestReportInvariants:
         report, model, artifacts = run_experiment(cfg)
         gen = dataio.ingest_curves(artifacts["generated"])[0]
         ref = dataio.ingest_curves(paths["target"])[0]
-        doc = json.loads(Path(artifacts["model"]).read_text())
-        grid = np.array(doc["preprocessing"]["grid"])
+        grid = prepare_curve_dataset(cfg, dataio.ingest_curves(cfg.data))[3]
         recomputed = nrmse(np.interp(grid, gen.strains, gen.stresses),
                            np.interp(grid, ref.strains, ref.stresses))
         assert recomputed == pytest.approx(report.target_nrmse, rel=1e-9)

@@ -1,12 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otgen import dataio, rng
 from otgen.density import CurveSnapshot, GaussianCurveDensity, ReducedGaussianDensity
+from otgen.experiment import RunConfig, run_experiment
+from otgen.fixtures import synth_fixture
 from otgen.pca import fit_pca
-from otgen.transport import ConditionNormalizer, Snapshot, SnapshotDataset, TrainConfig, init_model
+from otgen.transport import (AffineScaler, ConditionNormalizer, Snapshot,
+                             SnapshotDataset, TrainConfig, generate_density,
+                             generate_mean, init_model)
 
 
 def write(path, text):
@@ -84,10 +89,12 @@ class TestModelRoundtrip:
 
     def test_bit_exact_roundtrip(self, tmp_path):
         model = self.make_model()
+        model.scaler = AffineScaler.from_bounds([0.1, -2.0], [0.7, 3.0 / 7.0])
         path = tmp_path / "model.json"
-        dataio.save_model(model, path, preprocessing={"note": "x"})
-        back, pre = dataio.load_model(path)
-        assert pre == {"note": "x"}
+        dataio.save_model(model, path)
+        back = dataio.load_model(path)
+        np.testing.assert_array_equal(back.scaler.offset, model.scaler.offset)
+        np.testing.assert_array_equal(back.scaler.scale, model.scaler.scale)
         for a, b in zip(model.parameters(), back.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
         assert back.normalizer == model.normalizer
@@ -119,6 +126,57 @@ class TestModelRoundtrip:
         model.pca_basis = fit_pca(rng.normal(gen, (20, 6)), 2)
         path = tmp_path / "model.json"
         dataio.save_model(model, path)
-        back, _ = dataio.load_model(path)
+        back = dataio.load_model(path)
         np.testing.assert_array_equal(back.pca_basis.components,
                                       model.pca_basis.components)
+
+
+SMALL_TRAIN = TrainConfig(
+    epochs=15, n_samples=48, n_samples_pde=12, n_collocation=5,
+    dnn_hidden=(16, 16), dnn_fourier_m=3, fnn_hidden=(16,), fnn_dropout=0.0,
+    auto_rescale_weights=True)
+
+
+@pytest.fixture(scope="module", params=["curves", "fields"])
+def trained_run(request, tmp_path_factory):
+    """A short `run_experiment` per task: (in-memory model, model path)."""
+    root = tmp_path_factory.mktemp(request.param)
+    if request.param == "curves":
+        paths = synth_fixture("curves", root / "fx", seed=0, taus=[0.0, 0.5])
+        extra = dict(grid_points=12, sigma_frac=0.05)
+    else:
+        paths = synth_fixture("fields", root / "fx", seed=1,
+                              taus=[0.0, 0.25, 0.5, 0.75], params={"D": 30})
+        extra = dict(pca_d=3, pca_samples=16)
+    cfg = RunConfig(task=request.param, data=paths["train"], target_raw=1.0,
+                    train=SMALL_TRAIN, gen_samples=128,
+                    out_dir=str(root / "out"), seed=0, **extra)
+    _, model, artifacts = run_experiment(cfg)
+    return model, artifacts["model"]
+
+
+def assert_generates_like(back, model):
+    for t in (0.3, 1.0):
+        np.testing.assert_array_equal(generate_mean(back, t, n=256, seed=3),
+                                      generate_mean(model, t, n=256, seed=3))
+        a = generate_density(back, t, n=256, seed=3)
+        b = generate_density(model, t, n=256, seed=3)
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.density_values, b.density_values)
+
+
+class TestSavedRunRoundtrip:
+    def test_reloaded_model_generates_bit_for_bit(self, trained_run):
+        model, path = trained_run
+        assert model.scaler is not None
+        assert_generates_like(dataio.load_model(path), model)
+
+    def test_format_1_document_generates_like_format_2(self, trained_run,
+                                                       tmp_path):
+        model, path = trained_run
+        doc = json.loads(Path(path).read_text())
+        doc["version"] = 1
+        doc["preprocessing"] = {"scaler": doc.pop("scaler")}
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        assert_generates_like(dataio.load_model(old), model)

@@ -4,8 +4,8 @@ import pytest
 from otgen import autodiff as ad
 from otgen import rng
 from otgen.density import (CurveSnapshot, GaussianCurveDensity,
-                           ReducedGaussianDensity, density_eval,
-                           field_to_samples, resample_to_grid)
+                           ReducedGaussianDensity, field_to_samples,
+                           resample_to_grid)
 
 
 def manual_interp(xq, xs, ys):
@@ -72,11 +72,11 @@ class TestGaussianCurveDensity:
     def test_peak_value_on_mean_curve(self):
         x = np.array([0.35, 3.5])
         expected = 1.0 / (1.0 * self.model.sigma_stress * np.sqrt(2 * np.pi))
-        assert density_eval(self.model, x) == pytest.approx(expected, rel=1e-12)
+        assert self.model.pdf(x)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_outside_strain_range(self):
-        assert density_eval(self.model, [1.2, 5.0]) == 0.0
-        assert density_eval(self.model, [-0.1, 0.0]) == 0.0
+        np.testing.assert_array_equal(
+            self.model.pdf([[1.2, 5.0], [-0.1, 0.0]]), 0.0)
 
     def test_quadrature_integrates_to_one(self):
         # trapezoid oracle over [0,1] x [-5, 15]
@@ -145,7 +145,7 @@ class TestReducedGaussianDensity:
     def test_pdf_value(self):
         m = ReducedGaussianDensity([1.0, -1.0], sigma=2.0)
         # hand: (2 pi sigma^2)^-1 at the mean
-        assert density_eval(m, [1.0, -1.0]) == pytest.approx(
+        assert m.pdf([1.0, -1.0])[0] == pytest.approx(
             1.0 / (2 * np.pi * 4.0), rel=1e-12)
 
     def test_sample_clt_bound(self):

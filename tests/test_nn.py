@@ -5,6 +5,7 @@ import pytest
 
 from otgen import autodiff as ad
 from otgen import nn, rng
+from otgen.transport import DisplacementField, spatial_jacobian_t, time_derivs_t
 
 
 def make_linear(W, b, activation="linear", activation_param=0.0, dropout=0.0):
@@ -178,64 +179,27 @@ def test_param_grad_matches_fd_on_random_net(seed):
     assert np.max(np.abs(grads - fd) / scale) < 1e-4
 
 
-# -- input derivatives ------------------------------------------------------
-
-def test_input_derivs_quadratic_time_exact():
-    # u(X, t) = t^2 for both outputs: weight picks t, squared via elementwise
-    # square cannot be expressed by a linear layer, so use 2-layer softplus-free
-    # trick: a linear net cannot produce t^2; instead check with linear-in-t
-    # nets that d2u/dt2 == 0 and du/dt is the slope.
-    W = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])  # u = (2t, -t)
-    net = nn.Mlp([make_linear(W, np.zeros(2))])
-    X = np.zeros((3, 2))
-    du, d2u, jac = nn.input_derivs(net, None, X, 0.5, h=1e-3)
-    np.testing.assert_allclose(du.value, np.tile([2.0, -1.0], (3, 1)), atol=1e-9)
-    np.testing.assert_allclose(d2u.value, 0.0, atol=1e-6)
-    np.testing.assert_allclose(jac.value, 0.0, atol=1e-9)
-
+# -- input derivatives (transport's stencils on a bare net) -----------------
 
 def test_input_derivs_linear_spatial_exact():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     W = np.hstack([A, np.zeros((2, 1))])  # u = A X, no time dependence
-    net = nn.Mlp([make_linear(W, np.zeros(2))])
+    field = DisplacementField(2, nn.Mlp([make_linear(W, np.zeros(2))]))
     gen = rng.stream(6)
     X = rng.normal(gen, (5, 2))
-    _, d2u, jac = nn.input_derivs(net, None, X, 0.2, h=1e-3)
+    jac = spatial_jacobian_t(field, X, 0.2, 1e-3)
+    _, d2u = time_derivs_t(field, X, 0.2, 1e-3)
     np.testing.assert_allclose(jac.value, np.tile(A, (5, 1, 1)), atol=1e-8)
     np.testing.assert_allclose(d2u.value, 0.0, atol=1e-7)
 
 
-def five_point_second(f, t, h):
-    return (-f(t + 2 * h) + 16 * f(t + h) - 30 * f(t)
-            + 16 * f(t - h) - f(t - 2 * h)) / (12 * h * h)
-
-
-def test_input_derivs_match_higher_order_stencil():
-    net = nn.init_mlp([3, 8, 8, 2], "softplus", seed=11, activation_param=5.0)
-    X = rng.normal(rng.stream(12), (1, 2))
-    t0, h = 0.4, 1e-3
-
-    def u_of_t(t):
-        inp = np.concatenate([X, [[t]]], axis=1)
-        return net.forward(inp).value[0]
-
-    _, d2u, _ = nn.input_derivs(net, None, X, t0, h=h)
-    rich = five_point_second(u_of_t, t0, h)
-    np.testing.assert_allclose(d2u.value[0], rich, atol=5e-5)
-
-
-def test_input_derivs_guard_band():
-    net = nn.init_mlp([2, 4, 1], "selu", seed=0)
-    with pytest.raises(ValueError):
-        nn.input_derivs(net, None, np.zeros((1, 1)), 1.5, h=1e-2)
-
-
 def test_gradients_flow_through_input_derivs():
     net = nn.init_mlp([2, 6, 1], "softplus", seed=13, activation_param=4.0)
+    field = DisplacementField(1, net)
     X = np.array([[0.3]])
 
     def loss_fn():
-        _, d2u, _ = nn.input_derivs(net, None, X, 0.5, h=1e-2)
+        _, d2u = time_derivs_t(field, X, 0.5, 1e-2)
         return ad.tsum(ad.square(d2u))
 
     grads = nn.param_grad(loss_fn, net.parameters())

@@ -7,9 +7,8 @@ from otgen.density import GaussianCurveDensity, ReducedGaussianDensity
 from otgen.transport import (ConditionNormalizer, Snapshot,
                              SnapshotDataset, TrainConfig, TransportModel,
                              deformation_gradient, eom_residual,
-                             first_pk_stress, generate_density, generate_mean,
-                             init_model, loss, neo_hookean_energy,
-                             normalize_time, nrmse, train)
+                             generate_density, generate_mean, init_model,
+                             loss, nrmse, train)
 
 
 class RiggedField:
@@ -71,7 +70,7 @@ class TestConditionNormalizer:
         # strain rates 4e-4..8: t(0.04) = (log10(0.04)-log10(4e-4))/(log10(8)-log10(4e-4))
         n = ConditionNormalizer("log10", 4e-4, 8.0, unit="1/s")
         expected = (np.log10(0.04) - np.log10(4e-4)) / (np.log10(8.0) - np.log10(4e-4))
-        assert normalize_time(n, 0.04) == pytest.approx(expected, rel=1e-14)
+        assert n.normalize(0.04) == pytest.approx(expected, rel=1e-14)
 
     def test_out_of_range_raises(self):
         n = ConditionNormalizer("linear", 0.0, 1.0)
@@ -100,6 +99,13 @@ class TestKinematics:
         model = rigged_model(2, lambda X, t: 0.5 * X)
         F = deformation_gradient(model, np.array([0.3, 0.4]), 0.7)
         np.testing.assert_allclose(F, 1.5 * np.eye(2), atol=1e-8)
+        # a non-symmetric map pins the orientation F[i, j] = dx_i / dX_j
+        A = np.array([[1.0, 2.0], [3.0, 4.0]])
+        model = rigged_model(2, lambda X, t: X @ A.T)
+        X = rng.normal(rng.stream(6), (5, 2))
+        F = deformation_gradient(model, X, 0.2)
+        np.testing.assert_allclose(F, np.tile(np.eye(2) + A, (5, 1, 1)),
+                                   atol=1e-8)
 
     def test_det_f_matches_fd_oracle(self):
         model = init_model(
@@ -125,14 +131,6 @@ class TestKinematics:
             um = model.displacement.u_values(X - e, t)[0]
             fd[:, j] = (up - um) / (2 * h)
         np.testing.assert_allclose(F, np.eye(2) + fd, atol=1e-6)
-
-    def test_neo_hookean_values(self):
-        assert neo_hookean_energy(np.eye(3), 2.0) == 0.0
-        np.testing.assert_array_equal(first_pk_stress(np.eye(3), 2.0), 2.0 * np.eye(3))
-        # N=2, F=diag(2,1), G=1: W = (4 + 1 - 2)/2
-        assert neo_hookean_energy(np.diag([2.0, 1.0]), 1.0) == pytest.approx(1.5)
-        # compression can make the energy negative; only the formula is pinned
-        assert neo_hookean_energy(np.diag([0.1, 0.1]), 1.0) < 0.0
 
 
 class TestEomResidual:
