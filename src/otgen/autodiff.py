@@ -142,10 +142,14 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents) -> bool:
+    """Whether a node over `parents` goes on the tape."""
+    return _grad_enabled() and any(p.requires_grad or p._parents
+                                   for p in parents)
+
+
 def _make(value, parents, backward):
-    if _grad_enabled() and any(
-        p.requires_grad or p._parents for p in parents
-    ):
+    if _recording(parents):
         return Tensor(value, parents=parents, backward=backward)
     return Tensor(value)
 
@@ -324,7 +328,7 @@ def stack_last(parts):
 def getitem(a, idx):
     a = _lift(a)
     out = a.value[idx]
-    plain = isinstance(idx, slice) or (
+    plain = isinstance(idx, (slice, int)) or (
         isinstance(idx, tuple) and all(isinstance(i, (slice, int)) for i in idx))
 
     def backward(g):
@@ -390,13 +394,64 @@ SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 
 
-def selu(a):
-    a = _lift(a)
-    x = a.value
+def _softplus_derivs(x, beta, order):
+    """[softplus(x), its first, ..., order-th derivative] (overflow-safe)."""
+    z = beta * x
+    ez = np.exp(-np.abs(z))
+    d = [(np.maximum(z, 0.0) + np.log1p(ez)) / beta]
+    if order >= 1:
+        s = 1.0 / (1.0 + ez)
+        d.append(np.where(z >= 0.0, s, 1.0 - s))
+    if order >= 2:
+        # sig (1 - sig) = ez s^2 and 1 - 2 sig = +-(ez - 1) s, free of the
+        # cancellation in 1 - sig when |z| is large
+        q = ez * s * s
+        d.append(beta * q)
+    if order >= 3:
+        d.append(beta * beta * q * np.where(z >= 0.0, ez - 1.0, 1.0 - ez) * s)
+    return d
+
+
+def _selu_derivs(x, order):
     pos = x > 0.0
     expx = SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-    out = SELU_LAMBDA * np.where(pos, x, expx - SELU_ALPHA)
-    deriv = SELU_LAMBDA * np.where(pos, 1.0, expx)
+    d = [SELU_LAMBDA * np.where(pos, x, expx - SELU_ALPHA)]
+    if order >= 1:
+        d.append(SELU_LAMBDA * np.where(pos, 1.0, expx))
+    if order >= 2:
+        d.append(SELU_LAMBDA * np.where(pos, 0.0, expx))
+    if order >= 3:
+        d.append(d[2])
+    return d
+
+
+def _leaky_relu_derivs(x, slope, order):
+    d = [np.where(x >= 0.0, x, slope * x)]
+    if order >= 1:
+        d.append(np.where(x >= 0.0, 1.0, slope))
+    return d + [0.0] * (order - 1)
+
+
+def _linear_derivs(x, order):
+    return [x, 1.0, 0.0, 0.0][:order + 1]
+
+
+def _activation_derivs(activation, x, param, order):
+    """Activation value and derivatives up to `order` (at most 3) at x."""
+    if activation == "softplus":
+        return _softplus_derivs(x, param, order)
+    if activation == "selu":
+        return _selu_derivs(x, order)
+    if activation == "leaky_relu":
+        return _leaky_relu_derivs(x, param, order)
+    if activation == "linear":
+        return _linear_derivs(x, order)
+    raise ValueError(f"unknown activation {activation!r}")
+
+
+def selu(a):
+    a = _lift(a)
+    out, deriv = _selu_derivs(a.value, 1)
 
     def backward(g):
         a._accumulate(g * deriv)
@@ -407,11 +462,7 @@ def selu(a):
 def softplus(a, beta=1.0):
     """Overflow-safe softplus log(1 + exp(beta*x)) / beta."""
     a = _lift(a)
-    z = beta * a.value
-    ez = np.exp(-np.abs(z))
-    out = (np.maximum(z, 0.0) + np.log1p(ez)) / beta
-    s = 1.0 / (1.0 + ez)
-    sig = np.where(z >= 0.0, s, 1.0 - s)
+    out, sig = _softplus_derivs(a.value, beta, 1)
 
     def backward(g):
         a._accumulate(g * sig)
@@ -421,13 +472,139 @@ def softplus(a, beta=1.0):
 
 def leaky_relu(a, slope=0.01):
     a = _lift(a)
-    x = a.value
-    out = np.where(x >= 0.0, x, slope * x)
+    out, deriv = _leaky_relu_derivs(a.value, slope, 1)
 
     def backward(g):
-        a._accumulate(g * np.where(x >= 0.0, 1.0, slope))
+        a._accumulate(g * deriv)
 
     return _make(out, (a,), backward)
+
+
+# -- Taylor-mode jets -------------------------------------------------------
+#
+# A jet is a stream-stacked array [S, n, width]: stream 0 holds values,
+# streams 1..K first-order tangents (directional derivatives), and the last
+# `second` streams second derivatives along tangents 1..second. Pushing a
+# jet through an elementwise map with derivatives d = [f, f', f'', ...]
+# taken at the value stream z0 gives
+#   value    f(z0)
+#   tangent  f'(z0) z_k
+#   second   f''(z0) z_k^2 + f'(z0) z_kk
+# so every derivative is exact and f is evaluated once per layer.
+
+def _jet_order(streams, second, recording):
+    """Highest derivative of f a jet forward (and backward) pass needs."""
+    order = (streams > 1) + (second > 0)
+    return order + 1 if recording else order
+
+
+def _jet_forward(d, z, second):
+    k = z.shape[0] - 1 - second
+    out = np.empty_like(z)
+    out[0] = d[0]
+    if k:
+        np.multiply(d[1], z[1:1 + k], out=out[1:1 + k])
+    if second:
+        np.multiply(d[1], z[1 + k:], out=out[1 + k:])
+        out[1 + k:] += d[2] * np.square(z[1:1 + second])
+    return out
+
+
+def _jet_backward(d, z, g, second):
+    """Gradient of sum(g * _jet_forward(d, z, second)) with respect to z."""
+    k = z.shape[0] - 1 - second
+    gz = g * d[1]
+    if k:
+        gz[0] += d[2] * np.einsum("snm,snm->nm", g[1:1 + k], z[1:1 + k])
+    if second:
+        zk, g2 = z[1:1 + second], g[1 + k:]
+        gz[0] += np.einsum("snm,snm->nm", g2, d[3] * np.square(zk)
+                           + d[2] * z[1 + k:])
+        gz[1:1 + second] += 2.0 * d[2] * g2 * zk
+    return gz
+
+
+def _streams(x):
+    """A batch [n, w] (or one row [w]) as a one-stream jet [1, n, w]."""
+    return x if x.ndim == 3 else x.reshape(1, -1, x.shape[-1])
+
+
+def _stream_matmul(h, w_t):
+    """Apply one matrix to every stream with a single [S*n, in] product."""
+    out = h.reshape(-1, h.shape[-1]) @ w_t
+    return out.reshape(h.shape[:-1] + (w_t.shape[-1],))
+
+
+def dense(h, weight, bias, activation="linear", param=0.0, second=0):
+    """One dense layer activation(h W^T + b) as a single tape node.
+
+    `h` is a batch [n, in] or [in], or a jet [S, n, in] (layout above) whose
+    last `second` streams are second-order; the bias enters the value
+    stream only. `param` is the softplus beta or the leaky-ReLU slope.
+    """
+    h, weight, bias = _lift(h), _lift(weight), _lift(bias)
+    parents = (h, weight, bias)
+    H = _streams(h.value)
+    z = _stream_matmul(H, weight.value.T)
+    z[0] += bias.value
+    recording = _recording(parents)
+    d = _activation_derivs(activation, z[0], param,
+                           _jet_order(len(z), second, recording))
+    out = _jet_forward(d, z, second).reshape(h.value.shape[:-1]
+                                             + (z.shape[-1],))
+    if not recording:
+        return Tensor(out)
+
+    def backward(g):
+        gz = _jet_backward(d, z, _streams(g), second)
+        flat = gz.reshape(-1, gz.shape[-1])
+        if h.requires_grad or h._parents:
+            h._accumulate((flat @ weight.value).reshape(h.value.shape))
+        if weight.requires_grad or weight._parents:
+            weight._accumulate(flat.T @ H.reshape(-1, H.shape[-1]))
+        if bias.requires_grad or bias._parents:
+            bias._accumulate(gz[0].sum(axis=0))
+
+    return Tensor(out, parents=parents, backward=backward)
+
+
+def sincos_features(v, weights, scale, second=0):
+    """[sin(s v B^T), cos(s v B^T), v] as a single tape node.
+
+    `v` is a batch [n, in] or a jet [S, n, in]; `weights` B is [m, in] and
+    `scale` s a scalar. Output width is 2m + in.
+    """
+    v, weights, scale = _lift(v), _lift(weights), _lift(scale)
+    parents = (v, weights, scale)
+    V = _streams(v.value)
+    p = _stream_matmul(V, weights.value.T)
+    y = p * scale.value
+    recording = _recording(parents)
+    order = _jet_order(len(y), second, recording)
+    sn, cs = np.sin(y[0]), np.cos(y[0])
+    d_sin = [sn, cs, -sn, -cs][:order + 1]
+    d_cos = [cs, -sn, -cs, sn][:order + 1]
+    m = y.shape[-1]
+    out = np.concatenate([_jet_forward(d_sin, y, second),
+                          _jet_forward(d_cos, y, second), V], axis=-1)
+    out = out.reshape(v.value.shape[:-1] + (out.shape[-1],))
+    if not recording:
+        return Tensor(out)
+
+    def backward(g):
+        g = _streams(g)
+        gy = (_jet_backward(d_sin, y, g[..., :m], second)
+              + _jet_backward(d_cos, y, g[..., m:2 * m], second))
+        if v.requires_grad or v._parents:
+            gv = g[..., 2 * m:] + _stream_matmul(gy, weights.value) * scale.value
+            v._accumulate(gv.reshape(v.value.shape))
+        if weights.requires_grad or weights._parents:
+            weights._accumulate(scale.value * (gy.reshape(-1, m).T
+                                               @ V.reshape(-1, V.shape[-1])))
+        if scale.requires_grad or scale._parents:
+            scale._accumulate(np.sum(gy * p))
+
+    return Tensor(out, parents=parents, backward=backward)
 
 
 # -- interpolation ---------------------------------------------------------

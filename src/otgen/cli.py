@@ -175,15 +175,13 @@ def _load_run_config(args, data=None):
 
 
 def cmd_train(args) -> int:
-    from .experiment import run_experiment
+    from . import dataio
+    from .experiment import fit_model
     config = _load_run_config(args, data=args.data)
-    report, model, artifacts = run_experiment(config)
-    model_path = Path(artifacts["model"])
-    if str(model_path) != args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(model_path.read_text())
+    _, model = fit_model(config)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    dataio.save_model(model, args.out)
     print(f"trained model written to {args.out}")
-    print(f"report: {artifacts['report']}")
     return EXIT_OK
 
 

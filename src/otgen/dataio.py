@@ -235,6 +235,7 @@ def model_from_dict(doc: dict) -> TransportModel:
     normalizer = ConditionNormalizer(ndoc["mode"], float(ndoc["raw_min"]),
                                      float(ndoc["raw_max"]), ndoc["unit"])
     cfg_doc = dict(doc["config"])
+    cfg_doc.pop("fd_step", None)  # dropped with the finite differences
     cfg_doc["dnn_hidden"] = tuple(cfg_doc["dnn_hidden"])
     cfg_doc["fnn_hidden"] = tuple(cfg_doc["fnn_hidden"])
     config = TrainConfig(**cfg_doc)

@@ -102,6 +102,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
         tr = dict(doc.get("train", {}))
+        tr.pop("fd_step", None)  # dropped with the finite differences
         for key in ("dnn_hidden", "fnn_hidden"):
             if key in tr:
                 tr[key] = tuple(tr[key])
@@ -305,19 +306,15 @@ def task_for_model(model):
     return FieldTask()
 
 
-def run_experiment(config: RunConfig):
-    """Ingest, prepare, train, generate, score and emit one run.
+def fit_model(config: RunConfig):
+    """Ingest, prepare and train the model of one run: (task, model).
 
-    Returns (ExperimentReport, model, artifact paths).
+    The model carries its output scaler and PCA basis, so it is what
+    `run_experiment` saves as `model.json`.
     """
     if not Path(config.data).exists():
         raise StageError("ingest", FileNotFoundError(config.data))
-    if config.reference and not Path(config.reference).exists():
-        raise StageError("ingest", FileNotFoundError(config.reference))
     task = TASKS[config.task]()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
 
     with _stage("ingest"):
         task.ingest(config)
@@ -332,6 +329,21 @@ def run_experiment(config: RunConfig):
         model = train(dataset, replace(config.train, seed=config.seed),
                       normalizer=normalizer)
         model.scaler, model.pca_basis = scaler, basis
+    return task, model
+
+
+def run_experiment(config: RunConfig):
+    """Ingest, prepare, train, generate, score and emit one run.
+
+    Returns (ExperimentReport, model, artifact paths).
+    """
+    if config.reference and not Path(config.reference).exists():
+        raise StageError("ingest", FileNotFoundError(config.reference))
+    t_start = time.perf_counter()
+    task, model = fit_model(config)
+    normalizer, basis = model.normalizer, model.pca_basis
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     artifacts = {"model": str(out / "model.json"),
                  "report": str(out / "report.json")}

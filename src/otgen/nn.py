@@ -3,8 +3,10 @@
 Provides multilayer perceptrons with SELU / softplus / leaky-ReLU
 activations and per-layer dropout, a sinusoidal feature embedding with
 learnable spectral weights, the Adam optimizer, and a versioned JSON
-weight format with bit-exact round trips. Input derivatives of the
-displacement field live in `otgen.transport`.
+weight format with bit-exact round trips. Each layer and the embedding is
+one tape node (`autodiff.dense`, `autodiff.sincos_features`) that also
+accepts a Taylor-mode jet, which is how `otgen.transport` gets exact
+input derivatives of the displacement field.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from . import autodiff as ad
 from . import rng
 
 ACTIVATIONS = ("linear", "selu", "softplus", "leaky_relu")
+# softplus beta and leaky-ReLU slope when a layer's activation_param is 0
+_DEFAULT_PARAM = {"softplus": 1.0, "leaky_relu": 0.01}
 
 WEIGHT_FORMAT_VERSION = 1
 
@@ -72,11 +76,14 @@ class Mlp:
         for p in self.parameters():
             p.zero_grad()
 
-    def forward(self, x, mode="eval", seed=0):
-        """Apply the network to `x` ([n, in] or [in]).
+    def forward(self, x, mode="eval", seed=0, second=0):
+        """Apply the network to `x`: a batch [n, in] or [in], or a jet.
 
-        Raises if the result stops being finite, which signals exploded
-        weights rather than a recoverable condition.
+        A jet [S, n, in] carries tangent and `second` second-order streams
+        through every layer (layout in `autodiff`); dropout masks are drawn
+        per value and shared by all streams. Raises if the result stops
+        being finite, which signals exploded weights rather than a
+        recoverable condition.
         """
         h = ad.constant(x) if not isinstance(x, ad.Tensor) else x
         if h.value.shape[-1] != self.in_dim:
@@ -84,16 +91,14 @@ class Mlp:
                 f"input dim {h.value.shape[-1]} != network dim {self.in_dim}"
             )
         for i, layer in enumerate(self.layers):
-            h = ad.add(ad.matmul(h, _transpose(layer.weight)), layer.bias)
-            if layer.activation == "selu":
-                h = ad.selu(h)
-            elif layer.activation == "softplus":
-                h = ad.softplus(h, beta=layer.activation_param or 1.0)
-            elif layer.activation == "leaky_relu":
-                h = ad.leaky_relu(h, slope=layer.activation_param or 0.01)
+            param = (layer.activation_param
+                     or _DEFAULT_PARAM.get(layer.activation, 0.0))
+            h = ad.dense(h, layer.weight, layer.bias, layer.activation, param,
+                         second)
             if layer.dropout > 0.0 and mode == "train":
                 gen = rng.stream(seed, i, 0xD0)
-                keep = rng.uniform(gen, h.value.shape) >= layer.dropout
+                shape = h.value.shape[1:] if h.value.ndim == 3 else h.value.shape
+                keep = rng.uniform(gen, shape) >= layer.dropout
                 mask = keep.astype(np.float64) / (1.0 - layer.dropout)
                 h = ad.mul(h, ad.Tensor(mask))
         if not np.all(np.isfinite(h.value)):
@@ -102,15 +107,6 @@ class Mlp:
 
     def __call__(self, x, mode="eval", seed=0):
         return self.forward(x, mode=mode, seed=seed)
-
-
-def _transpose(t: ad.Tensor) -> ad.Tensor:
-    out = t.value.T
-
-    def backward(g):
-        t._accumulate(g.T)
-
-    return ad._make(out, (t,), backward)
 
 
 class FourierFeatureEmbedding:
@@ -139,18 +135,18 @@ class FourierFeatureEmbedding:
     def parameters(self) -> list[ad.Tensor]:
         return [self.spectral_weights, self.scale]
 
-    def apply(self, x):
+    def apply(self, x, second=0):
+        """Features of a batch [n, in] or of a jet [S, n, in] (see `autodiff`)."""
         x = ad.constant(x) if not isinstance(x, ad.Tensor) else x
-        z = ad.mul(ad.matmul(x, _transpose(self.spectral_weights)), self.scale)
-        return ad.concat([ad.sin(z), ad.cos(z), x], axis=-1)
+        return ad.sincos_features(x, self.spectral_weights, self.scale, second)
 
 
-def forward(net: Mlp, embedding, x, mode="eval", seed=0):
+def forward(net: Mlp, embedding, x, mode="eval", seed=0, second=0):
     """Network forward pass with an optional feature embedding in front."""
     h = ad.constant(x) if not isinstance(x, ad.Tensor) else x
     if embedding is not None:
-        h = embedding.apply(h)
-    return net.forward(h, mode=mode, seed=seed)
+        h = embedding.apply(h, second)
+    return net.forward(h, mode=mode, seed=seed, second=second)
 
 
 # -- construction ----------------------------------------------------------

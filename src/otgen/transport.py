@@ -12,8 +12,9 @@ minimizes three terms:
 
 with J_i = det(I + du/dX) the volume change of the map at t_i, so the
 first term enforces Lagrangian mass conservation of the transported
-density. All input derivatives are central finite differences composed of
-ordinary forward passes, recorded on the tape so parameter gradients flow
+density. Input derivatives are exact: `DisplacementField.jet` pushes the
+value together with tangent (and second-order) streams through every layer
+in one Taylor-mode pass, recorded on the tape so parameter gradients flow
 through them. Generation pushes reference samples through the trained map
 and reweights densities by 1/J.
 """
@@ -34,9 +35,17 @@ from .pca import reconstruct
 
 TIME_GUARD = (-0.05, 1.05)
 
+# rows per jet evaluation when generating: bounds the working set of the
+# stacked streams (1 + dim of them) for large particle counts
+JET_BLOCK_ROWS = 2048
+
 
 class TrainingDivergence(RuntimeError):
     """Loss became non-finite during training."""
+
+
+class DegenerateMapError(ValueError):
+    """The map folds (J <= 0) at every generated particle."""
 
 
 # -- pseudo-time ---------------------------------------------------------------
@@ -126,18 +135,53 @@ class DisplacementField:
 
     def u(self, X, t) -> ad.Tensor:
         """Displacement at points X [n, dim] and time(s) t (scalar or [n])."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        tcol = np.broadcast_to(
-            np.asarray(t, dtype=np.float64).reshape(-1, 1), (X.shape[0], 1))
-        inp = ad.constant(np.concatenate([X, tcol], axis=1))
-        out = nn.forward(self.net, self.embedding, inp, mode="eval")
+        out = nn.forward(self.net, self.embedding, _inputs(X, t), mode="eval")
         return ad.mul(out, self.output_scales)
+
+    def jet(self, X, t, wrt="space", laplacian=False):
+        """u and exact input derivatives from one Taylor-mode pass.
+
+        wrt="space": (u [n, dim], du/dX [n, dim, dim]) with
+        du/dX[i, a, b] = du_a/dX_b at row i.
+        wrt="time": (u, d2u/dt2), and the Laplacian sum_b d2u/dX_b^2 as a
+        third entry when `laplacian` is set. All entries are tape tensors.
+        """
+        _check_time(t)
+        inp = _inputs(X, t)
+        n, dim = inp.shape[0], self.dim
+        if wrt == "space":
+            dirs, second = list(range(dim)), 0
+        elif wrt == "time":
+            dirs = [dim] + (list(range(dim)) if laplacian else [])
+            second = len(dirs)
+        else:
+            raise ValueError("wrt must be 'space' or 'time'")
+        k = len(dirs)
+        V = np.zeros((1 + k + second, n, dim + 1))
+        V[0] = inp
+        for j, col in enumerate(dirs):
+            V[1 + j, :, col] = 1.0
+        out = ad.mul(nn.forward(self.net, self.embedding, V, second=second),
+                     self.output_scales)
+        u = out[0]
+        if wrt == "space":
+            return u, ad.stack_last([out[1 + j] for j in range(k)])
+        d2u = out[1 + k]
+        if not laplacian:
+            return u, d2u
+        return u, d2u, ad.tsum(out[2 + k:], axis=0)
 
     def u_values(self, X, t) -> np.ndarray:
         with ad.no_grad():
             return self.u(X, t).value
+
+
+def _inputs(X, t) -> np.ndarray:
+    """Network input rows [X, t] for points X [n, dim] (or [dim])."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    tcol = np.broadcast_to(
+        np.asarray(t, dtype=np.float64).reshape(-1, 1), (X.shape[0], 1))
+    return np.concatenate([X, tcol], axis=1)
 
 
 class BodyForceField:
@@ -201,6 +245,12 @@ class SnapshotDataset:
     def __init__(self, snapshots: list[Snapshot]):
         if len(snapshots) < 2:
             raise ValueError("transport needs at least two distinct pseudo-times")
+        for s in snapshots:
+            if not np.isfinite(s.t_norm):
+                raise ValueError(f"pseudo-time {s.t_norm} is not finite")
+            if s.boundary_pairs is not None and not all(
+                    np.all(np.isfinite(p)) for p in s.boundary_pairs):
+                raise ValueError(f"non-finite boundary pair at t = {s.t_norm}")
         snaps = sorted(snapshots, key=lambda s: s.t_norm)
         ts = [s.t_norm for s in snaps]
         if len(set(ts)) != len(ts):
@@ -238,7 +288,6 @@ class TrainConfig:
     n_collocation: int = 21        # interior times for the dynamics term
     n_samples_pde: int = 128       # sample batch for the dynamics term
     learning_rate: float = 1e-3
-    fd_step: float = 1e-3
     shear_modulus: float = 0.0
     seed: int = 0
     auto_rescale_weights: bool = False
@@ -259,8 +308,6 @@ class TrainConfig:
             raise ValueError("need at least two collocation times")
         if self.epochs < 0 or self.n_samples < 1:
             raise ValueError("bad epoch/batch configuration")
-        if self.fd_step <= 0:
-            raise ValueError("finite-difference step must be positive")
         if self.shear_modulus < 0:
             raise ValueError("shear modulus must be nonnegative")
         if self.checkpoint not in ("best", "last"):
@@ -313,72 +360,57 @@ def init_model(dataset: SnapshotDataset, normalizer: ConditionNormalizer,
 
 # -- kinematics -----------------------------------------------------------------
 
-def _check_time(t, h):
+def _check_time(t):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t - h < TIME_GUARD[0]) or np.any(t + h > TIME_GUARD[1]):
-        raise ValueError(f"time stencil leaves guard band {TIME_GUARD}")
+    if np.any(t < TIME_GUARD[0]) or np.any(t > TIME_GUARD[1]):
+        raise ValueError(f"pseudo-time outside guard band {TIME_GUARD}")
 
 
-def spatial_jacobian_t(fieldo: DisplacementField, X, t, h) -> ad.Tensor:
-    """du/dX by central differences: tape tensor [n, dim, dim]."""
+def spatial_jacobian_t(fieldo: DisplacementField, X, t) -> ad.Tensor:
+    """du/dX, exact: tape tensor [n, dim, dim]."""
+    return fieldo.jet(X, t)[1]
+
+
+def time_derivs_t(fieldo: DisplacementField, X, t):
+    """(u, d2u/dt2) at fixed points, exact, as tape tensors."""
+    return fieldo.jet(X, t, "time")
+
+
+def _jet_values(fieldo: DisplacementField, X, t):
+    """(u, du/dX) as arrays, evaluated in blocks of JET_BLOCK_ROWS rows."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    cols = []
-    for j in range(X.shape[1]):
-        dX = np.zeros_like(X)
-        dX[:, j] = h
-        cols.append(ad.mul(ad.sub(fieldo.u(X + dX, t), fieldo.u(X - dX, t)),
-                           1.0 / (2.0 * h)))
-    return ad.stack_last(cols)
-
-
-def time_derivs_t(fieldo: DisplacementField, X, t, h):
-    """(u, d2u/dt2) at fixed points, as tape tensors."""
-    _check_time(t, h)
-    u0 = fieldo.u(X, t)
-    up = fieldo.u(X, np.asarray(t) + h)
-    um = fieldo.u(X, np.asarray(t) - h)
-    d2u = ad.mul(ad.sub(ad.add(up, um), ad.mul(u0, 2.0)), 1.0 / h**2)
-    return u0, d2u
-
-
-def deformation_gradient(model: TransportModel, X, t, h=None) -> np.ndarray:
-    """F = I + du/dX at X (eval mode); [dim, dim] or [n, dim, dim]."""
-    h = h or model.config.fd_step
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    Xb = np.atleast_2d(X)
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), len(X))
+    parts = []
     with ad.no_grad():
-        jac = spatial_jacobian_t(model.displacement, Xb, t, h).value
-    F = jac + np.eye(Xb.shape[1])
-    return F[0] if single else F
+        for lo in range(0, len(X), JET_BLOCK_ROWS):
+            hi = lo + JET_BLOCK_ROWS
+            parts.append([v.value for v in fieldo.jet(X[lo:hi], t[lo:hi])])
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def eom_residual_t(model: TransportModel, X, t, h, mode="eval", seed=0) -> ad.Tensor:
+def deformation_gradient(model: TransportModel, X, t) -> np.ndarray:
+    """F = I + du/dX at X (eval mode); [dim, dim] or [n, dim, dim]."""
+    X = np.asarray(X, dtype=np.float64)
+    _, jac = _jet_values(model.displacement, X, t)
+    F = jac + np.eye(jac.shape[-1])
+    return F[0] if X.ndim == 1 else F
+
+
+def eom_residual_t(model: TransportModel, X, t, mode="eval", seed=0) -> ad.Tensor:
     """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape."""
-    fieldo = model.displacement
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    u0, d2u = time_derivs_t(fieldo, X, t, h)
-    r = d2u
     G = model.config.shear_modulus
-    if G != 0.0:
-        lap = None
-        for j in range(X.shape[1]):
-            dX = np.zeros_like(X)
-            dX[:, j] = h
-            term = ad.mul(
-                ad.sub(ad.add(fieldo.u(X + dX, t), fieldo.u(X - dX, t)),
-                       ad.mul(u0, 2.0)), 1.0 / h**2)
-            lap = term if lap is None else ad.add(lap, term)
-        r = ad.sub(r, ad.mul(lap, G))
+    u0, r, *lap = model.displacement.jet(X, t, "time", laplacian=G != 0.0)
+    if lap:
+        r = ad.sub(r, ad.mul(lap[0], G))
     mapped = ad.add(ad.constant(X), u0)
     fb = model.body_force.force(mapped, t, mode=mode, seed=seed)
     return ad.sub(r, fb)
 
 
-def eom_residual(model: TransportModel, X, t, h=None) -> np.ndarray:
-    h = h or model.config.fd_step
+def eom_residual(model: TransportModel, X, t) -> np.ndarray:
     with ad.no_grad():
-        return eom_residual_t(model, X, t, h).value
+        return eom_residual_t(model, X, t).value
 
 
 # -- loss -----------------------------------------------------------------------
@@ -423,7 +455,6 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     config = config or model.config
     fieldo = model.displacement
     ref = dataset.reference.density
-    h = config.fd_step
     n_snap = len(dataset)
     dim = dataset.dim
     n = config.n_samples
@@ -431,11 +462,11 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     X = ref.sample(n, seed=_combine(config.seed, epoch_seed, 1))
     rho0 = ref.pdf(X)
 
-    # all snapshots share the batch; stack them so every finite-difference
-    # stencil is a single wide forward pass
+    # all snapshots share the batch; stack them so the density term is a
+    # single wide jet pass
     Xs = np.tile(X, (n_snap, 1))
     ts = np.repeat([s.t_norm for s in dataset.snapshots], n)
-    jac = spatial_jacobian_t(fieldo, Xs, ts, h)
+    u0, jac = fieldo.jet(Xs, ts)
     eye = np.eye(dim)
     F_raw = ad.add(jac, ad.Tensor(np.broadcast_to(eye, jac.value.shape).copy()))
     J_probe = np.linalg.det(F_raw.value)
@@ -451,7 +482,6 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     else:
         F_safe = F_raw
     J = ad.det(F_safe)
-    u0 = fieldo.u(Xs, ts)
     mapped = ad.add(ad.constant(Xs), u0)
     ratio = ad.div(ad.Tensor(np.tile(rho0, n_snap)), J)
 
@@ -482,7 +512,7 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     t_coll = np.linspace(0.0, 1.0, config.n_collocation + 2)[1:-1]
     X3s = np.tile(X3, (len(t_coll), 1))
     t3s = np.repeat(t_coll, config.n_samples_pde)
-    r = eom_residual_t(model, X3s, t3s, h,
+    r = eom_residual_t(model, X3s, t3s,
                        mode="train" if train_mode else "eval",
                        seed=_combine(config.seed, epoch_seed, 3))
     L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
@@ -538,7 +568,11 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
         try:
             res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
                                train_mode=True)
-        except TrainingDivergence:
+        except TrainingDivergence as e:
+            if not history:
+                raise TrainingDivergence(
+                    f"training diverged at epoch {epoch}, before any "
+                    f"checkpoint: {e}") from e
             warnings.warn(f"training diverged at epoch {epoch}; "
                           "restoring best checkpoint")
             break
@@ -615,13 +649,14 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
         raise ValueError("model has no reference density attached")
     X = ref.sample(n, seed)
     rho0 = ref.pdf(X)
-    h = model.config.fd_step
-    with ad.no_grad():
-        u0 = model.displacement.u(X, t_target_norm).value
-        jac = spatial_jacobian_t(model.displacement, X, t_target_norm, h).value
+    u0, jac = _jet_values(model.displacement, X, t_target_norm)
     F = jac + np.eye(X.shape[1])
     J = np.linalg.det(F)
     keep = J > 1e-12
+    if not keep.any():
+        raise DegenerateMapError(
+            f"the map folds (J <= 0) at all {n} particles at t = "
+            f"{t_target_norm}")
     dropped_fraction = 1.0 - keep.mean()
     if dropped_fraction > 0:
         warnings.warn(f"dropped {dropped_fraction:.2%} of samples with J <= 0")

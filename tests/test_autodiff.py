@@ -182,3 +182,53 @@ def test_getitem_gradient():
     expected = np.zeros((2, 3))
     expected[:, 1] = 1.0
     np.testing.assert_array_equal(w.grad, expected)
+
+
+# -- fused dense layer and feature embedding ---------------------------------
+
+@pytest.mark.parametrize("activation,param,act", [
+    ("linear", 0.0, lambda z: z),
+    ("softplus", 3.0, lambda z: ad.softplus(z, beta=3.0)),
+    ("selu", 0.0, ad.selu),
+    ("leaky_relu", 0.1, lambda z: ad.leaky_relu(z, slope=0.1)),
+])
+def test_dense_one_stream_is_matmul_bias_activation(activation, param, act):
+    gen = rng.stream(12)
+    x = rng.normal(gen, (6, 4))
+    W = rng.normal(gen, (5, 4))
+    b = rng.normal(gen, 5)
+    r = rng.normal(gen, (6, 5))
+    w1, b1 = ad.parameter(W), ad.parameter(b)
+    fused = ad.dense(x, w1, b1, activation, param)
+    w2, b2 = ad.parameter(W.T), ad.parameter(b)
+    composed = act(ad.add(ad.matmul(ad.constant(x), w2), b2))
+    np.testing.assert_array_equal(fused.value, composed.value)
+    ad.tsum(ad.mul(fused, r)).backward()
+    ad.tsum(ad.mul(composed, r)).backward()
+    np.testing.assert_array_equal(w1.grad, w2.grad.T)
+    np.testing.assert_array_equal(b1.grad, b2.grad)
+
+
+def test_sincos_features_one_stream_is_composition():
+    gen = rng.stream(13)
+    x = rng.normal(gen, (6, 3))
+    B = rng.normal(gen, (4, 3))
+    r = rng.normal(gen, (6, 11))
+    b1, s1 = ad.parameter(B), ad.parameter(np.float64(1.3))
+    fused = ad.sincos_features(x, b1, s1)
+    b2, s2 = ad.parameter(B.T), ad.parameter(np.float64(1.3))
+    z = ad.mul(ad.matmul(ad.constant(x), b2), s2)
+    composed = ad.concat([ad.sin(z), ad.cos(z), ad.constant(x)], axis=-1)
+    np.testing.assert_array_equal(fused.value, composed.value)
+    ad.tsum(ad.mul(fused, r)).backward()
+    ad.tsum(ad.mul(composed, r)).backward()
+    np.testing.assert_allclose(b1.grad, b2.grad.T, rtol=1e-13)
+    np.testing.assert_allclose(s1.grad, s2.grad, rtol=1e-13)
+
+
+def test_dense_jet_skips_tape_under_no_grad():
+    w = ad.parameter(np.ones((2, 3)))
+    with ad.no_grad():
+        out = ad.dense(np.zeros((3, 4, 3)), w, ad.parameter(np.zeros(2)),
+                       "softplus", 1.0, second=1)
+    assert out.shape == (3, 4, 2) and out._parents == ()

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otgen import cli, dataio
+from otgen import autodiff as ad
+from otgen import cli, dataio, nn
 from otgen.fixtures import curve_family, field_family, synth_fixture
 from otgen.svgplot import plot_curves
 from otgen.transport import TrainConfig
@@ -184,6 +185,38 @@ class TestRunAndGenerateCommands:
                        str(tmp_path / "out" / "model.json"),
                        "--target", "0.5", "--out", str(tmp_path / "g.csv"))
         assert code == cli.EXIT_VALIDATION
+
+    def test_train_writes_only_the_model(self, tmp_path, capsys):
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5])
+        cfg_path = write_run_config(
+            tmp_path / "cfg.json", paths["train"],
+            {"reference": paths["target"], "baseline": True})
+        model = tmp_path / "trained" / "model.json"
+        assert run_cli("train", "--data", paths["train"], "--config",
+                       cfg_path, "--out", str(model)) == 0
+        assert [p.name for p in model.parent.iterdir()] == ["model.json"]
+        assert not (tmp_path / "out").exists()
+        assert run_cli("run", "--config", cfg_path) == 0
+        assert model.read_bytes() == (tmp_path / "out" / "model.json").read_bytes()
+
+    def test_fully_folded_map_is_validation_exit(self, tmp_path, capsys):
+        from otgen.density import ReducedGaussianDensity
+        from otgen.transport import (ConditionNormalizer, DisplacementField,
+                                     TransportModel, make_body_force_field)
+        # u = -2 X: J = -1 at every particle
+        fold = nn.Mlp([nn.Layer(ad.parameter([[-2.0, 0.0]]),
+                                ad.parameter([0.0]))])
+        model = TransportModel(
+            DisplacementField(1, fold), make_body_force_field(1, hidden=(4,)),
+            ConditionNormalizer("linear", 0.0, 1.0), TrainConfig(),
+            reference_density=ReducedGaussianDensity([0.0], 0.3), trained=True)
+        dataio.save_model(model, tmp_path / "model.json")
+        code = run_cli("generate", "--model", str(tmp_path / "model.json"),
+                       "--target", "1.0", "--out", str(tmp_path / "g.csv"))
+        assert code == cli.EXIT_VALIDATION
+        assert "folds" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_missing_data_is_io_exit(self, tmp_path, capsys):
         cfg_path = write_run_config(tmp_path / "cfg.json",

@@ -180,3 +180,21 @@ class TestSavedRunRoundtrip:
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(doc))
         assert_generates_like(dataio.load_model(old), model)
+
+    def test_document_with_legacy_fd_step_generates_alike(self, trained_run,
+                                                          tmp_path):
+        # format-2 documents written before input derivatives became exact
+        # still carry the finite-difference step in their config
+        model, path = trained_run
+        doc = json.loads(Path(path).read_text())
+        doc["config"]["fd_step"] = 0.001
+        old = tmp_path / "fd_step.json"
+        old.write_text(json.dumps(doc))
+        assert_generates_like(dataio.load_model(old), model)
+
+
+def test_run_config_drops_legacy_fd_step():
+    cfg = RunConfig.from_dict({"task": "curves", "data": "c.csv",
+                               "target_raw": 1.0,
+                               "train": {"epochs": 3, "fd_step": 0.001}})
+    assert cfg.train.epochs == 3

@@ -5,7 +5,8 @@ import pytest
 
 from otgen import autodiff as ad
 from otgen import nn, rng
-from otgen.transport import DisplacementField, spatial_jacobian_t, time_derivs_t
+from otgen.transport import (DisplacementField, make_displacement_field,
+                             spatial_jacobian_t, time_derivs_t)
 
 
 def make_linear(W, b, activation="linear", activation_param=0.0, dropout=0.0):
@@ -179,7 +180,19 @@ def test_param_grad_matches_fd_on_random_net(seed):
     assert np.max(np.abs(grads - fd) / scale) < 1e-4
 
 
-# -- input derivatives (transport's stencils on a bare net) -----------------
+# -- input derivatives (exact jets of a displacement field) ------------------
+
+JET_NETS = [(act, par, m) for act, par in (("softplus", 10.0), ("selu", 0.0),
+                                           ("leaky_relu", 0.1), ("linear", 0.0))
+            for m in (0, 3)]
+
+
+def jet_field(activation, param, fourier_m, dim=2, seed=1):
+    return make_displacement_field(dim, hidden=(8, 8), fourier_m=fourier_m,
+                                   activation=activation,
+                                   activation_param=param, final_std=0.5,
+                                   seed=seed)
+
 
 def test_input_derivs_linear_spatial_exact():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -187,10 +200,40 @@ def test_input_derivs_linear_spatial_exact():
     field = DisplacementField(2, nn.Mlp([make_linear(W, np.zeros(2))]))
     gen = rng.stream(6)
     X = rng.normal(gen, (5, 2))
-    jac = spatial_jacobian_t(field, X, 0.2, 1e-3)
-    _, d2u = time_derivs_t(field, X, 0.2, 1e-3)
-    np.testing.assert_allclose(jac.value, np.tile(A, (5, 1, 1)), atol=1e-8)
-    np.testing.assert_allclose(d2u.value, 0.0, atol=1e-7)
+    jac = spatial_jacobian_t(field, X, 0.2)
+    _, d2u = time_derivs_t(field, X, 0.2)
+    np.testing.assert_array_equal(jac.value, np.tile(A, (5, 1, 1)))
+    np.testing.assert_array_equal(d2u.value, 0.0)
+
+
+@pytest.mark.parametrize("activation,param,fourier_m", JET_NETS)
+def test_jet_matches_central_difference_oracles(activation, param, fourier_m):
+    field = jet_field(activation, param, fourier_m)
+    # seeded points whose pre-activations keep clear of the SELU and
+    # leaky-ReLU kinks, where a difference quotient is no oracle
+    X = rng.normal(rng.stream(3), (5, 2)) * 0.5
+    t = np.linspace(0.1, 0.9, 5)
+    u_of = field.u_values
+    u, jac = field.jet(X, t)
+    u2, d2u, lap = field.jet(X, t, "time", laplacian=True)
+    np.testing.assert_array_equal(u.value, u_of(X, t))
+    np.testing.assert_array_equal(u2.value, u.value)
+
+    h, eye = 1e-5, np.eye(2)
+    fd_jac = np.stack([(u_of(X + h * e, t) - u_of(X - h * e, t)) / (2 * h)
+                       for e in eye], axis=-1)
+    np.testing.assert_allclose(jac.value, fd_jac, atol=1e-8)
+
+    h = 1e-3
+
+    def five_point(f):  # d2/ds2 f(s) at s = 0
+        return (-f(-2 * h) + 16 * f(-h) - 30 * f(0.0) + 16 * f(h)
+                - f(2 * h)) / (12 * h * h)
+
+    fd_d2u = five_point(lambda s: u_of(X, t + s))
+    fd_lap = sum(five_point(lambda s, e=e: u_of(X + s * e, t)) for e in eye)
+    np.testing.assert_allclose(d2u.value, fd_d2u, atol=1e-6)
+    np.testing.assert_allclose(lap.value, fd_lap, atol=1e-6)
 
 
 def test_gradients_flow_through_input_derivs():
@@ -199,11 +242,48 @@ def test_gradients_flow_through_input_derivs():
     X = np.array([[0.3]])
 
     def loss_fn():
-        _, d2u = time_derivs_t(field, X, 0.5, 1e-2)
+        _, d2u = time_derivs_t(field, X, 0.5)
         return ad.tsum(ad.square(d2u))
 
     grads = nn.param_grad(loss_fn, net.parameters())
     assert any(np.linalg.norm(g) > 0 for g in grads)
+
+
+@pytest.mark.parametrize("activation,param,fourier_m", JET_NETS[:6])
+def test_jet_parameter_gradients_match_fd(activation, param, fourier_m):
+    field = jet_field(activation, param, fourier_m, seed=3)
+    X = rng.normal(rng.stream(4), (4, 2)) * 0.5
+    t = np.linspace(0.2, 0.8, 4)
+
+    def loss_fn():
+        u, jac = field.jet(X, t)
+        _, d2u, lap = field.jet(X, t, "time", laplacian=True)
+        terms = [ad.tsum(ad.square(v)) for v in (u, jac, d2u, lap)]
+        return ad.stable_sum_scalars(terms)
+
+    def loss_value():
+        with ad.no_grad():
+            return float(loss_fn().value)
+
+    params = field.parameters()
+    grads = np.concatenate([g.ravel() for g in nn.param_grad(loss_fn, params)])
+    base = [p.value.copy() for p in params]
+    fd = []
+    h = 1e-6
+    for p, b in zip(params, base):
+        for idx in np.ndindex(b.shape):
+            v = b.copy()
+            v[idx] += h
+            p.value = v
+            fp = loss_value()
+            v[idx] -= 2 * h
+            p.value = v
+            fm = loss_value()
+            p.value = b
+            fd.append((fp - fm) / (2 * h))
+    fd = np.array(fd)
+    scale = np.maximum(np.abs(fd), 1e-6 * np.abs(fd).max())
+    assert np.max(np.abs(grads - fd) / scale) < 1e-4
 
 
 # -- Adam -------------------------------------------------------------------

@@ -1,48 +1,15 @@
 import numpy as np
 import pytest
 
-from otgen import autodiff as ad
 from otgen import rng
 from otgen.density import GaussianCurveDensity, ReducedGaussianDensity
-from otgen.transport import (ConditionNormalizer, Snapshot,
-                             SnapshotDataset, TrainConfig, TransportModel,
+from otgen.transport import (ConditionNormalizer, DegenerateMapError,
+                             Snapshot, SnapshotDataset, TrainConfig,
+                             TrainingDivergence, TransportModel,
                              deformation_gradient, eom_residual,
                              generate_density, generate_mean, init_model,
                              loss, nrmse, train)
-
-
-class RiggedField:
-    """Displacement protocol stub computing u = fn(X, t) on constants."""
-
-    def __init__(self, dim, fn):
-        self.dim = dim
-        self.fn = fn
-
-    def u(self, X, t):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        tcol = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
-                               (X.shape[0], 1))
-        return ad.constant(self.fn(X, tcol))
-
-    def u_values(self, X, t):
-        return self.u(X, t).value
-
-    def parameters(self):
-        return []
-
-
-class RiggedForce:
-    def __init__(self, dim, fn):
-        self.dim = dim
-        self.fn = fn
-
-    def force(self, x, t, mode="eval", seed=0):
-        tcol = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
-                               (x.value.shape[0], 1))
-        return ad.constant(self.fn(x.value, tcol))
-
-    def parameters(self):
-        return []
+from tests_support_rigs import RiggedField, RiggedForce
 
 
 def rigged_model(dim, u_fn, f_fn=None, **cfg_kw):
@@ -121,7 +88,7 @@ class TestKinematics:
             p.value = p.value + 0.05
         X = np.array([0.1, 0.2])
         t = 0.4
-        F = deformation_gradient(model, X, t, h=1e-4)
+        F = deformation_gradient(model, X, t)
         h = 1e-5
         fd = np.zeros((2, 2))
         for j in range(2):
@@ -149,33 +116,50 @@ class TestEomResidual:
         np.testing.assert_allclose(r, 0.0, atol=1e-9)
 
     def test_matches_five_point_stencil_oracle(self):
+        for G in (0.0, 0.3):
+            model = init_model(
+                SnapshotDataset([
+                    Snapshot(0.0, ReducedGaussianDensity([0.0, 0.0], 0.1)),
+                    Snapshot(1.0, ReducedGaussianDensity([0.4, 0.1], 0.1)),
+                ]),
+                ConditionNormalizer("linear", 0.0, 1.0),
+                TrainConfig(dnn_hidden=(16, 16), dnn_fourier_m=3,
+                            fnn_hidden=(8,), shear_modulus=G, seed=5),
+            )
+            for p in model.displacement.net.parameters():
+                p.value = p.value + 0.1
+            X = np.array([[0.2, -0.1]])
+            t, h = 0.5, 1e-3
+            u_of = lambda Xv, tv: model.displacement.u_values(Xv, tv)[0]
+
+            def second(dX, dt):  # five-point d2/ds2 of u(X + s dX, t + s dt)
+                return (-u_of(X - 2 * h * dX, t - 2 * h * dt)
+                        + 16 * u_of(X - h * dX, t - h * dt) - 30 * u_of(X, t)
+                        + 16 * u_of(X + h * dX, t + h * dt)
+                        - u_of(X + 2 * h * dX, t + 2 * h * dt)) / (12 * h * h)
+
+            d2u = second(np.zeros(2), 1.0)
+            lap = second(np.eye(2)[0], 0.0) + second(np.eye(2)[1], 0.0)
+            r = eom_residual(model, X, t)
+            fb = model.body_force.net.forward(
+                np.concatenate([X + model.displacement.u_values(X, t), [[t]]],
+                               axis=1)).value
+            np.testing.assert_allclose(r[0], d2u - G * lap - fb[0], atol=1e-6)
+
+    def test_guard_band(self):
+        # one band for every input derivative of the network
         model = init_model(
             SnapshotDataset([
                 Snapshot(0.0, ReducedGaussianDensity([0.0], 0.1)),
                 Snapshot(1.0, ReducedGaussianDensity([0.4], 0.1)),
             ]),
             ConditionNormalizer("linear", 0.0, 1.0),
-            TrainConfig(dnn_hidden=(16, 16), dnn_fourier_m=3, fnn_hidden=(8,),
-                        seed=5),
-        )
-        for p in model.displacement.net.parameters():
-            p.value = p.value + 0.1
-        X = np.array([[0.2]])
-        t, h = 0.5, 1e-3
-        u_of = lambda tv: model.displacement.u_values(X, tv)[0]
-        rich = (-u_of(t + 2 * h) + 16 * u_of(t + h) - 30 * u_of(t)
-                + 16 * u_of(t - h) - u_of(t - 2 * h)) / (12 * h * h)
-        with np.errstate(all="ignore"):
-            r = eom_residual(model, X, t, h=h)
-        fb = model.body_force.net.forward(
-            np.concatenate([X + model.displacement.u_values(X, t), [[t]]], axis=1)
-        ).value
-        np.testing.assert_allclose(r[0], rich - fb[0], atol=5e-5)
-
-    def test_guard_band(self):
-        model = rigged_model(1, lambda X, t: np.zeros_like(X))
-        with pytest.raises(ValueError):
+            TrainConfig(dnn_hidden=(4,), dnn_fourier_m=2, fnn_hidden=(4,)))
+        eom_residual(model, np.zeros((1, 1)), 1.05)
+        with pytest.raises(ValueError, match="guard band"):
             eom_residual(model, np.zeros((1, 1)), 1.2)
+        with pytest.raises(ValueError, match="guard band"):
+            deformation_gradient(model, np.zeros(1), -0.1)
 
 
 def identity_dataset(dim=1, sigma=0.1):
@@ -247,7 +231,6 @@ class TestLoss:
         assert np.isfinite(res.total)
 
     def test_all_samples_degenerate_is_divergence(self):
-        from otgen.transport import TrainingDivergence
         ds = identity_dataset()
         model = rigged_model(1, lambda X, t: -2.0 * t * X)  # J = 1 - 2t <= 0 at t=1
         with pytest.raises(TrainingDivergence):
@@ -256,6 +239,16 @@ class TestLoss:
     def test_single_snapshot_rejected(self):
         with pytest.raises(ValueError):
             SnapshotDataset([Snapshot(0.0, ReducedGaussianDensity([0.0], 0.1))])
+
+    @pytest.mark.parametrize("t,pairs", [
+        (np.nan, None),
+        (0.5, (np.zeros((1, 1)), np.full((1, 1), np.nan))),
+        (0.5, (np.full((1, 1), np.inf), np.zeros((1, 1)))),
+    ])
+    def test_non_finite_snapshot_rejected(self, t, pairs):
+        dens = ReducedGaussianDensity([0.0], 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            SnapshotDataset([Snapshot(0.0, dens), Snapshot(t, dens, pairs)])
 
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -287,6 +280,14 @@ class TestTraining:
         model = train(ds, cfg)
         assert model.loss_history == []
         assert not model.trained
+
+    def test_divergence_before_any_checkpoint_raises(self):
+        # a non-finite first loss leaves no checkpoint to restore
+        ds = SnapshotDataset([
+            Snapshot(0.0, ReducedGaussianDensity([0.0], 0.05)),
+            Snapshot(1.0, ReducedGaussianDensity([np.nan], 0.05))])
+        with pytest.raises(TrainingDivergence, match="epoch 0"):
+            train(ds, self.small_config(5))
 
     def test_loss_decreases_on_translation_family(self):
         ds = self.small_dataset()
@@ -347,6 +348,13 @@ class TestGeneration:
         cloud = generate_density(model, 0.0, n=200, seed=3)
         np.testing.assert_allclose(cloud.points, ref.sample(200, seed=3),
                                    atol=1e-12)
+
+    def test_fully_folded_map_raises_typed_error(self):
+        ref = ReducedGaussianDensity([0.0], 0.3)
+        model = rigged_model(1, lambda X, t: -2.0 * t * X)  # J = -1 at t = 1
+        model.reference_density = ref
+        with pytest.raises(DegenerateMapError, match="folds"):
+            generate_density(model, 1.0, n=100, seed=1)
 
     def test_weights_sum_to_one_with_drops(self):
         ref = ReducedGaussianDensity([0.0], 0.5)

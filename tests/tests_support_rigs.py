@@ -9,15 +9,44 @@ from otgen.transport import (ConditionNormalizer, Snapshot, SnapshotDataset,
 
 
 class RiggedField:
+    """Displacement protocol stub computing u = fn(X, t) on constants.
+
+    `jet` takes its derivatives by central differences of the closed form,
+    exact up to rounding for maps at most quadratic in each input.
+    """
+
+    H = 1e-3
+
     def __init__(self, dim, fn):
         self.dim = dim
         self.fn = fn
 
-    def u(self, X, t):
+    def _u(self, X, t):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         tcol = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
                                (X.shape[0], 1))
-        return ad.constant(self.fn(X, tcol))
+        return self.fn(X, tcol)
+
+    def u(self, X, t):
+        return ad.constant(self._u(X, t))
+
+    def jet(self, X, t, wrt="space", laplacian=False):
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        t = np.asarray(t, dtype=np.float64)
+        h = self.H
+        u0 = self._u(X, t)
+        steps = h * np.eye(X.shape[1])
+        if wrt == "space":
+            jac = np.stack([(self._u(X + e, t) - self._u(X - e, t)) / (2 * h)
+                            for e in steps], axis=-1)
+            return ad.constant(u0), ad.constant(jac)
+        d2u = (self._u(X, t + h) - 2 * u0 + self._u(X, t - h)) / h**2
+        out = [ad.constant(u0), ad.constant(d2u)]
+        if laplacian:
+            out.append(ad.constant(sum(
+                (self._u(X + e, t) - 2 * u0 + self._u(X - e, t)) / h**2
+                for e in steps)))
+        return tuple(out)
 
     def u_values(self, X, t):
         return self.u(X, t).value
@@ -27,6 +56,8 @@ class RiggedField:
 
 
 class RiggedForce:
+    """Body-force protocol stub computing F_b = fn(x, t) (zero by default)."""
+
     def __init__(self, dim, fn=None):
         self.dim = dim
         self.fn = fn or (lambda x, t: np.zeros_like(x))
