@@ -56,8 +56,17 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add `g` to the gradient.
+
+        `owned` says `g` is a fresh float64 array of this tensor's shape
+        that no other node can reach; a first gradient then takes it over
+        without a copy. Any `g` that may reach a second parent is copied.
+        """
         if self.grad is None:
+            if owned:
+                self.grad = g
+                return
             self.grad = np.array(g, dtype=np.float64)
             if self.grad.shape != self.value.shape:
                 self.grad = np.broadcast_to(self.grad, self.value.shape).copy()
@@ -559,11 +568,12 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0):
         gz = _jet_backward(d, z, _streams(g), second)
         flat = gz.reshape(-1, gz.shape[-1])
         if h.requires_grad or h._parents:
-            h._accumulate((flat @ weight.value).reshape(h.value.shape))
+            h._accumulate((flat @ weight.value).reshape(h.value.shape),
+                          owned=True)
         if weight.requires_grad or weight._parents:
-            weight._accumulate(flat.T @ H.reshape(-1, H.shape[-1]))
+            weight._accumulate(flat.T @ H.reshape(-1, H.shape[-1]), owned=True)
         if bias.requires_grad or bias._parents:
-            bias._accumulate(gz[0].sum(axis=0))
+            bias._accumulate(gz[0].sum(axis=0), owned=True)
 
     return Tensor(out, parents=parents, backward=backward)
 
@@ -597,10 +607,11 @@ def sincos_features(v, weights, scale, second=0):
               + _jet_backward(d_cos, y, g[..., m:2 * m], second))
         if v.requires_grad or v._parents:
             gv = g[..., 2 * m:] + _stream_matmul(gy, weights.value) * scale.value
-            v._accumulate(gv.reshape(v.value.shape))
+            v._accumulate(gv.reshape(v.value.shape), owned=True)
         if weights.requires_grad or weights._parents:
             weights._accumulate(scale.value * (gy.reshape(-1, m).T
-                                               @ V.reshape(-1, V.shape[-1])))
+                                               @ V.reshape(-1, V.shape[-1])),
+                                owned=True)
         if scale.requires_grad or scale._parents:
             scale._accumulate(np.sum(gy * p))
 

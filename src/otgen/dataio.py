@@ -3,13 +3,15 @@
 Curve files carry `condition,strain,stress` rows (many conditions per
 file); field files carry one row per condition: `condition,v1..vD`.
 
-Model documents (format 2) hold everything generation needs: both network
+Model documents (format 3) hold everything generation needs: both network
 weights, the pseudo-time normalizer, the output scaler, the reference
 density, the optional PCA basis, and the training history. A reloaded
-model therefore generates exactly what the in-memory one does. Floats are
-written with 17 significant digits so round trips are bit-exact. Format 1
-documents, which kept the scaler in a free-form `preprocessing` entry, are
-still read.
+model therefore generates exactly what the in-memory one does. Every float
+array is the base64 of its little-endian float64 bytes (`nn._arr_out`), so
+round trips are bit-exact; scalars, the config and the loss history are
+plain JSON numbers. Format 1 and 2 documents, whose arrays are lists of
+numbers, are still read (format 1 kept the scaler in a free-form
+`preprocessing` entry). A malformed document raises `DataFormatError`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .pca import basis_from_dict, basis_to_dict
 from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
                         DisplacementField, TrainConfig, TransportModel)
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
+_MODEL_VERSIONS = (1, 2, MODEL_FORMAT_VERSION)
 
 
 class DataFormatError(ValueError):
@@ -155,29 +158,27 @@ def density_to_dict(dens) -> dict:
             "kind": "gaussian_curve",
             "strain_grid": nn._arr_out(dens.strain_grid),
             "mean_stress": nn._arr_out(dens.mean_stress),
-            "sigma_stress": nn._fmt(dens.sigma_stress),
-            "strain_range": [nn._fmt(dens.strain_range[0]),
-                             nn._fmt(dens.strain_range[1])],
+            "sigma_stress": dens.sigma_stress,
+            "strain_range": list(dens.strain_range),
         }
     if isinstance(dens, ReducedGaussianDensity):
         return {
             "kind": "reduced_gaussian",
             "mean": nn._arr_out(dens.mean),
-            "sigma": nn._fmt(dens.sigma),
+            "sigma": dens.sigma,
         }
     raise TypeError(f"cannot serialize density of type {type(dens).__name__}")
 
 
 def density_from_dict(doc: dict):
     if doc["kind"] == "gaussian_curve":
-        return GaussianCurveDensity(
-            np.array(doc["strain_grid"], dtype=np.float64),
-            np.array(doc["mean_stress"], dtype=np.float64),
-            float(doc["sigma_stress"]),
-            (float(doc["strain_range"][0]), float(doc["strain_range"][1])),
-        )
+        lo, hi = doc["strain_range"]
+        return GaussianCurveDensity(nn._arr_in(doc["strain_grid"]),
+                                    nn._arr_in(doc["mean_stress"]),
+                                    float(doc["sigma_stress"]),
+                                    (float(lo), float(hi)))
     if doc["kind"] == "reduced_gaussian":
-        return ReducedGaussianDensity(np.array(doc["mean"], dtype=np.float64),
+        return ReducedGaussianDensity(nn._arr_in(doc["mean"]),
                                       float(doc["sigma"]))
     raise DataFormatError(f"unknown density kind {doc.get('kind')!r}")
 
@@ -200,16 +201,16 @@ def model_to_dict(model: TransportModel) -> dict:
         },
         "normalizer": {
             "mode": model.normalizer.mode,
-            "raw_min": nn._fmt(model.normalizer.raw_min),
-            "raw_max": nn._fmt(model.normalizer.raw_max),
+            "raw_min": float(model.normalizer.raw_min),
+            "raw_max": float(model.normalizer.raw_max),
             "unit": model.normalizer.unit,
         },
         "scaler": ({"offset": nn._arr_out(model.scaler.offset),
                     "scale": nn._arr_out(model.scaler.scale)}
                    if model.scaler is not None else None),
         "config": cfg,
-        "loss_history": [[nn._fmt(v) for v in row] for row in model.loss_history],
-        "dropped_fraction": nn._fmt(model.dropped_fraction),
+        "loss_history": [[float(v) for v in row] for row in model.loss_history],
+        "dropped_fraction": float(model.dropped_fraction),
         "reference_density": (density_to_dict(model.reference_density)
                               if model.reference_density is not None else None),
         "pca_basis": (basis_to_dict(model.pca_basis)
@@ -220,15 +221,32 @@ def model_to_dict(model: TransportModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TransportModel:
-    if doc.get("version") == 1:
-        doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
-    elif doc.get("version") != MODEL_FORMAT_VERSION:
+    """The model a document of format 1, 2 or 3 describes.
+
+    Raises DataFormatError for an unknown version and for a malformed
+    document: a missing key, a value of the wrong type, invalid base64, or
+    an array whose size does not fit its declared shape.
+    """
+    try:
+        return _model_from_dict(doc)
+    except DataFormatError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
+        raise DataFormatError(
+            f"malformed model document: {type(e).__name__}: {e}") from e
+
+
+def _model_from_dict(doc: dict) -> TransportModel:
+    if doc.get("version") not in _MODEL_VERSIONS:
         raise DataFormatError(f"unsupported model version {doc.get('version')}")
+    if doc["version"] == 1:
+        doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
     ddoc = doc["displacement"]
+    dim = ddoc["dim"]
     disp = DisplacementField(
-        ddoc["dim"], nn.mlp_from_dict(ddoc["net"]),
+        dim, nn.mlp_from_dict(ddoc["net"]),
         embedding=nn.embedding_from_dict(ddoc["embedding"]),
-        output_scales=np.array(ddoc["output_scales"], dtype=np.float64))
+        output_scales=nn._arr_in(ddoc["output_scales"], (dim,)))
     body = BodyForceField(doc["body_force"]["dim"],
                           nn.mlp_from_dict(doc["body_force"]["net"]))
     ndoc = doc["normalizer"]
@@ -251,15 +269,15 @@ def model_from_dict(doc: dict) -> TransportModel:
     if doc.get("pca_basis") is not None:
         model.pca_basis = basis_from_dict(doc["pca_basis"])
     if doc.get("scaler") is not None:
-        model.scaler = AffineScaler(
-            np.array(doc["scaler"]["offset"], dtype=np.float64),
-            np.array(doc["scaler"]["scale"], dtype=np.float64))
+        model.scaler = AffineScaler(nn._arr_in(doc["scaler"]["offset"]),
+                                    nn._arr_in(doc["scaler"]["scale"]))
     return model
 
 
 def save_model(model: TransportModel, path):
+    text = json.dumps(model_to_dict(model), sort_keys=True)
     with open(path, "w") as f:
-        json.dump(model_to_dict(model), f, sort_keys=True)
+        f.write(text)
 
 
 def load_model(path) -> TransportModel:

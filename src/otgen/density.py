@@ -69,14 +69,19 @@ class GaussianCurveDensity:
         self.mean_stress = np.asarray(mean_stress, dtype=np.float64)
         if self.strain_grid.shape != self.mean_stress.shape:
             raise ValueError("grid/mean length mismatch")
+        if not (np.all(np.isfinite(self.strain_grid))
+                and np.all(np.isfinite(self.mean_stress))):
+            raise ValueError("mean curve must be finite")
         if np.any(np.diff(self.strain_grid) <= 0):
             raise ValueError("strain grid must be strictly increasing")
-        if sigma_stress <= 0:
-            raise ValueError("sigma_stress must be positive")
+        if not 0 < sigma_stress < np.inf:
+            raise ValueError("sigma_stress must be positive and finite")
         self.sigma_stress = float(sigma_stress)
         if strain_range is None:
             strain_range = (self.strain_grid[0], self.strain_grid[-1])
         self.strain_range = (float(strain_range[0]), float(strain_range[1]))
+        if not np.all(np.isfinite(self.strain_range)):
+            raise ValueError("strain range must be finite")
         if self.strain_range[0] >= self.strain_range[1]:
             raise ValueError("empty strain range")
 
@@ -128,8 +133,10 @@ class ReducedGaussianDensity:
         self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         if self.mean.ndim != 1 or self.mean.size < 1:
             raise ValueError("mean must be a vector")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean must be finite")
+        if not 0 < sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         self.sigma = float(sigma)
 
     @property

@@ -3,14 +3,20 @@
 Provides multilayer perceptrons with SELU / softplus / leaky-ReLU
 activations and per-layer dropout, a sinusoidal feature embedding with
 learnable spectral weights, the Adam optimizer, and a versioned JSON
-weight format with bit-exact round trips. Each layer and the embedding is
-one tape node (`autodiff.dense`, `autodiff.sincos_features`) that also
-accepts a Taylor-mode jet, which is how `otgen.transport` gets exact
-input derivatives of the displacement field.
+weight format. Each layer and the embedding is one tape node
+(`autodiff.dense`, `autodiff.sincos_features`) that also accepts a
+Taylor-mode jet, which is how `otgen.transport` gets exact input
+derivatives of the displacement field.
+
+Every float array in a saved document, here and in `otgen.dataio` and
+`otgen.pca`, goes through one codec, `_arr_out`/`_arr_in`: the base64 of
+its little-endian float64 bytes, so round trips are bit-exact and cost no
+per-float Python work.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +29,9 @@ ACTIVATIONS = ("linear", "selu", "softplus", "leaky_relu")
 # softplus beta and leaky-ReLU slope when a layer's activation_param is 0
 _DEFAULT_PARAM = {"softplus": 1.0, "leaky_relu": 0.01}
 
-WEIGHT_FORMAT_VERSION = 1
+WEIGHT_FORMAT_VERSION = 2
+# version 1 wrote float arrays as lists of numbers; `_arr_in` reads both
+_WEIGHT_VERSIONS = (1, WEIGHT_FORMAT_VERSION)
 
 
 @dataclass
@@ -259,13 +267,28 @@ def adam_step_tensors(tensors: list[ad.Tensor], state: AdamState):
 
 # -- serialization -------------------------------------------------------------
 
-def _fmt(x: float) -> float:
-    # round-trip via 17 significant decimal digits (exact for f64)
-    return float(f"{x:.17g}")
+def _arr_out(a) -> str:
+    """Base64 text of the little-endian float64 bytes of `a`, in C order."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
-def _arr_out(a: np.ndarray) -> list:
-    return [_fmt(v) for v in np.asarray(a, dtype=np.float64).ravel().tolist()]
+def _arr_in(v, shape=(-1,)) -> np.ndarray:
+    """A writable native float64 array of `shape` read from a document.
+
+    `v` is `_arr_out` text or, in documents written before it, a list of
+    numbers. Raises TypeError for any other value and ValueError for
+    invalid base64 or a size that does not fit `shape`.
+    """
+    if isinstance(v, str):
+        # invalid base64 raises binascii.Error, a ValueError
+        raw = base64.b64decode(v, validate=True)
+        a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    elif isinstance(v, list):
+        a = np.array(v, dtype=np.float64)
+    else:
+        raise TypeError(f"expected an array, got {type(v).__name__}")
+    return a.reshape(shape)
 
 
 def mlp_to_dict(net: Mlp) -> dict:
@@ -275,8 +298,8 @@ def mlp_to_dict(net: Mlp) -> dict:
             {
                 "shape": list(layer.weight.value.shape),
                 "activation": layer.activation,
-                "activation_param": _fmt(layer.activation_param),
-                "dropout": _fmt(layer.dropout),
+                "activation_param": float(layer.activation_param),
+                "dropout": float(layer.dropout),
                 "weight": _arr_out(layer.weight.value),
                 "bias": _arr_out(layer.bias.value),
             }
@@ -286,13 +309,13 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 
 def mlp_from_dict(doc: dict) -> Mlp:
-    if doc.get("version") != WEIGHT_FORMAT_VERSION:
+    if doc.get("version") not in _WEIGHT_VERSIONS:
         raise ValueError(f"unsupported weight format version {doc.get('version')}")
     layers = []
     for layer_doc in doc["layers"]:
         out_dim, in_dim = layer_doc["shape"]
-        w = np.array(layer_doc["weight"], dtype=np.float64).reshape(out_dim, in_dim)
-        b = np.array(layer_doc["bias"], dtype=np.float64)
+        w = _arr_in(layer_doc["weight"], (out_dim, in_dim))
+        b = _arr_in(layer_doc["bias"], (out_dim,))
         layers.append(Layer(
             weight=ad.parameter(w), bias=ad.parameter(b),
             activation=layer_doc["activation"],
@@ -309,7 +332,7 @@ def embedding_to_dict(emb: FourierFeatureEmbedding | None) -> dict | None:
         "version": WEIGHT_FORMAT_VERSION,
         "shape": list(emb.spectral_weights.value.shape),
         "spectral_weights": _arr_out(emb.spectral_weights.value),
-        "scale": _fmt(float(emb.scale.value)),
+        "scale": float(emb.scale.value),
     }
 
 
@@ -317,13 +340,14 @@ def embedding_from_dict(doc: dict | None) -> FourierFeatureEmbedding | None:
     if doc is None:
         return None
     m, d = doc["shape"]
-    w = np.array(doc["spectral_weights"], dtype=np.float64).reshape(m, d)
+    w = _arr_in(doc["spectral_weights"], (m, d))
     return FourierFeatureEmbedding(w, scale=float(doc["scale"]))
 
 
 def save_mlp(net: Mlp, path):
+    text = json.dumps(mlp_to_dict(net))
     with open(path, "w") as f:
-        json.dump(mlp_to_dict(net), f)
+        f.write(text)
 
 
 def load_mlp(path) -> Mlp:

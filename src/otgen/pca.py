@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import WEIGHT_FORMAT_VERSION, _arr_in, _arr_out
+
 
 @dataclass(frozen=True)
 class PcaBasis:
@@ -98,7 +100,6 @@ def subspace_residual(basis: PcaBasis, x) -> float:
 
 
 def basis_to_dict(basis: PcaBasis) -> dict:
-    from .nn import _arr_out, _fmt, WEIGHT_FORMAT_VERSION
     return {
         "version": WEIGHT_FORMAT_VERSION,
         "shape": list(basis.components.shape),
@@ -112,9 +113,8 @@ def basis_to_dict(basis: PcaBasis) -> dict:
 def basis_from_dict(doc: dict) -> PcaBasis:
     d, D = doc["shape"]
     return PcaBasis(
-        data_mean=np.array(doc["data_mean"], dtype=np.float64),
-        components=np.array(doc["components"], dtype=np.float64).reshape(d, D),
-        singular_values=np.array(doc["singular_values"], dtype=np.float64),
-        explained_variance_ratio=np.array(doc["explained_variance_ratio"],
-                                          dtype=np.float64),
+        data_mean=_arr_in(doc["data_mean"], (D,)),
+        components=_arr_in(doc["components"], (d, D)),
+        singular_values=_arr_in(doc["singular_values"]),
+        explained_variance_ratio=_arr_in(doc["explained_variance_ratio"]),
     )

@@ -232,3 +232,45 @@ def test_dense_jet_skips_tape_under_no_grad():
         out = ad.dense(np.zeros((3, 4, 3)), w, ad.parameter(np.zeros(2)),
                        "softplus", 1.0, second=1)
     assert out.shape == (3, 4, 2) and out._parents == ()
+
+
+def _training_loss_gradients():
+    from otgen.density import ReducedGaussianDensity
+    from otgen.transport import (ConditionNormalizer, Snapshot,
+                                 SnapshotDataset, TrainConfig, compute_loss,
+                                 init_model)
+    ds = SnapshotDataset([
+        Snapshot(t, ReducedGaussianDensity([0.4 * t, -0.2 * t], 0.1),
+                 (np.zeros((1, 2)), np.array([[0.4 * t, -0.2 * t]])))
+        for t in (0.0, 0.5, 1.0)])
+    cfg = TrainConfig(n_samples=32, n_samples_pde=8, n_collocation=4,
+                      shear_modulus=0.3, dnn_hidden=(8, 8), dnn_fourier_m=2,
+                      fnn_hidden=(8, 8), seed=4)
+    model = init_model(ds, ConditionNormalizer("linear", 0.0, 1.0), cfg)
+    compute_loss(model, ds, cfg, epoch_seed=1, train_mode=True).tape.backward()
+    return [p.grad for p in model.parameters()]
+
+
+def test_gradients_handed_over_without_copy_are_unchanged(monkeypatch):
+    # the loss gradient through jets, dense layers and the embedding is bit
+    # for bit what it was when every first gradient was copied
+    owned = _training_loss_gradients()
+    copy_all = ad.Tensor._accumulate
+    monkeypatch.setattr(ad.Tensor, "_accumulate",
+                        lambda self, g, owned=False: copy_all(self, g))
+    copied = _training_loss_gradients()
+    for a, b in zip(owned, copied):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_parents_of_one_node_never_share_a_gradient_buffer():
+    x = ad.parameter(np.ones((3, 2)))
+    w = ad.parameter(np.full((4, 2), 0.5))
+    b = ad.parameter(np.zeros(4))
+    h = ad.dense(x, w, b, "softplus", 1.0)
+    c = ad.parameter(np.ones((3, 4)))
+    ad.tsum(ad.add(h, c)).backward()
+    assert not np.shares_memory(h.grad, c.grad)
+    a, b2 = ad.parameter(np.ones(3)), ad.parameter(np.ones(3))
+    ad.tsum(ad.add(a, b2)).backward()
+    assert not np.shares_memory(a.grad, b2.grad)

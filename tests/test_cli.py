@@ -10,6 +10,8 @@ from otgen.fixtures import curve_family, field_family, synth_fixture
 from otgen.svgplot import plot_curves
 from otgen.transport import TrainConfig
 
+from tests_support_rigs import as_text_arrays
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -136,6 +138,18 @@ class TestSamplePfodeCommand:
         rows = np.loadtxt(out, skiprows=1)
         assert rows.shape == (200,)
         assert 0.5 < rows.std() < 1.5
+
+    def test_weight_version_1_score_file(self, tmp_path, capsys):
+        net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
+        new, old = tmp_path / "score.json", tmp_path / "score_v1.json"
+        nn.save_mlp(net, new)
+        old.write_text(json.dumps(as_text_arrays(nn.mlp_to_dict(net))))
+        outs = []
+        for path in (new, old):
+            outs.append(tmp_path / f"{path.stem}.csv")
+            assert run_cli("sample-pfode", "--score", str(path), "--n", "50",
+                           "--steps", "20", "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestSynthCommand:

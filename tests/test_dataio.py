@@ -1,10 +1,11 @@
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otgen import dataio, rng
+from otgen import cli, dataio, rng
 from otgen.density import CurveSnapshot, GaussianCurveDensity, ReducedGaussianDensity
 from otgen.experiment import RunConfig, run_experiment
 from otgen.fixtures import synth_fixture
@@ -12,6 +13,8 @@ from otgen.pca import fit_pca
 from otgen.transport import (AffineScaler, ConditionNormalizer, Snapshot,
                              SnapshotDataset, TrainConfig, generate_density,
                              generate_mean, init_model)
+
+from tests_support_rigs import legacy_model_document
 
 
 def write(path, text):
@@ -110,6 +113,14 @@ class TestModelRoundtrip:
         assert back.sigma_stress == dens.sigma_stress
         assert back.strain_range == dens.strain_range
 
+    def test_writes_current_format(self, tmp_path):
+        path = tmp_path / "model.json"
+        dataio.save_model(self.make_model(), path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == dataio.MODEL_FORMAT_VERSION == 3
+        assert isinstance(doc["displacement"]["net"]["layers"][0]["weight"],
+                          str)
+
     def test_version_check(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "model.json"
@@ -174,9 +185,9 @@ class TestSavedRunRoundtrip:
     def test_format_1_document_generates_like_format_2(self, trained_run,
                                                        tmp_path):
         model, path = trained_run
-        doc = json.loads(Path(path).read_text())
-        doc["version"] = 1
-        doc["preprocessing"] = {"scaler": doc.pop("scaler")}
+        doc = legacy_model_document(json.loads(Path(path).read_text()), 1)
+        assert isinstance(doc["displacement"]["net"]["layers"][0]["weight"],
+                          list)
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(doc))
         assert_generates_like(dataio.load_model(old), model)
@@ -186,11 +197,55 @@ class TestSavedRunRoundtrip:
         # format-2 documents written before input derivatives became exact
         # still carry the finite-difference step in their config
         model, path = trained_run
-        doc = json.loads(Path(path).read_text())
+        doc = legacy_model_document(json.loads(Path(path).read_text()), 2)
         doc["config"]["fd_step"] = 0.001
         old = tmp_path / "fd_step.json"
         old.write_text(json.dumps(doc))
         assert_generates_like(dataio.load_model(old), model)
+
+
+LAYER0 = ("displacement", "net", "layers", 0)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("displacement",), None),
+    (("body_force", "net", "layers"), 7),
+    (LAYER0 + ("weight",), 3.5),
+    (LAYER0 + ("weight",), "not*base64"),
+    (LAYER0 + ("bias",), "AAAA"),
+    (LAYER0 + ("bias",), base64.b64encode(bytes(8)).decode()),
+], ids=["missing-key", "wrong-type", "number-for-array", "invalid-base64",
+        "partial-float", "size-off-shape"])
+def test_malformed_document_is_typed_error(trained_run, tmp_path, keys,
+                                           value):
+    _, path = trained_run
+    doc = json.loads(Path(path).read_text())
+    parent = doc
+    for k in keys[:-1]:
+        parent = parent[k]
+    if value is None:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(dataio.DataFormatError, match="malformed"):
+        dataio.load_model(bad)
+    assert cli.main(["generate", "--model", str(bad), "--target", "1.0",
+                     "--out", str(tmp_path / "gen.csv")]) == 2
+
+
+def test_default_model_document_stays_binary_sized(tmp_path):
+    # text floats take about 22 bytes each, base64 float64 bytes 10.7
+    ds = SnapshotDataset([
+        Snapshot(0.0, ReducedGaussianDensity([0.0, 0.0], 0.1)),
+        Snapshot(1.0, ReducedGaussianDensity([0.5, 0.2], 0.1))])
+    model = init_model(ds, ConditionNormalizer("linear", 0.0, 1.0),
+                       TrainConfig())
+    n_params = sum(p.value.size for p in model.parameters())
+    path = tmp_path / "model.json"
+    dataio.save_model(model, path)
+    assert path.stat().st_size < 11 * n_params + 64 * 1024
 
 
 def test_run_config_drops_legacy_fd_step():

@@ -141,7 +141,32 @@ class TestGaussianCurveDensity:
                 assert xt.grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+    @pytest.mark.parametrize("bad", ["grid", "mean", "sigma", "range"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad, value):
+        args = dict(strain_grid=np.linspace(0.0, 1.0, 5),
+                    mean_stress=np.arange(5.0), sigma_stress=0.3,
+                    strain_range=(0.0, 1.0))
+        if bad == "grid":
+            args["strain_grid"] = np.append(args["strain_grid"][:-1], value)
+        elif bad == "mean":
+            args["mean_stress"][2] = value
+        elif bad == "sigma":
+            args["sigma_stress"] = value
+        else:
+            args["strain_range"] = (0.0, value)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianCurveDensity(**args)
+
+
 class TestReducedGaussianDensity:
+    @pytest.mark.parametrize("mean, sigma", [
+        ([0.0, np.nan], 0.1), ([np.inf, 0.0], 0.1), ([0.0, 0.0], np.nan),
+        ([0.0, 0.0], np.inf)])
+    def test_non_finite_rejected(self, mean, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            ReducedGaussianDensity(mean, sigma)
+
     def test_pdf_value(self):
         m = ReducedGaussianDensity([1.0, -1.0], sigma=2.0)
         # hand: (2 pi sigma^2)^-1 at the mean

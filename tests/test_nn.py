@@ -8,6 +8,8 @@ from otgen import nn, rng
 from otgen.transport import (DisplacementField, make_displacement_field,
                              spatial_jacobian_t, time_derivs_t)
 
+from tests_support_rigs import as_text_arrays
+
 
 def make_linear(W, b, activation="linear", activation_param=0.0, dropout=0.0):
     return nn.Layer(ad.parameter(np.asarray(W, dtype=float)),
@@ -335,7 +337,52 @@ def test_weight_roundtrip_bit_exact(tmp_path):
     for a, b in zip(net.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(a.value, b.value)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == 2
+
+
+def test_weight_version_1_document_loads(tmp_path):
+    net = nn.init_mlp([3, 7, 2], "softplus", seed=42, activation_param=10.0,
+                      dropout=0.1, final_std=1e-3)
+    doc = as_text_arrays(nn.mlp_to_dict(net))
+    assert doc["version"] == 1 and isinstance(doc["layers"][0]["bias"], list)
+    path = tmp_path / "weights_v1.json"
+    path.write_text(json.dumps(doc))
+    loaded = nn.load_mlp(path)
+    for a, b in zip(net.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(a.value, b.value)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype="<f8").view("<u8")
+
+
+@pytest.mark.parametrize("a", [
+    np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
+              np.finfo(np.float64).max, -np.finfo(np.float64).max,
+              np.finfo(np.float64).tiny, 1.0 / 3.0]),
+    np.arange(24.0).reshape(4, 6)[:, ::2] / 7.0,
+    (np.arange(6.0).reshape(2, 3) / 3.0).astype(">f8"),
+    np.zeros((0, 3)),
+], ids=["special-values", "non-contiguous", "big-endian", "empty"])
+def test_array_codec_bit_exact(a):
+    back = nn._arr_in(nn._arr_out(a), a.shape)
+    assert back.dtype == np.float64 and back.dtype.isnative
+    assert back.flags.writeable and back.shape == a.shape
+    np.testing.assert_array_equal(_bits(back), _bits(a))
+    # documents written before base64 arrays hold lists of numbers
+    np.testing.assert_array_equal(nn._arr_in(a.ravel().tolist(), a.shape), a)
+
+
+@pytest.mark.parametrize("v, shape, err", [
+    ("not*base64", (-1,), ValueError),
+    ("AAAA", (-1,), ValueError),
+    ("AAAAAAAAAAA=", (2,), ValueError),
+    (3.5, (1,), TypeError),
+    (None, (-1,), TypeError),
+])
+def test_array_codec_rejects_malformed(v, shape, err):
+    with pytest.raises(err):
+        nn._arr_in(v, shape)
 
 
 def test_embedding_roundtrip_bit_exact():

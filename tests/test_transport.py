@@ -9,7 +9,7 @@ from otgen.transport import (ConditionNormalizer, DegenerateMapError,
                              deformation_gradient, eom_residual,
                              generate_density, generate_mean, init_model,
                              loss, nrmse, train)
-from tests_support_rigs import RiggedField, RiggedForce
+from tests_support_rigs import NanDensity, RiggedField, RiggedForce
 
 
 def rigged_model(dim, u_fn, f_fn=None, **cfg_kw):
@@ -285,7 +285,7 @@ class TestTraining:
         # a non-finite first loss leaves no checkpoint to restore
         ds = SnapshotDataset([
             Snapshot(0.0, ReducedGaussianDensity([0.0], 0.05)),
-            Snapshot(1.0, ReducedGaussianDensity([np.nan], 0.05))])
+            Snapshot(1.0, NanDensity([0.0], 0.05))])
         with pytest.raises(TrainingDivergence, match="epoch 0"):
             train(ds, self.small_config(5))
 
