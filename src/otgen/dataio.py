@@ -25,16 +25,13 @@ import numpy as np
 
 from . import nn
 from .density import CurveSnapshot, GaussianCurveDensity, ReducedGaussianDensity
+from .nn import DataFormatError
 from .pca import basis_from_dict, basis_to_dict
 from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
                         DisplacementField, TrainConfig, TransportModel)
 
 MODEL_FORMAT_VERSION = 3
 _MODEL_VERSIONS = (1, 2, MODEL_FORMAT_VERSION)
-
-
-class DataFormatError(ValueError):
-    """Malformed input data file."""
 
 
 def ingest_curves(path) -> list[CurveSnapshot]:
@@ -227,13 +224,8 @@ def model_from_dict(doc: dict) -> TransportModel:
     document: a missing key, a value of the wrong type, invalid base64, or
     an array whose size does not fit its declared shape.
     """
-    try:
+    with nn.format_errors("model document"):
         return _model_from_dict(doc)
-    except DataFormatError:
-        raise
-    except (AttributeError, LookupError, TypeError, ValueError) as e:
-        raise DataFormatError(
-            f"malformed model document: {type(e).__name__}: {e}") from e
 
 
 def _model_from_dict(doc: dict) -> TransportModel:

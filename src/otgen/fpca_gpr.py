@@ -5,6 +5,12 @@ orthonormal modes by SVD; each mode coefficient is regressed against the
 operating condition with a zero-mean GP under a squared-exponential
 kernel. Prediction at a new condition reconstructs the curve from the
 posterior coefficient means and propagates their variances pointwise.
+
+GP hyperparameters come from a fixed 20x20x20 log-spaced grid scored by
+log-marginal likelihood (Rasmussen & Williams 2006, ch. 5). The grid is
+evaluated in stacked LAPACK passes, one batched Cholesky factorisation
+and solve per length scale, which gives bit for bit the scores of
+factoring each candidate on its own.
 """
 
 from __future__ import annotations
@@ -108,12 +114,27 @@ def _chol_with_jitter(K):
     raise np.linalg.LinAlgError("kernel matrix not positive definite at max jitter")
 
 
-def _log_marginal(y, L):
-    z = np.linalg.solve(L, y)
-    quad = float(z @ z)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    n = len(y)
-    return -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+def _grid_log_marginals(Ts, a, ls_grid, sv_grid, nv_grid):
+    """Log-marginal likelihood of `a` at every grid triple: [ls, sv, nv].
+
+    Each length scale is one stacked pass over its sv x nv candidates: the
+    kernels K0(ls, sv) + nv I are factored by one batched Cholesky call and
+    solved by one batched solve, so memory stays at len(sv) * len(nv)
+    n x n matrices per pass. Scores where a factorisation produced
+    non-finite values are -inf.
+    """
+    n = len(Ts)
+    nv_eye = nv_grid[:, None, None] * np.eye(n)
+    out = np.empty((len(ls_grid), len(sv_grid), len(nv_grid)))
+    for i, ls in enumerate(ls_grid):
+        K0 = np.stack([_sq_exp(Ts, Ts, ls, sv) for sv in sv_grid])
+        L = np.linalg.cholesky(K0[:, None] + nv_eye)
+        z = np.linalg.solve(L, a[:, None])[..., 0]
+        quad = np.vecdot(z, z)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)),
+                              axis=-1)
+        out[i] = -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+    return np.where(np.isnan(out), -np.inf, out)
 
 
 def gpr_fit(T, a, hyper=None) -> GprModel:
@@ -122,50 +143,45 @@ def gpr_fit(T, a, hyper=None) -> GprModel:
     `hyper`, when given, fixes (length_scale, signal_variance,
     noise_variance) in standardized input units. Otherwise the triple is
     chosen by log-marginal-likelihood over a log-spaced 20x20x20 grid,
-    which is deterministic and needs no external optimizer.
+    which is deterministic and needs no external optimizer; the grid is
+    scored in stacked LAPACK passes (`_grid_log_marginals`) and the first
+    maximum in ls -> sv -> nv order wins. Non-finite conditions or targets
+    raise ValueError.
     """
     T = np.asarray(T, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     if T.ndim != 1 or T.shape != a.shape or T.size < 1:
         raise ValueError("T and a must be equal-length vectors")
+    if not np.all(np.isfinite(T)):
+        raise ValueError("conditions must be finite")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("targets must be finite")
     shift = float(T.mean())
     scale = float(T.std()) if T.size > 1 and T.std() > 0 else 1.0
     Ts = (T - shift) / scale
     if len(np.unique(Ts)) != len(Ts):
         raise ValueError("conditions must be distinct")
 
-    def build(ls, sv, nv):
-        K = _sq_exp(Ts, Ts, ls, sv) + nv * np.eye(len(Ts))
-        L, jit = _chol_with_jitter(K)
-        return L, jit
-
     if hyper is not None:
         ls, sv, nv = (float(h) for h in hyper)
         if min(ls, sv) <= 0 or nv < 0:
             raise ValueError("hyperparameters must be positive")
-        L, jit = build(ls, sv, nv)
     else:
         a_var = float(a.var()) if a.size > 1 else max(float(a[0]) ** 2, 1e-12)
         a_var = max(a_var, 1e-12)
         ls_grid = np.logspace(-1.0, 1.3, 20)
         sv_grid = a_var * np.logspace(-1.0, 1.5, 20)
         nv_grid = a_var * np.logspace(-8.0, -0.5, 20)
-        best = (-np.inf, None)
-        for ls in ls_grid:
-            for sv in sv_grid:
-                K0 = _sq_exp(Ts, Ts, ls, sv)
-                for nv in nv_grid:
-                    try:
-                        L, jit = _chol_with_jitter(K0 + nv * np.eye(len(Ts)))
-                    except np.linalg.LinAlgError:
-                        continue
-                    lml = _log_marginal(a, L)
-                    if lml > best[0]:
-                        best = (lml, (ls, sv, nv, L, jit))
-        if best[1] is None:
+        # every grid kernel is sv R + nv I with nv / sv >= 3e-10, so it
+        # factors without jitter; a failed factorisation raises LinAlgError
+        lml = _grid_log_marginals(Ts, a, ls_grid, sv_grid, nv_grid)
+        i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
+        if lml[i, j, k] == -np.inf:
             raise np.linalg.LinAlgError("no stable hyperparameter choice found")
-        ls, sv, nv, L, jit = best[1]
+        ls, sv, nv = ls_grid[i], sv_grid[j], nv_grid[k]
 
+    # on the grid this factors at jitter 0, as the stacked pass did
+    L, jit = _chol_with_jitter(_sq_exp(Ts, Ts, ls, sv) + nv * np.eye(len(Ts)))
     z = np.linalg.solve(L, a)
     alpha = np.linalg.solve(L.T, z)
     return GprModel(

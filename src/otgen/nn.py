@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ _DEFAULT_PARAM = {"softplus": 1.0, "leaky_relu": 0.01}
 WEIGHT_FORMAT_VERSION = 2
 # version 1 wrote float arrays as lists of numbers; `_arr_in` reads both
 _WEIGHT_VERSIONS = (1, WEIGHT_FORMAT_VERSION)
+
+
+class DataFormatError(ValueError):
+    """Malformed input data file or saved document."""
 
 
 @dataclass
@@ -308,9 +313,37 @@ def mlp_to_dict(net: Mlp) -> dict:
     }
 
 
+@contextmanager
+def format_errors(what: str):
+    """Re-raise an error from reading the document `what` as DataFormatError.
+
+    Covers the lookup, type and value errors of a malformed document: a
+    missing key, a value of the wrong type, a document that is not an
+    object, invalid base64, or an array whose size does not fit its shape.
+    """
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
+        raise DataFormatError(
+            f"malformed {what}: {type(e).__name__}: {e}") from e
+
+
 def mlp_from_dict(doc: dict) -> Mlp:
+    """The network a weight document of version 1 or 2 describes.
+
+    Raises DataFormatError for an unknown version and for a malformed
+    document (see `format_errors`).
+    """
+    with format_errors("weight document"):
+        return _mlp_from_dict(doc)
+
+
+def _mlp_from_dict(doc: dict) -> Mlp:
     if doc.get("version") not in _WEIGHT_VERSIONS:
-        raise ValueError(f"unsupported weight format version {doc.get('version')}")
+        raise DataFormatError(
+            f"unsupported weight format version {doc.get('version')}")
     layers = []
     for layer_doc in doc["layers"]:
         out_dim, in_dim = layer_doc["shape"]

@@ -424,6 +424,7 @@ class LossResult:
     dropped: int = 0
     evaluated: int = 0
     tape: ad.Tensor | None = None
+    terms: tuple = ()  # the (L1, L2, L3) tape tensors `tape` sums
 
     def __iter__(self):
         return iter((self.total, self.l1, self.l2, self.l3))
@@ -516,7 +517,13 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
                        mode="train" if train_mode else "eval",
                        seed=_combine(config.seed, epoch_seed, 3))
     L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
+    return _weighted_loss((L1, L2, L3), config, dropped, evaluated, build_tape)
 
+
+def _weighted_loss(terms, config: TrainConfig, dropped: int, evaluated: int,
+                   build_tape: bool = True) -> LossResult:
+    """w1 L1 + w2 L2 + w3 L3 over the term tensors, checked to be finite."""
+    L1, L2, L3 = terms
     total = ad.add(ad.add(ad.mul(L1, config.w1), ad.mul(L2, config.w2)),
                    ad.mul(L3, config.w3))
     if not np.isfinite(total.value):
@@ -524,8 +531,23 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     return LossResult(
         total=float(total.value), l1=float(L1.value), l2=float(L2.value),
         l3=float(L3.value), dropped=dropped, evaluated=evaluated,
-        tape=total if build_tape else None,
+        tape=total if build_tape else None, terms=terms if build_tape else (),
     )
+
+
+def _rescale_weights(res: LossResult, config: TrainConfig):
+    """(config, loss) with each weight divided by its epoch-0 term value.
+
+    The loss is rebuilt on `res`'s own term tensors: the same batch under
+    the new weights, without tracing the networks a second time.
+    """
+    cfg = replace(
+        config,
+        w1=config.w1 / max(res.l1, 1e-12),
+        w2=config.w2 / max(res.l2, 1e-12) if res.l2 > 0 else config.w2,
+        w3=config.w3 / max(res.l3, 1e-12),
+    )
+    return cfg, _weighted_loss(res.terms, cfg, res.dropped, res.evaluated)
 
 
 def loss(model, dataset, config=None, epoch_seed=0) -> LossResult:
@@ -568,7 +590,10 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
         try:
             res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
                                train_mode=True)
-        except TrainingDivergence as e:
+            if epoch == 0 and config.auto_rescale_weights:
+                cfg, res = _rescale_weights(res, config)
+        except (TrainingDivergence, FloatingPointError) as e:
+            # a network output that overflows is divergence too
             if not history:
                 raise TrainingDivergence(
                     f"training diverged at epoch {epoch}, before any "
@@ -576,17 +601,6 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
             warnings.warn(f"training diverged at epoch {epoch}; "
                           "restoring best checkpoint")
             break
-        if epoch == 0 and config.auto_rescale_weights:
-            cfg = replace(
-                cfg,
-                w1=config.w1 / max(res.l1, 1e-12),
-                w2=config.w2 / max(res.l2, 1e-12) if res.l2 > 0 else config.w2,
-                w3=config.w3 / max(res.l3, 1e-12),
-            )
-            for p in params:
-                p.zero_grad()
-            res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
-                               train_mode=True)
         res.tape.backward()
         history.append((res.total, res.l1, res.l2, res.l3, res.dropped_fraction))
         if res.total < best[0]:

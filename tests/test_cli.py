@@ -151,6 +151,23 @@ class TestSamplePfodeCommand:
                            "--steps", "20", "--out", str(outs[-1])) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: {"version": doc["version"]},            # no layers
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], shape="16x3")]),
+        lambda doc: doc["layers"],                          # not an object
+        lambda doc: dict(doc, layers=[dict(doc["layers"][0], weight="@@")]),
+    ], ids=["missing-key", "wrong-type", "non-object", "bad-base64"])
+    def test_malformed_score_file_is_validation_exit(self, tmp_path, capsys,
+                                                     corrupt):
+        net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
+        path = tmp_path / "score.json"
+        path.write_text(json.dumps(corrupt(nn.mlp_to_dict(net))))
+        code = run_cli("sample-pfode", "--score", str(path), "--n", "10",
+                       "--steps", "5", "--out", str(tmp_path / "s.csv"))
+        assert code == cli.EXIT_VALIDATION
+        assert "error: malformed weight document" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestSynthCommand:
     def test_writes_fixture(self, tmp_path, capsys):
@@ -231,6 +248,24 @@ class TestRunAndGenerateCommands:
         assert code == cli.EXIT_VALIDATION
         assert "folds" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_network_overflow_is_divergence(self, tmp_path, capsys):
+        # at learning rate 1e30 the first Adam step sends the networks'
+        # outputs to inf; training restores the epoch-0 checkpoint
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.25, 0.5, 0.75])
+        train_cfg = dict(
+            epochs=3, n_samples=256, n_samples_pde=64, n_collocation=11,
+            dnn_hidden=[48, 48, 48], dnn_fourier_m=6, fnn_hidden=[48, 48],
+            fnn_dropout=0.1, auto_rescale_weights=True, learning_rate=1e30)
+        cfg_path = write_run_config(
+            tmp_path / "cfg.json", paths["train"],
+            {"reference": paths["target"], "train": train_cfg,
+             "grid_points": 40, "sigma_frac": 0.04, "boundary_anchors": 2})
+        with pytest.warns(UserWarning, match="diverged at epoch 1"):
+            assert run_cli("run", "--config", cfg_path) == cli.EXIT_OK
+        model = dataio.load_model(tmp_path / "out" / "model.json")
+        assert len(model.loss_history) == 1
 
     def test_missing_data_is_io_exit(self, tmp_path, capsys):
         cfg_path = write_run_config(tmp_path / "cfg.json",

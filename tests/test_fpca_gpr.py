@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otgen import rng
+from otgen import fpca_gpr, rng
 from otgen.fpca_gpr import (fit_fpca, fit_predict_baseline,
                             fpca_reconstruct, gpr_fit, gpr_predict,
                             predict_curve)
@@ -192,3 +192,92 @@ class TestPredictCurve:
         mean, std = fit_predict_baseline(grid, Y.T, conditions, 1.5)
         assert mean.shape == grid.shape
         assert np.all(np.isfinite(mean)) and np.all(std >= 0)
+
+
+def _grid_search_oracle(T, a):
+    """The per-candidate grid search: one cholesky, solve and z @ z per triple.
+
+    Returns the [ls, sv, nv] log-marginal grid and the first maximum's
+    (ls, sv, nv, chol).
+    """
+    T = np.asarray(T, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    scale = float(T.std()) if T.size > 1 and T.std() > 0 else 1.0
+    Ts = (T - float(T.mean())) / scale
+    a_var = float(a.var()) if a.size > 1 else max(float(a[0]) ** 2, 1e-12)
+    a_var = max(a_var, 1e-12)
+    ls_grid = np.logspace(-1.0, 1.3, 20)
+    sv_grid = a_var * np.logspace(-1.0, 1.5, 20)
+    nv_grid = a_var * np.logspace(-8.0, -0.5, 20)
+    n = len(Ts)
+    lml = np.empty((20, 20, 20))
+    best = (-np.inf, None)
+    for i, ls in enumerate(ls_grid):
+        for j, sv in enumerate(sv_grid):
+            K0 = sv * np.exp(-0.5 * ((Ts[:, None] - Ts[None, :]) / ls) ** 2)
+            for k, nv in enumerate(nv_grid):
+                L = np.linalg.cholesky(K0 + nv * np.eye(n))
+                z = np.linalg.solve(L, a)
+                quad = float(z @ z)
+                logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+                lml[i, j, k] = (-0.5 * quad - 0.5 * logdet
+                                - 0.5 * n * np.log(2.0 * np.pi))
+                if lml[i, j, k] > best[0]:
+                    best = (lml[i, j, k], (ls, sv, nv, L))
+    return lml, best[1]
+
+
+def _oracle_cases():
+    gen = rng.stream(70)
+    for n in range(2, 11):
+        # condition scales 1e-3..1e3, target scales 1e-4..1e4
+        t_scale, a_scale = 10.0 ** (rng.uniform(gen, 2) * [6, 8] - [3, 4])
+        T = np.sort(rng.uniform(gen, n)) * t_scale
+        a = rng.normal(gen, n) * a_scale
+        yield f"random-n{n}", T, a
+    yield "near-duplicate", np.array([0.0, 1e-9, 1e-8, 2.0]), np.array(
+        [1.0, 1.0 + 1e-9, 0.5, -2.0])
+    yield "all-zero", np.linspace(300.0, 700.0, 5), np.zeros(5)
+    yield "single", np.array([3.0]), np.array([0.25])
+
+
+class TestGridSearch:
+    @pytest.mark.parametrize("name,T,a", list(_oracle_cases()),
+                             ids=[c[0] for c in _oracle_cases()])
+    def test_stacked_search_matches_per_candidate_loop(self, name, T, a):
+        lml_ref, (ls, sv, nv, L) = _grid_search_oracle(T, a)
+        g = gpr_fit(T, a)
+        scale = float(T.std()) if T.size > 1 and T.std() > 0 else 1.0
+        a_var = max(float(a.var()) if a.size > 1 else float(a[0]) ** 2, 1e-12)
+        lml = fpca_gpr._grid_log_marginals(
+            (T - T.mean()) / scale, a, np.logspace(-1.0, 1.3, 20),
+            a_var * np.logspace(-1.0, 1.5, 20),
+            a_var * np.logspace(-8.0, -0.5, 20))
+        np.testing.assert_array_equal(lml, lml_ref)
+        assert (g.length_scale, g.signal_variance, g.noise_variance) == (
+            ls, sv, nv)
+        np.testing.assert_array_equal(g.chol, L)
+        z = np.linalg.solve(L, a)
+        np.testing.assert_array_equal(g.alpha, np.linalg.solve(L.T, z))
+        assert g.jitter == 0.0
+
+    def test_nan_candidate_scores_minus_inf(self):
+        # a NaN score must never win the argmax
+        lml = fpca_gpr._grid_log_marginals(
+            np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 0.5]),
+            np.array([1.0]), np.array([1.0, np.nan, 2.0]), np.array([0.1]))
+        assert lml[0, 1, 0] == -np.inf
+        assert np.all(np.isfinite(lml[0, [0, 2], 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="conditions must be finite"):
+            gpr_fit([0.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="targets must be finite"):
+            gpr_fit([0.0, 1.0, 2.0], [1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="targets must be finite"):
+            gpr_fit([0.0, 1.0, 2.0], [1.0, bad, 3.0], hyper=(1.0, 1.0, 0.1))
+
+    def test_overflowing_variance_raises_lin_alg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr_fit([0.0, 1.0], [1e200, -1e200])

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from otgen import autodiff as ad
 from otgen import rng
 from otgen.density import GaussianCurveDensity, ReducedGaussianDensity
 from otgen.transport import (ConditionNormalizer, DegenerateMapError,
                              Snapshot, SnapshotDataset, TrainConfig,
                              TrainingDivergence, TransportModel,
-                             deformation_gradient, eom_residual,
+                             compute_loss, deformation_gradient, eom_residual,
                              generate_density, generate_mean, init_model,
                              loss, nrmse, train)
 from tests_support_rigs import NanDensity, RiggedField, RiggedForce
@@ -288,6 +291,22 @@ class TestTraining:
             Snapshot(1.0, NanDensity([0.0], 0.05))])
         with pytest.raises(TrainingDivergence, match="epoch 0"):
             train(ds, self.small_config(5))
+
+    def test_auto_rescale_matches_fixed_rescaled_weights(self):
+        # epoch 0 rescales the weights on its own loss terms; training must
+        # equal a run given those weights from the start
+        ds = self.small_dataset()
+        cfg = replace(self.small_config(4, seed=3), fnn_dropout=0.1)
+        with ad.no_grad():
+            first = compute_loss(init_model(ds, ConditionNormalizer(
+                "linear", 0.0, 1.0), cfg), ds, cfg, train_mode=True)
+        fixed = replace(cfg, auto_rescale_weights=False, w1=1.0 / first.l1,
+                        w2=1.0 / first.l2, w3=1.0 / first.l3)
+        m_auto, m_fixed = train(ds, cfg), train(ds, fixed)
+        assert m_auto.config == replace(fixed, auto_rescale_weights=True)
+        assert m_auto.loss_history == m_fixed.loss_history
+        for a, b in zip(m_auto.parameters(), m_fixed.parameters()):
+            np.testing.assert_array_equal(a.value, b.value)
 
     def test_loss_decreases_on_translation_family(self):
         ds = self.small_dataset()
