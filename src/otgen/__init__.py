@@ -12,8 +12,7 @@ score-driven probability-flow sampler.
 __version__ = "0.1.0"
 
 from .density import (CurveSnapshot, GaussianCurveDensity,
-                      ReducedGaussianDensity, field_to_samples,
-                      resample_to_grid)
+                      ReducedGaussianDensity, field_to_samples)
 from .discrete import (DiscreteDistribution, PiecewiseLinearTrajectory,
                        TransportMap, plan_cost, quadratic_cost, solve_monge,
                        solve_monge_time_dependent, trajectory_cost)
@@ -24,7 +23,7 @@ from .transport import (ConditionNormalizer, SnapshotDataset, Snapshot,
 
 __all__ = [
     "CurveSnapshot", "GaussianCurveDensity", "ReducedGaussianDensity",
-    "field_to_samples", "resample_to_grid",
+    "field_to_samples",
     "DiscreteDistribution", "PiecewiseLinearTrajectory", "TransportMap",
     "plan_cost", "quadratic_cost", "solve_monge",
     "solve_monge_time_dependent", "trajectory_cost",

@@ -52,10 +52,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def _accumulate(self, g, owned=False):
         """Add `g` to the gradient.
 
@@ -100,37 +96,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -144,11 +109,8 @@ def parameter(value) -> Tensor:
 
 
 def constant(value) -> Tensor:
+    """A tape tensor holding `value`; a Tensor passes through unchanged."""
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _recording(parents) -> bool:
@@ -179,7 +141,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # -- elementwise arithmetic ---------------------------------------------
 
 def add(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = a.value + b.value
 
     def backward(g):
@@ -192,7 +154,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = a.value - b.value
 
     def backward(g):
@@ -205,7 +167,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = a.value * b.value
 
     def backward(g):
@@ -218,7 +180,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = a.value / b.value
 
     def backward(g):
@@ -231,7 +193,7 @@ def div(a, b):
 
 
 def square(a):
-    a = _lift(a)
+    a = constant(a)
     out = a.value * a.value
 
     def backward(g):
@@ -241,7 +203,7 @@ def square(a):
 
 
 def exp(a):
-    a = _lift(a)
+    a = constant(a)
     out = np.exp(a.value)
 
     def backward(g):
@@ -251,7 +213,7 @@ def exp(a):
 
 
 def sin(a):
-    a = _lift(a)
+    a = constant(a)
     out = np.sin(a.value)
 
     def backward(g):
@@ -261,7 +223,7 @@ def sin(a):
 
 
 def cos(a):
-    a = _lift(a)
+    a = constant(a)
     out = np.cos(a.value)
 
     def backward(g):
@@ -273,7 +235,7 @@ def cos(a):
 # -- linear algebra -----------------------------------------------------
 
 def matmul(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = a.value @ b.value
 
     def backward(g):
@@ -293,7 +255,7 @@ def det(a):
     Gradient uses d det(A) = det(A) * A^{-T}, so the matrices must be
     invertible wherever a gradient is requested.
     """
-    a = _lift(a)
+    a = constant(a)
     out = np.linalg.det(a.value)
 
     def backward(g):
@@ -306,7 +268,7 @@ def det(a):
 # -- shape manipulation --------------------------------------------------
 
 def concat(parts, axis=-1):
-    parts = [_lift(p) for p in parts]
+    parts = [constant(p) for p in parts]
     out = np.concatenate([p.value for p in parts], axis=axis)
     sizes = [p.value.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
@@ -323,7 +285,7 @@ def concat(parts, axis=-1):
 
 def stack_last(parts):
     """Stack equal-shaped tensors along a new trailing axis."""
-    parts = [_lift(p) for p in parts]
+    parts = [constant(p) for p in parts]
     out = np.stack([p.value for p in parts], axis=-1)
 
     def backward(g):
@@ -335,7 +297,7 @@ def stack_last(parts):
 
 
 def getitem(a, idx):
-    a = _lift(a)
+    a = constant(a)
     out = a.value[idx]
     plain = isinstance(idx, (slice, int)) or (
         isinstance(idx, tuple) and all(isinstance(i, (slice, int)) for i in idx))
@@ -354,7 +316,7 @@ def getitem(a, idx):
 # -- reductions -----------------------------------------------------------
 
 def tsum(a, axis=None):
-    a = _lift(a)
+    a = constant(a)
     out = a.value.sum(axis=axis)
 
     def backward(g):
@@ -372,7 +334,7 @@ def stable_mean(a):
     The forward value is independent of element order, so losses built on
     it agree bit-for-bit under sample permutations.
     """
-    a = _lift(a)
+    a = constant(a)
     if a.value.ndim != 1:
         raise ValueError("stable_mean expects a 1-D tensor")
     n = a.value.shape[0]
@@ -386,7 +348,7 @@ def stable_mean(a):
 
 def stable_sum_scalars(tensors):
     """Order-independent sum of scalar tensors (exact rounding)."""
-    tensors = [_lift(t) for t in tensors]
+    tensors = [constant(t) for t in tensors]
     out = np.float64(math.fsum(float(t.value) for t in tensors))
 
     def backward(g):
@@ -459,7 +421,7 @@ def _activation_derivs(activation, x, param, order):
 
 
 def selu(a):
-    a = _lift(a)
+    a = constant(a)
     out, deriv = _selu_derivs(a.value, 1)
 
     def backward(g):
@@ -470,21 +432,11 @@ def selu(a):
 
 def softplus(a, beta=1.0):
     """Overflow-safe softplus log(1 + exp(beta*x)) / beta."""
-    a = _lift(a)
+    a = constant(a)
     out, sig = _softplus_derivs(a.value, beta, 1)
 
     def backward(g):
         a._accumulate(g * sig)
-
-    return _make(out, (a,), backward)
-
-
-def leaky_relu(a, slope=0.01):
-    a = _lift(a)
-    out, deriv = _leaky_relu_derivs(a.value, slope, 1)
-
-    def backward(g):
-        a._accumulate(g * deriv)
 
     return _make(out, (a,), backward)
 
@@ -551,7 +503,7 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0):
     last `second` streams are second-order; the bias enters the value
     stream only. `param` is the softplus beta or the leaky-ReLU slope.
     """
-    h, weight, bias = _lift(h), _lift(weight), _lift(bias)
+    h, weight, bias = constant(h), constant(weight), constant(bias)
     parents = (h, weight, bias)
     H = _streams(h.value)
     z = _stream_matmul(H, weight.value.T)
@@ -584,7 +536,7 @@ def sincos_features(v, weights, scale, second=0):
     `v` is a batch [n, in] or a jet [S, n, in]; `weights` B is [m, in] and
     `scale` s a scalar. Output width is 2m + in.
     """
-    v, weights, scale = _lift(v), _lift(weights), _lift(scale)
+    v, weights, scale = constant(v), constant(weights), constant(scale)
     parents = (v, weights, scale)
     V = _streams(v.value)
     p = _stream_matmul(V, weights.value.T)
@@ -629,7 +581,7 @@ def interp_query(grid, values, q):
     """
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    q = _lift(q)
+    q = constant(q)
     out = np.interp(q.value, grid, values)
     seg = np.clip(np.searchsorted(grid, q.value, side="right") - 1, 0, len(grid) - 2)
     slopes = (values[seg + 1] - values[seg]) / (grid[seg + 1] - grid[seg])

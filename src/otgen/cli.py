@@ -102,16 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_distribution(path):
+    """Points and masses of a CSV; its first row may be a header."""
     from .discrete import DiscreteDistribution
+    from .nn import DataFormatError
     rows = []
+    first = True
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        for lineno, row in enumerate(csv.reader(f), start=1):
             if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
                 rows.append([float(v) for v in row])
-            except ValueError:
-                continue  # header line
+            except ValueError as e:
+                if not first:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: bad row {row!r}") from e
+            first = False
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     arr = np.asarray(rows)
@@ -160,18 +166,19 @@ def cmd_geodesic(args) -> int:
 
 
 def _load_run_config(args, data=None):
+    """The RunConfig of `--config` with the command-line overrides applied.
+
+    A document that is not a valid config raises DataFormatError.
+    """
     from .experiment import RunConfig
+    from .nn import format_errors
     with open(args.config) as f:
         doc = json.load(f)
-    if data is not None:
-        doc["data"] = data
-    seed = getattr(args, "seed", None)
-    out_dir = getattr(args, "out_dir", None)
-    if seed is not None:
-        doc["seed"] = seed
-    if out_dir is not None:
-        doc["out_dir"] = out_dir
-    return RunConfig.from_dict(doc)
+    overrides = {"data": data, "seed": getattr(args, "seed", None),
+                 "out_dir": getattr(args, "out_dir", None)}
+    with format_errors("run config"):
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
+        return RunConfig.from_dict(doc)
 
 
 def cmd_train(args) -> int:

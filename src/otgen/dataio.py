@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import asdict
 
@@ -56,12 +57,14 @@ def ingest_curves(path) -> list[CurveSnapshot]:
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                cond = float(row[ic])
-                strain = float(row[ia])
-                stress = float(row[io])
+                cond, strain, stress = _finite(float(row[ic]), float(row[ia]),
+                                               float(row[io]))
             except (ValueError, IndexError) as e:
-                raise DataFormatError(f"{path}:{lineno}: bad row {row!r}") from e
+                raise DataFormatError(
+                    f"{path}:{lineno}: bad row {row!r}: {e}") from e
             groups.setdefault(cond, []).append((strain, stress))
+    if not groups:
+        raise DataFormatError(f"{path}: no data rows")
     snapshots = []
     for cond in sorted(groups):
         pts = sorted(groups[cond])
@@ -123,10 +126,11 @@ def ingest_fields(path):
                 raise DataFormatError(f"{path}:{lineno}: expected {width + 1} "
                                       f"columns, got {len(row)}")
             try:
-                conditions.append(float(row[0]))
-                rows.append([float(v) for v in row[1:]])
+                cond, *values = _finite(*(float(v) for v in row))
             except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: bad row") from e
+                raise DataFormatError(f"{path}:{lineno}: bad row: {e}") from e
+            conditions.append(cond)
+            rows.append(values)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     order = np.argsort(conditions, kind="stable")
@@ -141,6 +145,13 @@ def write_fields(path, conditions, fields):
         w.writerow(["condition"] + [f"v{j + 1}" for j in range(fields.shape[1])])
         for cond, row in zip(np.atleast_1d(conditions), fields):
             w.writerow([_fmt(cond)] + [_fmt(v) for v in row])
+
+
+def _finite(*values):
+    """`values`, or ValueError if one is NaN or infinite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("non-finite value")
+    return values
 
 
 def _fmt(x) -> str:
@@ -181,9 +192,6 @@ def density_from_dict(doc: dict):
 
 
 def model_to_dict(model: TransportModel) -> dict:
-    cfg = asdict(model.config)
-    cfg["dnn_hidden"] = list(cfg["dnn_hidden"])
-    cfg["fnn_hidden"] = list(cfg["fnn_hidden"])
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "displacement": {
@@ -205,7 +213,7 @@ def model_to_dict(model: TransportModel) -> dict:
         "scaler": ({"offset": nn._arr_out(model.scaler.offset),
                     "scale": nn._arr_out(model.scaler.scale)}
                    if model.scaler is not None else None),
-        "config": cfg,
+        "config": asdict(model.config),
         "loss_history": [[float(v) for v in row] for row in model.loss_history],
         "dropped_fraction": float(model.dropped_fraction),
         "reference_density": (density_to_dict(model.reference_density)
@@ -244,13 +252,8 @@ def _model_from_dict(doc: dict) -> TransportModel:
     ndoc = doc["normalizer"]
     normalizer = ConditionNormalizer(ndoc["mode"], float(ndoc["raw_min"]),
                                      float(ndoc["raw_max"]), ndoc["unit"])
-    cfg_doc = dict(doc["config"])
-    cfg_doc.pop("fd_step", None)  # dropped with the finite differences
-    cfg_doc["dnn_hidden"] = tuple(cfg_doc["dnn_hidden"])
-    cfg_doc["fnn_hidden"] = tuple(cfg_doc["fnn_hidden"])
-    config = TrainConfig(**cfg_doc)
     model = TransportModel(
-        disp, body, normalizer, config,
+        disp, body, normalizer, TrainConfig.from_dict(doc["config"]),
         loss_history=[tuple(float(v) for v in row)
                       for row in doc["loss_history"]],
         dropped_fraction=float(doc["dropped_fraction"]),

@@ -47,15 +47,6 @@ class CurveSnapshot:
         return self.points[:, 1]
 
 
-def resample_to_grid(curve: CurveSnapshot, grid) -> np.ndarray:
-    """Piecewise-linear stress values of the curve at the given strains."""
-    grid = np.asarray(grid, dtype=np.float64)
-    lo, hi = curve.strains[0], curve.strains[-1]
-    if np.any(grid < lo) or np.any(grid > hi):
-        raise ValueError("grid extends outside the curve's strain support")
-    return np.interp(grid, curve.strains, curve.stresses)
-
-
 class GaussianCurveDensity:
     """Uniform-in-strain, Gaussian-in-stress density about a mean curve.
 

@@ -35,6 +35,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "masses", ms)
         if pts.shape[0] != ms.shape[0]:
             raise ValueError("points/masses length mismatch")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(ms))):
+            raise ValueError("points and masses must be finite")
         if np.any(ms <= 0):
             raise ValueError("masses must be positive")
         if abs(ms.sum() - 1.0) > 1e-12:

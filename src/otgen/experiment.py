@@ -91,23 +91,12 @@ class RunConfig:
             raise ValueError("task must be 'curves' or 'fields'")
         if self.boundary_anchors < 2:
             raise ValueError("need at least the two endpoint anchors")
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["train"]["dnn_hidden"] = list(doc["train"]["dnn_hidden"])
-        doc["train"]["fnn_hidden"] = list(doc["train"]["fnn_hidden"])
-        return doc
+        if self.gen_samples < 1:
+            raise ValueError("gen_samples must be at least 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        tr = dict(doc.get("train", {}))
-        tr.pop("fd_step", None)  # dropped with the finite differences
-        for key in ("dnn_hidden", "fnn_hidden"):
-            if key in tr:
-                tr[key] = tuple(tr[key])
-        doc["train"] = TrainConfig(**tr)
-        return cls(**doc)
+        return cls(**dict(doc, train=TrainConfig.from_dict(doc.get("train", {}))))
 
 
 @dataclass
@@ -174,25 +163,20 @@ def prepare_curve_dataset(config: RunConfig, snapshots):
     grid, means = common_grid(snapshots, config.grid_points)
     scaler = AffineScaler.from_bounds([grid[0], means.min()],
                                       [grid[-1], means.max()])
-    grid_n = scaler.forward(np.column_stack([grid, np.zeros_like(grid)]))[:, 0]
+    # each curve [m, 2] in training coordinates; the strain column is shared
+    curves_n = [scaler.forward(np.column_stack([grid, mean])) for mean in means]
+    grid_n = curves_n[0][:, 0]
     anchors = _anchor_indices(len(grid), config.boundary_anchors)
-
-    densities = []
-    for mean in means:
-        mean_n = (mean - scaler.offset[1]) / scaler.scale[1]
+    normalizer = _build_normalizer(config, [s.condition_raw for s in snapshots])
+    snaps = []
+    for snap, curve_n in zip(snapshots, curves_n):
+        mean_n = curve_n[:, 1]
         span = float(mean_n.max() - mean_n.min())
         sigma = max(config.sigma_frac * span, 1e-4)
-        densities.append(GaussianCurveDensity(grid_n, mean_n, sigma,
-                                              strain_range=(grid_n[0], grid_n[-1])))
-    ref_pts = np.column_stack([grid_n[anchors],
-                               (means[0] - scaler.offset[1])[anchors] / scaler.scale[1]])
-    snaps = []
-    normalizer = _build_normalizer(config, [s.condition_raw for s in snapshots])
-    for snap, dens, mean in zip(snapshots, densities, means):
+        dens = GaussianCurveDensity(grid_n, mean_n, sigma,
+                                    strain_range=(grid_n[0], grid_n[-1]))
         t = normalizer.normalize(snap.condition_raw)
-        dst = np.column_stack([grid_n[anchors],
-                               (mean - scaler.offset[1])[anchors] / scaler.scale[1]])
-        snaps.append(Snapshot(t, dens, (ref_pts, dst)))
+        snaps.append(Snapshot(t, dens, (curves_n[0][anchors], curve_n[anchors])))
     return SnapshotDataset(snaps), normalizer, scaler, grid, means
 
 
@@ -422,7 +406,7 @@ def _write_report(path, report: ExperimentReport):
 def _write_meta(out, config, wall_clock):
     # wall-clock lives outside report.json so reports stay bit-reproducible
     with open(Path(out) / "run_meta.json", "w") as f:
-        json.dump({"config": config.to_dict(), "wall_clock_s": wall_clock}, f,
+        json.dump({"config": asdict(config), "wall_clock_s": wall_clock}, f,
                   sort_keys=True, indent=1)
 
 

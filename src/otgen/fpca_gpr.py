@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pca import _fix_signs
+
 
 @dataclass(frozen=True)
 class FpcaModel:
@@ -65,18 +67,9 @@ def fit_fpca(strain_grid, Y, variance_threshold=0.99) -> FpcaModel:
     ratio = (s * s) / total
     r = int(np.searchsorted(np.cumsum(ratio), variance_threshold) + 1)
     r = min(r, len(s))
-    modes = u[:, :r].T.copy()
-    for k in range(r):
-        j = int(np.argmax(np.abs(modes[k])))
-        if modes[k, j] < 0:
-            modes[k] = -modes[k]
+    modes = _fix_signs(u[:, :r].T)
     coeffs = Yc.T @ modes.T  # [n_T, r]
     return FpcaModel(strain_grid, modes, coeffs, col_mean, ratio[:r])
-
-
-def fpca_reconstruct(model: FpcaModel, coeffs) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return model.column_mean + coeffs @ model.modes
 
 
 # -- Gaussian process regression ---------------------------------------------
@@ -89,7 +82,6 @@ class GprModel:
     """
 
     train_inputs: np.ndarray
-    train_targets: np.ndarray
     length_scale: float
     signal_variance: float
     noise_variance: float
@@ -185,8 +177,7 @@ def gpr_fit(T, a, hyper=None) -> GprModel:
     z = np.linalg.solve(L, a)
     alpha = np.linalg.solve(L.T, z)
     return GprModel(
-        train_inputs=Ts, train_targets=a.copy(),
-        length_scale=float(ls), signal_variance=float(sv),
+        train_inputs=Ts, length_scale=float(ls), signal_variance=float(sv),
         noise_variance=float(nv), input_shift=shift, input_scale=scale,
         alpha=alpha, chol=L, jitter=jit,
     )

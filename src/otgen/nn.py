@@ -85,10 +85,6 @@ class Mlp:
             out.extend([layer.weight, layer.bias])
         return out
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def forward(self, x, mode="eval", seed=0, second=0):
         """Apply the network to `x`: a batch [n, in] or [in], or a jet.
 
@@ -98,7 +94,7 @@ class Mlp:
         being finite, which signals exploded weights rather than a
         recoverable condition.
         """
-        h = ad.constant(x) if not isinstance(x, ad.Tensor) else x
+        h = ad.constant(x)
         if h.value.shape[-1] != self.in_dim:
             raise ValueError(
                 f"input dim {h.value.shape[-1]} != network dim {self.in_dim}"
@@ -117,9 +113,6 @@ class Mlp:
         if not np.all(np.isfinite(h.value)):
             raise FloatingPointError("non-finite network output")
         return h
-
-    def __call__(self, x, mode="eval", seed=0):
-        return self.forward(x, mode=mode, seed=seed)
 
 
 class FourierFeatureEmbedding:
@@ -150,16 +143,14 @@ class FourierFeatureEmbedding:
 
     def apply(self, x, second=0):
         """Features of a batch [n, in] or of a jet [S, n, in] (see `autodiff`)."""
-        x = ad.constant(x) if not isinstance(x, ad.Tensor) else x
         return ad.sincos_features(x, self.spectral_weights, self.scale, second)
 
 
 def forward(net: Mlp, embedding, x, mode="eval", seed=0, second=0):
     """Network forward pass with an optional feature embedding in front."""
-    h = ad.constant(x) if not isinstance(x, ad.Tensor) else x
     if embedding is not None:
-        h = embedding.apply(h, second)
-    return net.forward(h, mode=mode, seed=seed, second=second)
+        x = embedding.apply(x, second)
+    return net.forward(x, mode=mode, seed=seed, second=second)
 
 
 # -- construction ----------------------------------------------------------

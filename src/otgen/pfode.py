@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,18 +31,11 @@ from . import rng
 from .nn import Mlp
 
 
-class ScoreProvenance(Enum):
-    ANALYTIC_GAUSSIAN = "analytic_gaussian"
-    TRAINED = "trained"
-
-
 @dataclass
 class ScoreFunction:
     """Callable score estimate s(x, t) -> array like x."""
 
     evaluator: object
-    provenance: ScoreProvenance
-    data_std: float | None = None
 
     def __call__(self, x, t):
         out = np.asarray(self.evaluator(x, t), dtype=np.float64)
@@ -59,7 +51,7 @@ def gaussian_score(data_std: float, schedule: "VeSchedule") -> ScoreFunction:
         s2 = data_std**2 + schedule.sigma(t) ** 2
         return -np.asarray(x, dtype=np.float64) / s2
 
-    return ScoreFunction(ev, ScoreProvenance.ANALYTIC_GAUSSIAN, data_std)
+    return ScoreFunction(ev)
 
 
 def trained_score(net: Mlp) -> ScoreFunction:
@@ -70,7 +62,7 @@ def trained_score(net: Mlp) -> ScoreFunction:
         tcol = np.full((x.shape[0], 1), float(t))
         return net.forward(np.concatenate([x, tcol], axis=1)).value
 
-    return ScoreFunction(ev, ScoreProvenance.TRAINED)
+    return ScoreFunction(ev)
 
 
 class VeSchedule:
@@ -112,11 +104,6 @@ class VeSchedule:
         t = self._check_t(t)
         u = t / self.t_final
         return self.sigma_min * np.sqrt(np.expm1(2.0 * self._log_ratio * u))
-
-
-def sigma(schedule: VeSchedule, t):
-    out = schedule.sigma(t)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def dsm_loss(score: ScoreFunction, batch_x0, schedule: VeSchedule, seed) -> float:

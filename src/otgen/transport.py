@@ -35,6 +35,9 @@ from .pca import reconstruct
 
 TIME_GUARD = (-0.05, 1.05)
 
+# a particle whose volume change J is at most this counts as folded (J <= 0)
+J_MIN = 1e-12
+
 # rows per jet evaluation when generating: bounds the working set of the
 # stacked streams (1 + dim of them) for large particle counts
 JET_BLOCK_ROWS = 2048
@@ -74,13 +77,6 @@ class ConditionNormalizer:
             return (raw - self.raw_min) / (self.raw_max - self.raw_min)
         return ((math.log10(raw) - math.log10(self.raw_min))
                 / (math.log10(self.raw_max) - math.log10(self.raw_min)))
-
-    def denormalize(self, t: float) -> float:
-        if self.mode == "linear":
-            return self.raw_min + t * (self.raw_max - self.raw_min)
-        lo = math.log10(self.raw_min)
-        hi = math.log10(self.raw_max)
-        return 10.0 ** (lo + t * (hi - lo))
 
 
 @dataclass
@@ -260,11 +256,10 @@ class SnapshotDataset:
         if ts[-1] > 1.0 + 1e-12:
             raise ValueError("pseudo-times must lie in [0, 1]")
         self.snapshots = snaps
-        self.reference_index = 0
 
     @property
     def reference(self) -> Snapshot:
-        return self.snapshots[self.reference_index]
+        return self.snapshots[0]
 
     @property
     def dim(self) -> int:
@@ -308,10 +303,24 @@ class TrainConfig:
             raise ValueError("need at least two collocation times")
         if self.epochs < 0 or self.n_samples < 1:
             raise ValueError("bad epoch/batch configuration")
+        if self.n_samples_pde < 1:
+            raise ValueError("n_samples_pde must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.shear_modulus < 0:
             raise ValueError("shear modulus must be nonnegative")
         if self.checkpoint not in ("best", "last"):
             raise ValueError("checkpoint policy must be 'best' or 'last'")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrainConfig":
+        """The config of a document written from `asdict` (lists for tuples)."""
+        doc = dict(doc)
+        doc.pop("fd_step", None)  # dropped with the finite differences
+        for key in ("dnn_hidden", "fnn_hidden"):
+            if key in doc:
+                doc[key] = tuple(doc[key])
+        return cls(**doc)
 
 
 @dataclass
@@ -371,11 +380,6 @@ def spatial_jacobian_t(fieldo: DisplacementField, X, t) -> ad.Tensor:
     return fieldo.jet(X, t)[1]
 
 
-def time_derivs_t(fieldo: DisplacementField, X, t):
-    """(u, d2u/dt2) at fixed points, exact, as tape tensors."""
-    return fieldo.jet(X, t, "time")
-
-
 def _jet_values(fieldo: DisplacementField, X, t):
     """(u, du/dX) as arrays, evaluated in blocks of JET_BLOCK_ROWS rows."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -426,9 +430,6 @@ class LossResult:
     tape: ad.Tensor | None = None
     terms: tuple = ()  # the (L1, L2, L3) tape tensors `tape` sums
 
-    def __iter__(self):
-        return iter((self.total, self.l1, self.l2, self.l3))
-
     @property
     def dropped_fraction(self) -> float:
         return self.dropped / self.evaluated if self.evaluated else 0.0
@@ -445,7 +446,7 @@ def _masked_mean(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
 
 def compute_loss(model: TransportModel, dataset: SnapshotDataset,
                  config: TrainConfig | None = None, epoch_seed: int = 0,
-                 build_tape: bool = True, train_mode: bool = False) -> LossResult:
+                 train_mode: bool = False) -> LossResult:
     """Three-term training loss for one Monte-Carlo batch.
 
     Batches are drawn from the reference density with streams keyed by
@@ -471,7 +472,7 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     eye = np.eye(dim)
     F_raw = ad.add(jac, ad.Tensor(np.broadcast_to(eye, jac.value.shape).copy()))
     J_probe = np.linalg.det(F_raw.value)
-    mask = (J_probe > 1e-12).astype(np.float64)
+    mask = (J_probe > J_MIN).astype(np.float64)
     dropped = int(len(mask) - mask.sum())
     evaluated = len(mask)
     if dropped:
@@ -517,11 +518,11 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
                        mode="train" if train_mode else "eval",
                        seed=_combine(config.seed, epoch_seed, 3))
     L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
-    return _weighted_loss((L1, L2, L3), config, dropped, evaluated, build_tape)
+    return _weighted_loss((L1, L2, L3), config, dropped, evaluated)
 
 
-def _weighted_loss(terms, config: TrainConfig, dropped: int, evaluated: int,
-                   build_tape: bool = True) -> LossResult:
+def _weighted_loss(terms, config: TrainConfig, dropped: int,
+                   evaluated: int) -> LossResult:
     """w1 L1 + w2 L2 + w3 L3 over the term tensors, checked to be finite."""
     L1, L2, L3 = terms
     total = ad.add(ad.add(ad.mul(L1, config.w1), ad.mul(L2, config.w2)),
@@ -531,8 +532,7 @@ def _weighted_loss(terms, config: TrainConfig, dropped: int, evaluated: int,
     return LossResult(
         total=float(total.value), l1=float(L1.value), l2=float(L2.value),
         l3=float(L3.value), dropped=dropped, evaluated=evaluated,
-        tape=total if build_tape else None, terms=terms if build_tape else (),
-    )
+        tape=total, terms=terms)
 
 
 def _rescale_weights(res: LossResult, config: TrainConfig):
@@ -551,9 +551,9 @@ def _rescale_weights(res: LossResult, config: TrainConfig):
 
 
 def loss(model, dataset, config=None, epoch_seed=0) -> LossResult:
-    """Loss values only (no gradient tape kept)."""
+    """Loss values only: nothing is recorded, so `tape` has no parents."""
     with ad.no_grad():
-        return compute_loss(model, dataset, config, epoch_seed, build_tape=False)
+        return compute_loss(model, dataset, config, epoch_seed)
 
 
 def _combine(*parts: int) -> int:
@@ -584,39 +584,43 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     cfg = config
     best = (np.inf, [p.value.copy() for p in params], 0.0)
     history = []
-    for epoch in range(config.epochs):
-        for p in params:
-            p.zero_grad()
-        try:
-            res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
-                               train_mode=True)
-            if epoch == 0 and config.auto_rescale_weights:
-                cfg, res = _rescale_weights(res, config)
-        except (TrainingDivergence, FloatingPointError) as e:
-            # a network output that overflows is divergence too
-            if not history:
-                raise TrainingDivergence(
-                    f"training diverged at epoch {epoch}, before any "
-                    f"checkpoint: {e}") from e
-            warnings.warn(f"training diverged at epoch {epoch}; "
-                          "restoring best checkpoint")
-            break
-        res.tape.backward()
-        history.append((res.total, res.l1, res.l2, res.l3, res.dropped_fraction))
-        if res.total < best[0]:
-            best = (res.total, [p.value.copy() for p in params],
-                    res.dropped_fraction)
-        try:
-            nn.adam_step_tensors(params, state)
-        except FloatingPointError:
-            warnings.warn(f"non-finite gradient at epoch {epoch}; "
-                          "restoring best checkpoint")
-            break
-    else:
-        # loop ran to completion; "last" keeps the final parameters
-        if config.checkpoint == "last" and config.epochs > 0 and history:
-            best = (history[-1][0], [p.value.copy() for p in params],
-                    history[-1][4])
+    # numpy's own overflow warnings are silenced: the finite checks on the
+    # loss, network outputs and gradients report divergence once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            for p in params:
+                p.zero_grad()
+            try:
+                res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
+                                   train_mode=True)
+                if epoch == 0 and config.auto_rescale_weights:
+                    cfg, res = _rescale_weights(res, config)
+            except (TrainingDivergence, FloatingPointError) as e:
+                # a network output that overflows is divergence too
+                if not history:
+                    raise TrainingDivergence(
+                        f"training diverged at epoch {epoch}, before any "
+                        f"checkpoint: {e}") from e
+                warnings.warn(f"training diverged at epoch {epoch}; "
+                              "restoring best checkpoint")
+                break
+            res.tape.backward()
+            history.append((res.total, res.l1, res.l2, res.l3,
+                            res.dropped_fraction))
+            if res.total < best[0]:
+                best = (res.total, [p.value.copy() for p in params],
+                        res.dropped_fraction)
+            try:
+                nn.adam_step_tensors(params, state)
+            except FloatingPointError:
+                warnings.warn(f"non-finite gradient at epoch {epoch}; "
+                              "restoring best checkpoint")
+                break
+        else:
+            # loop ran to completion; "last" keeps the final parameters
+            if config.checkpoint == "last" and config.epochs > 0 and history:
+                best = (history[-1][0], [p.value.copy() for p in params],
+                        history[-1][4])
     for p, v in zip(params, best[1]):
         p.value = v
     model.loss_history = history
@@ -666,7 +670,7 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
     u0, jac = _jet_values(model.displacement, X, t_target_norm)
     F = jac + np.eye(X.shape[1])
     J = np.linalg.det(F)
-    keep = J > 1e-12
+    keep = J > J_MIN
     if not keep.any():
         raise DegenerateMapError(
             f"the map folds (J <= 0) at all {n} particles at t = "

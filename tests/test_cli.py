@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,20 @@ class TestOtDiscreteCommand:
     def test_bad_file_is_io_error(self, capsys):
         assert run_cli("ot-discrete", "--src", "/nonexistent.csv",
                        "--dst", "/nonexistent.csv") == cli.EXIT_IO
+
+    @pytest.mark.parametrize("text,message", [
+        ("0,0.5\n1,0.5\n2,abc\n", "src.csv:3: bad row"),   # not a header
+        ("nan,0.5\n1,0.5\n", "must be finite"),
+        ("0,nan\n1,0.5\n", "must be finite"),
+    ], ids=["bad-row-after-first", "nan-point", "nan-mass"])
+    def test_bad_input_is_validation_exit(self, tmp_path, capsys, text,
+                                          message):
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text(text)
+        dst.write_text("x,mass\n0,0.5\n3,0.5\n")
+        assert run_cli("ot-discrete", "--src", str(src),
+                       "--dst", str(dst)) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 class TestGeodesicCommand:
@@ -251,7 +266,8 @@ class TestRunAndGenerateCommands:
 
     def test_network_overflow_is_divergence(self, tmp_path, capsys):
         # at learning rate 1e30 the first Adam step sends the networks'
-        # outputs to inf; training restores the epoch-0 checkpoint
+        # outputs to inf; training restores the epoch-0 checkpoint, and
+        # its warning is the only one (no numpy overflow warnings first)
         paths = synth_fixture("curves", tmp_path / "fx", seed=0,
                               taus=[0.0, 0.25, 0.5, 0.75])
         train_cfg = dict(
@@ -262,8 +278,12 @@ class TestRunAndGenerateCommands:
             tmp_path / "cfg.json", paths["train"],
             {"reference": paths["target"], "train": train_cfg,
              "grid_points": 40, "sigma_frac": 0.04, "boundary_anchors": 2})
-        with pytest.warns(UserWarning, match="diverged at epoch 1"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run_cli("run", "--config", cfg_path) == cli.EXIT_OK
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning,
+             "training diverged at epoch 1; restoring best checkpoint")]
         model = dataio.load_model(tmp_path / "out" / "model.json")
         assert len(model.loss_history) == 1
 
@@ -386,3 +406,60 @@ class TestReportInvariants:
         recomputed = nrmse(np.interp(grid, gen.strains, gen.stresses),
                            np.interp(grid, ref.strains, ref.stresses))
         assert recomputed == pytest.approx(report.target_nrmse, rel=1e-9)
+
+
+class TestInputValidation:
+    """Bad data and configs exit 2 with the cause named, before any output."""
+
+    @pytest.mark.parametrize("kind,cell,message", [
+        ("curves", (4, 1, "inf"), "curves_train.csv:4: bad row"),
+        ("fields", (3, 5, "nan"), "fields_train.csv:3: bad row"),
+        ("curves", None, "curves_train.csv: no data rows"),  # header only
+    ])
+    def test_bad_data_is_validation_exit(self, tmp_path, capsys, kind, cell,
+                                         message):
+        paths = synth_fixture(kind, tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.25, 0.5, 0.75])
+        data = Path(paths["train"])
+        lines = data.read_text().splitlines()
+        if cell is None:
+            lines = lines[:1]
+        else:
+            line, col, value = cell
+            row = lines[line - 1].split(",")
+            row[col] = value
+            lines[line - 1] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        cfg_path = write_run_config(tmp_path / "cfg.json", data,
+                                    {"task": kind})
+        assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"train": dict(SMALL_TRAIN, learning_rate=float("nan"))},
+         "learning_rate"),
+        ({"train": dict(SMALL_TRAIN, learning_rate=0.0)}, "learning_rate"),
+        ({"train": dict(SMALL_TRAIN, n_samples_pde=0)}, "n_samples_pde"),
+        ({"gen_samples": 0}, "gen_samples"),
+        ({"train": dict(SMALL_TRAIN, colour=1)}, "colour"),
+    ], ids=["nan-learning-rate", "zero-learning-rate", "zero-n-samples-pde",
+            "zero-gen-samples", "unknown-key"])
+    def test_bad_config_exits_before_ingest(self, tmp_path, capsys, extra,
+                                            message):
+        # the data file is missing, so a check made at ingest or later
+        # would exit with the I/O code instead
+        cfg_path = write_run_config(tmp_path / "cfg.json",
+                                    tmp_path / "missing.csv", extra)
+        assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_config_not_an_object_is_validation_exit(self, tmp_path, capsys,
+                                                     command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        data = ["--data", str(tmp_path / "d.csv")] if command == "train" else []
+        assert run_cli(command, "--config", str(cfg_path),
+                       *data) == cli.EXIT_VALIDATION
+        assert "malformed run config" in capsys.readouterr().err

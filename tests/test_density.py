@@ -4,8 +4,8 @@ import pytest
 from otgen import autodiff as ad
 from otgen import rng
 from otgen.density import (CurveSnapshot, GaussianCurveDensity,
-                           ReducedGaussianDensity, field_to_samples,
-                           resample_to_grid)
+                           ReducedGaussianDensity, field_to_samples)
+from otgen.experiment import common_grid
 
 
 def manual_interp(xq, xs, ys):
@@ -35,33 +35,39 @@ class TestCurveSnapshot:
         with pytest.raises(ValueError):
             CurveSnapshot(0.0, [[0.0, 1.0], [0.1, 2.0]])  # too few points
 
+    # curves are resampled by `experiment.common_grid` alone
+
     def test_resample_identity_on_grid(self):
         c = make_curve(1)
-        np.testing.assert_array_equal(resample_to_grid(c, c.strains), c.stresses)
+        strains = np.linspace(c.strains[0], c.strains[-1], len(c.strains))
+        c = CurveSnapshot(c.condition_raw, np.column_stack([strains, c.stresses]))
+        grid, (stresses,) = common_grid([c], len(strains))
+        np.testing.assert_array_equal(grid, strains)
+        np.testing.assert_array_equal(stresses, c.stresses)
 
     def test_resample_linear_midpoint(self):
         c = CurveSnapshot(0.0, [[0.0, 0.0], [1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        assert resample_to_grid(c, [0.5])[0] == pytest.approx(5.0)
+        grid, (stresses,) = common_grid([c], 7)
+        assert grid[1] == 0.5
+        assert stresses[1] == pytest.approx(5.0)
 
     def test_resample_outside_support_raises(self):
         c = make_curve(2)
-        with pytest.raises(ValueError):
-            resample_to_grid(c, [c.strains[-1] + 0.1])
+        shifted = CurveSnapshot(0.0, c.points + [c.strains[-1] + 0.1, 0.0])
+        with pytest.raises(ValueError, match="no common strain range"):
+            common_grid([c, shifted], 10)
 
     def test_resample_matches_independent_interpolation(self):
         c = make_curve(3, n=50)
-        gen = rng.stream(33)
-        grid = c.strains[0] + rng.uniform(gen, 200) * (c.strains[-1] - c.strains[0])
-        ours = resample_to_grid(c, grid)
+        grid, (ours,) = common_grid([c], 200)
         oracle = manual_interp(grid, c.strains, c.stresses)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
     def test_resample_exact_on_affine_curves(self):
         strains = np.linspace(0.0, 1.0, 7)
         c = CurveSnapshot(0.0, np.column_stack([strains, 3.0 * strains + 2.0]))
-        grid = np.linspace(0.0, 1.0, 41)
-        np.testing.assert_allclose(resample_to_grid(c, grid), 3.0 * grid + 2.0,
-                                   rtol=1e-15)
+        grid, (stresses,) = common_grid([c], 41)
+        np.testing.assert_allclose(stresses, 3.0 * grid + 2.0, rtol=1e-15)
 
 
 class TestGaussianCurveDensity:

@@ -6,7 +6,7 @@ import pytest
 from otgen import autodiff as ad
 from otgen import nn, rng
 from otgen.transport import (DisplacementField, make_displacement_field,
-                             spatial_jacobian_t, time_derivs_t)
+                             spatial_jacobian_t)
 
 from tests_support_rigs import as_text_arrays
 
@@ -203,7 +203,7 @@ def test_input_derivs_linear_spatial_exact():
     gen = rng.stream(6)
     X = rng.normal(gen, (5, 2))
     jac = spatial_jacobian_t(field, X, 0.2)
-    _, d2u = time_derivs_t(field, X, 0.2)
+    _, d2u = field.jet(X, 0.2, "time")
     np.testing.assert_array_equal(jac.value, np.tile(A, (5, 1, 1)))
     np.testing.assert_array_equal(d2u.value, 0.0)
 
@@ -244,7 +244,7 @@ def test_gradients_flow_through_input_derivs():
     X = np.array([[0.3]])
 
     def loss_fn():
-        _, d2u = time_derivs_t(field, X, 0.5)
+        _, d2u = field.jet(X, 0.5, "time")
         return ad.tsum(ad.square(d2u))
 
     grads = nn.param_grad(loss_fn, net.parameters())

@@ -3,9 +3,9 @@ import pytest
 
 from otgen import rng
 from otgen.nn import init_mlp
-from otgen.pfode import (ScoreFunction, ScoreProvenance, VeSchedule, dsm_loss,
+from otgen.pfode import (ScoreFunction, VeSchedule, dsm_loss,
                          body_force_fd, gaussian_score, pf_velocity,
-                         sample_chains, sample_second_order, sigma,
+                         sample_chains, sample_second_order,
                          trained_score)
 
 
@@ -16,7 +16,7 @@ def schedule():
 
 class TestSchedule:
     def test_sigma_zero_at_origin(self, schedule):
-        assert sigma(schedule, 0.0) == 0.0
+        assert schedule.sigma(0.0) == 0.0
 
     def test_sigma_monotone(self, schedule):
         ts = np.linspace(0.0, 1.0, 100)
@@ -48,8 +48,7 @@ class TestSchedule:
 
 class TestDsmLoss:
     def test_zero_score_gives_dimension(self, schedule):
-        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)),
-                             ScoreProvenance.TRAINED)
+        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
         gen = rng.stream(70)
         x0 = rng.normal(gen, (4000, 3))
         loss = dsm_loss(zero, x0, schedule, seed=1)
@@ -64,8 +63,7 @@ class TestDsmLoss:
         # irreducible minimum E_t[s^2/(s^2 + sigma(t)^2)] by quadrature
         ts = np.linspace(1e-6, 1.0, 40001)
         floor = np.trapezoid(s_data**2 / (s_data**2 + schedule.sigma(ts) ** 2), ts)
-        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)),
-                             ScoreProvenance.TRAINED)
+        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
         assert loss == pytest.approx(floor, rel=0.1)
         assert loss < dsm_loss(zero, x0, schedule, seed=2)
 
@@ -79,8 +77,7 @@ class TestDsmLoss:
 
 class TestVelocity:
     def test_zero_score_zero_velocity(self, schedule):
-        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)),
-                             ScoreProvenance.TRAINED)
+        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
         np.testing.assert_array_equal(
             pf_velocity(zero, np.ones(3), 0.5, schedule), np.zeros(3))
 
@@ -97,8 +94,7 @@ class TestVelocity:
 
     def test_linearity_in_score(self, schedule):
         base = gaussian_score(1.0, schedule)
-        doubled = ScoreFunction(lambda x, t: 2.0 * base(x, t),
-                                ScoreProvenance.TRAINED)
+        doubled = ScoreFunction(lambda x, t: 2.0 * base(x, t))
         x, t = np.array([0.4]), 0.6
         np.testing.assert_allclose(pf_velocity(doubled, x, t, schedule),
                                    2 * pf_velocity(base, x, t, schedule))
@@ -113,7 +109,7 @@ class TestBodyForce:
             g2 = float(schedule.g(t)) ** 2
             return np.broadcast_to(-2.0 * c / g2, np.shape(x)).copy()
 
-        score = ScoreFunction(ev, ScoreProvenance.TRAINED)
+        score = ScoreFunction(ev)
         f = body_force_fd(score, np.array([0.3, 0.3]), 0.5, schedule, dt=1e-4)
         np.testing.assert_allclose(f, np.zeros(2), atol=1e-6)
 

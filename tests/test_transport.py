@@ -34,7 +34,6 @@ class TestConditionNormalizer:
         # temperatures -25..150: t(22) = (22+25)/175
         n = ConditionNormalizer("linear", -25.0, 150.0, unit="degC")
         assert n.normalize(22.0) == pytest.approx(47.0 / 175.0, rel=1e-15)
-        assert n.denormalize(n.normalize(22.0)) == pytest.approx(22.0)
 
     def test_log10_hand_value(self):
         # strain rates 4e-4..8: t(0.04) = (log10(0.04)-log10(4e-4))/(log10(8)-log10(4e-4))
