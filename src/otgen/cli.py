@@ -8,7 +8,6 @@ divergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -101,33 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_distribution(path):
-    """Points and masses of a CSV; its first row may be a header."""
-    from .discrete import DiscreteDistribution
-    from .nn import DataFormatError
-    rows = []
-    first = True
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as e:
-                if not first:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: bad row {row!r}") from e
-            first = False
-    if not rows:
-        raise ValueError(f"{path}: no numeric rows")
-    arr = np.asarray(rows)
-    return DiscreteDistribution(arr[:, :-1], arr[:, -1])
-
-
 def cmd_ot_discrete(args) -> int:
+    from .dataio import ingest_distribution
     from .discrete import solve_monge, solve_monge_time_dependent
-    src = _read_distribution(args.src)
-    dst = _read_distribution(args.dst)
+    src = ingest_distribution(args.src)
+    dst = ingest_distribution(args.dst)
     tmap, cost = solve_monge(src, dst)
     print("source -> target assignment:")
     for i, j in enumerate(tmap.assignment):
@@ -143,6 +120,7 @@ def cmd_ot_discrete(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    from .dataio import write_table
     from .geodesic import euclidean_metric, integrate_geodesic, lobachevsky_metric
     x0 = np.array([float(v) for v in args.x0.split(",")])
     v0 = np.array([float(v) for v in args.v0.split(",")])
@@ -151,15 +129,10 @@ def cmd_geodesic(args) -> int:
     if metric.dim != len(x0) or len(x0) != len(v0):
         raise ValueError("x0/v0 dimension mismatch with metric")
     traj = integrate_geodesic(metric, x0, v0, args.t_end, args.steps)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        n = metric.dim
-        w.writerow(["t"] + [f"x{i+1}" for i in range(n)]
-                   + [f"v{i+1}" for i in range(n)])
-        for k in range(len(traj.times)):
-            w.writerow([f"{traj.times[k]:.12g}"]
-                       + [f"{v:.12g}" for v in traj.positions[k]]
-                       + [f"{v:.12g}" for v in traj.velocities[k]])
+    n = metric.dim
+    write_table(args.out, ["t"] + [f"x{i+1}" for i in range(n)]
+                + [f"v{i+1}" for i in range(n)],
+                np.column_stack([traj.times, traj.positions, traj.velocities]))
     status = "complete" if traj.complete else "aborted at domain boundary"
     print(f"wrote {len(traj.times)} states to {args.out} ({status})")
     return EXIT_OK
@@ -170,8 +143,8 @@ def _load_run_config(args, data=None):
 
     A document that is not a valid config raises DataFormatError.
     """
+    from .dataio import format_errors
     from .experiment import RunConfig
-    from .nn import format_errors
     with open(args.config) as f:
         doc = json.load(f)
     overrides = {"data": data, "seed": getattr(args, "seed", None),
@@ -216,8 +189,7 @@ def cmd_generate(args) -> int:
         task.plot(args.plot, series, "generated data")
     sidecar = Path(args.out).with_suffix(".diag.json")
     diag["loss_history"] = [list(row) for row in model.loss_history]
-    with open(sidecar, "w") as f:
-        json.dump(diag, f, sort_keys=True, indent=1)
+    sidecar.write_text(dataio.pretty_json(diag))
     print(f"generated data written to {args.out} (diagnostics: {sidecar})")
     return EXIT_OK
 
@@ -229,17 +201,13 @@ def cmd_baseline(args) -> int:
     grid, curves = common_grid(snapshots, args.grid_points)
     conds = np.array([s.condition_raw for s in snapshots])
     mean, std = fpca_gpr.fit_predict_baseline(grid, curves, conds, args.target)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["strain", "mean", "std"])
-        for g, m, s in zip(grid, mean, std):
-            w.writerow([f"{g:.12g}", f"{m:.12g}", f"{s:.12g}"])
+    dataio.write_table(args.out, ["strain", "mean", "std"], zip(grid, mean, std))
     print(f"baseline prediction written to {args.out}")
     return EXIT_OK
 
 
 def cmd_sample_pfode(args) -> int:
-    from . import nn
+    from . import dataio
     from .pfode import VeSchedule, gaussian_score, sample_chains, trained_score
     schedule = VeSchedule(args.sigma_min, args.sigma_max)
     if args.score.startswith("gaussian:"):
@@ -247,16 +215,12 @@ def cmd_sample_pfode(args) -> int:
         score = gaussian_score(std, schedule)
         dim = args.dim
     else:
-        net = nn.load_mlp(args.score)
+        net = dataio.load_mlp(args.score)
         score = trained_score(net)
         dim = net.in_dim - 1
     seed = getattr(args, "seed", 0)
     out = sample_chains(score, schedule, args.n, dim, seed, n_steps=args.steps)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{i+1}" for i in range(dim)])
-        for row in np.atleast_2d(out):
-            w.writerow([f"{v:.12g}" for v in np.atleast_1d(row)])
+    dataio.write_table(args.out, [f"x{i+1}" for i in range(dim)], out)
     print(f"{args.n} samples written to {args.out}")
     return EXIT_OK
 
@@ -275,10 +239,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .dataio import pretty_json
     from .experiment import run_experiment
     config = _load_run_config(args)
     report, _, artifacts = run_experiment(config)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
+    print(pretty_json(report.to_dict()))
     print(f"artifacts in {config.out_dir}")
     return EXIT_OK
 

@@ -1,39 +1,96 @@
-"""CSV ingestion and versioned JSON persistence.
+"""The formats of otgen's data files, outputs and saved documents.
 
-Curve files carry `condition,strain,stress` rows (many conditions per
-file); field files carry one row per condition: `condition,v1..vD`.
+No other module encodes or decodes them; the rest pass arrays and objects.
+CSV: curve files carry `condition,strain,stress` rows (many conditions per
+file), field files one `condition,v1..vD` row per condition, and discrete
+distributions (`otgen ot-discrete`) `x1,..,xk,mass` rows.
 
-Model documents (format 3) hold everything generation needs: both network
-weights, the pseudo-time normalizer, the output scaler, the reference
-density, the optional PCA basis, and the training history. A reloaded
-model therefore generates exactly what the in-memory one does. Every float
-array is the base64 of its little-endian float64 bytes (`nn._arr_out`), so
-round trips are bit-exact; scalars, the config and the loss history are
-plain JSON numbers. Format 1 and 2 documents, whose arrays are lists of
-numbers, are still read (format 1 kept the scaler in a free-form
-`preprocessing` entry). A malformed document raises `DataFormatError`.
+JSON: reports are sorted, one-space-indented (`pretty_json`). A weight
+document holds one network. A model document (format 3) holds everything
+generation needs: the networks, the pseudo-time normalizer, the output
+scaler, the reference density, the optional PCA basis and the training
+history, so a reloaded model generates exactly what the in-memory one
+does. Every float array goes through one codec, `_arr_out`/`_arr_in`: the
+base64 of its little-endian float64 bytes, so round trips are bit-exact.
+Older documents with arrays as lists of numbers (weight version 1, model
+formats 1 and 2) still load. A malformed file raises `DataFormatError`.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
+import itertools
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import autodiff as ad
 from .density import CurveSnapshot, GaussianCurveDensity, ReducedGaussianDensity
-from .nn import DataFormatError
-from .pca import basis_from_dict, basis_to_dict
+from .discrete import DiscreteDistribution
+from .nn import FourierFeatureEmbedding, Layer, Mlp
+from .pca import PcaBasis
 from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
                         DisplacementField, TrainConfig, TransportModel)
 
+WEIGHT_FORMAT_VERSION = 2
+# version 1 wrote float arrays as lists of numbers; `_arr_in` reads both
+_WEIGHT_VERSIONS = (1, WEIGHT_FORMAT_VERSION)
 MODEL_FORMAT_VERSION = 3
 _MODEL_VERSIONS = (1, 2, MODEL_FORMAT_VERSION)
 
+
+class DataFormatError(ValueError):
+    """Malformed input data file or saved document."""
+
+
+@contextmanager
+def format_errors(what: str):
+    """Re-raise an error from reading the document `what` as DataFormatError.
+
+    Covers the lookup, type and value errors of a malformed document: a
+    missing key, a value of the wrong type, a document that is not an
+    object, invalid base64, or an array whose size does not fit its shape.
+    """
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
+        raise DataFormatError(
+            f"malformed {what}: {type(e).__name__}: {e}") from e
+
+
+def _arr_out(a) -> str:
+    """Base64 text of the little-endian float64 bytes of `a`, in C order."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _arr_in(v, shape=(-1,)) -> np.ndarray:
+    """A writable native float64 array of `shape` read from a document.
+
+    `v` is `_arr_out` text or, in documents written before it, a list of
+    numbers. Raises TypeError for any other value and ValueError for
+    invalid base64 or a size that does not fit `shape`.
+    """
+    if isinstance(v, str):
+        # invalid base64 raises binascii.Error, a ValueError
+        raw = base64.b64decode(v, validate=True)
+        a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    elif isinstance(v, list):
+        a = np.array(v, dtype=np.float64)
+    else:
+        raise TypeError(f"expected an array, got {type(v).__name__}")
+    return a.reshape(shape)
+
+
+# -- CSV files -------------------------------------------------------------------
 
 def ingest_curves(path) -> list[CurveSnapshot]:
     """Parse a curve CSV into one snapshot per condition.
@@ -67,22 +124,13 @@ def ingest_curves(path) -> list[CurveSnapshot]:
         raise DataFormatError(f"{path}: no data rows")
     snapshots = []
     for cond in sorted(groups):
-        pts = sorted(groups[cond])
         dedup = []
-        i = 0
-        merged = False
-        while i < len(pts):
-            j = i
-            while j + 1 < len(pts) and pts[j + 1][0] == pts[i][0]:
-                j += 1
-            if j > i:
-                merged = True
-                stress = float(np.mean([p[1] for p in pts[i:j + 1]]))
-            else:
-                stress = pts[i][1]
-            dedup.append((pts[i][0], stress))
-            i = j + 1
-        if merged:
+        for strain, same in itertools.groupby(sorted(groups[cond]),
+                                              key=lambda p: p[0]):
+            stresses = [p[1] for p in same]
+            dedup.append((strain, stresses[0] if len(stresses) == 1
+                          else float(np.mean(stresses))))
+        if len(dedup) < len(groups[cond]):
             warnings.warn(f"{path}: duplicate strains at condition {cond} "
                           "averaged")
         if len(dedup) < 4:
@@ -93,12 +141,9 @@ def ingest_curves(path) -> list[CurveSnapshot]:
 
 
 def write_curves(path, snapshots: list[CurveSnapshot]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["condition", "strain", "stress"])
-        for snap in snapshots:
-            for strain, stress in snap.points:
-                w.writerow([_fmt(snap.condition_raw), _fmt(strain), _fmt(stress)])
+    _write_csv(path, ["condition", "strain", "stress"],
+               ([_fmt(snap.condition_raw), _fmt(strain), _fmt(stress)]
+                for snap in snapshots for strain, stress in snap.points))
 
 
 def ingest_fields(path):
@@ -140,11 +185,61 @@ def ingest_fields(path):
 
 def write_fields(path, conditions, fields):
     fields = np.atleast_2d(np.asarray(fields, dtype=np.float64))
+    _write_csv(path, ["condition"] + [f"v{j + 1}" for j in range(fields.shape[1])],
+               ([_fmt(cond)] + [_fmt(v) for v in row]
+                for cond, row in zip(np.atleast_1d(conditions), fields)))
+
+
+def ingest_distribution(path) -> DiscreteDistribution:
+    """Points and masses of a CSV of `x1,..,xk,mass` rows, k >= 1.
+
+    The first row may be a header; blank rows and `#` comments are skipped.
+    Every row must have the width of the first numeric row.
+    """
+    rows = []
+    first = True
+    with open(path, newline="") as f:
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
+                continue
+            may_be_header, first = first, False
+            try:
+                values = [float(v) for v in row]
+            except ValueError as e:
+                if may_be_header:
+                    continue
+                raise DataFormatError(f"{path}:{lineno}: bad row {row!r}") from e
+            width = len(rows[0]) if rows else len(values)
+            if len(values) != width:
+                raise DataFormatError(f"{path}:{lineno}: expected {width} "
+                                      f"columns, got {len(values)}")
+            if width < 2:
+                raise DataFormatError(f"{path}:{lineno}: a row needs at least "
+                                      "one coordinate and a mass")
+            rows.append(values)
+    if not rows:
+        raise DataFormatError(f"{path}: no numeric rows")
+    arr = np.asarray(rows)
+    return DiscreteDistribution(arr[:, :-1], arr[:, -1])
+
+
+def write_loss_history(path, history):
+    """One row per epoch: the total loss, its three terms, the dropped fraction."""
+    _write_csv(path, ["epoch", "total", "density", "boundary", "dynamics",
+                      "dropped_fraction"],
+               ([i] + [_fmt(v) for v in row] for i, row in enumerate(history)))
+
+
+def write_table(path, header, rows):
+    """A CSV of `header` and numeric `rows`, values to 12 significant digits."""
+    _write_csv(path, header, ([f"{v:.12g}" for v in row] for row in rows))
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["condition"] + [f"v{j + 1}" for j in range(fields.shape[1])])
-        for cond, row in zip(np.atleast_1d(conditions), fields):
-            w.writerow([_fmt(cond)] + [_fmt(v) for v in row])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _finite(*values):
@@ -158,21 +253,98 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-# -- density and model documents ------------------------------------------------
+# -- JSON documents ---------------------------------------------------------------
+
+def pretty_json(doc) -> str:
+    """`doc` as sorted, one-space-indented JSON: reports and diagnostics."""
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def mlp_to_dict(net: Mlp) -> dict:
+    return {
+        "version": WEIGHT_FORMAT_VERSION,
+        "layers": [
+            {
+                "shape": list(layer.weight.value.shape),
+                "activation": layer.activation,
+                "activation_param": float(layer.activation_param),
+                "dropout": float(layer.dropout),
+                "weight": _arr_out(layer.weight.value),
+                "bias": _arr_out(layer.bias.value),
+            }
+            for layer in net.layers
+        ],
+    }
+
+
+def _mlp_from_dict(doc: dict) -> Mlp:
+    if doc.get("version") not in _WEIGHT_VERSIONS:
+        raise DataFormatError(
+            f"unsupported weight format version {doc.get('version')}")
+    layers = []
+    for layer_doc in doc["layers"]:
+        out_dim, in_dim = layer_doc["shape"]
+        w = _arr_in(layer_doc["weight"], (out_dim, in_dim))
+        b = _arr_in(layer_doc["bias"], (out_dim,))
+        layers.append(Layer(
+            weight=ad.parameter(w), bias=ad.parameter(b),
+            activation=layer_doc["activation"],
+            activation_param=float(layer_doc["activation_param"]),
+            dropout=float(layer_doc["dropout"]),
+        ))
+    return Mlp(layers)
+
+
+def save_mlp(net: Mlp, path):
+    Path(path).write_text(json.dumps(mlp_to_dict(net)))
+
+
+def load_mlp(path) -> Mlp:
+    """The network of a weight document of version 1 or 2.
+
+    Raises DataFormatError for an unknown version and for a malformed
+    document (see `format_errors`).
+    """
+    with open(path) as f:
+        doc = json.load(f)
+    with format_errors("weight document"):
+        return _mlp_from_dict(doc)
+
+
+def basis_to_dict(basis: PcaBasis) -> dict:
+    return {
+        "version": WEIGHT_FORMAT_VERSION,
+        "shape": list(basis.components.shape),
+        "data_mean": _arr_out(basis.data_mean),
+        "components": _arr_out(basis.components),
+        "singular_values": _arr_out(basis.singular_values),
+        "explained_variance_ratio": _arr_out(basis.explained_variance_ratio),
+    }
+
+
+def basis_from_dict(doc: dict) -> PcaBasis:
+    d, D = doc["shape"]
+    return PcaBasis(
+        data_mean=_arr_in(doc["data_mean"], (D,)),
+        components=_arr_in(doc["components"], (d, D)),
+        singular_values=_arr_in(doc["singular_values"]),
+        explained_variance_ratio=_arr_in(doc["explained_variance_ratio"]),
+    )
+
 
 def density_to_dict(dens) -> dict:
     if isinstance(dens, GaussianCurveDensity):
         return {
             "kind": "gaussian_curve",
-            "strain_grid": nn._arr_out(dens.strain_grid),
-            "mean_stress": nn._arr_out(dens.mean_stress),
+            "strain_grid": _arr_out(dens.strain_grid),
+            "mean_stress": _arr_out(dens.mean_stress),
             "sigma_stress": dens.sigma_stress,
             "strain_range": list(dens.strain_range),
         }
     if isinstance(dens, ReducedGaussianDensity):
         return {
             "kind": "reduced_gaussian",
-            "mean": nn._arr_out(dens.mean),
+            "mean": _arr_out(dens.mean),
             "sigma": dens.sigma,
         }
     raise TypeError(f"cannot serialize density of type {type(dens).__name__}")
@@ -181,28 +353,34 @@ def density_to_dict(dens) -> dict:
 def density_from_dict(doc: dict):
     if doc["kind"] == "gaussian_curve":
         lo, hi = doc["strain_range"]
-        return GaussianCurveDensity(nn._arr_in(doc["strain_grid"]),
-                                    nn._arr_in(doc["mean_stress"]),
+        return GaussianCurveDensity(_arr_in(doc["strain_grid"]),
+                                    _arr_in(doc["mean_stress"]),
                                     float(doc["sigma_stress"]),
                                     (float(lo), float(hi)))
     if doc["kind"] == "reduced_gaussian":
-        return ReducedGaussianDensity(nn._arr_in(doc["mean"]),
+        return ReducedGaussianDensity(_arr_in(doc["mean"]),
                                       float(doc["sigma"]))
     raise DataFormatError(f"unknown density kind {doc.get('kind')!r}")
 
 
 def model_to_dict(model: TransportModel) -> dict:
-    doc = {
+    emb = model.displacement.embedding
+    return {
         "version": MODEL_FORMAT_VERSION,
         "displacement": {
             "dim": model.displacement.dim,
-            "net": nn.mlp_to_dict(model.displacement.net),
-            "embedding": nn.embedding_to_dict(model.displacement.embedding),
-            "output_scales": nn._arr_out(model.displacement.output_scales.value),
+            "net": mlp_to_dict(model.displacement.net),
+            "embedding": None if emb is None else {
+                "version": WEIGHT_FORMAT_VERSION,
+                "shape": list(emb.spectral_weights.value.shape),
+                "spectral_weights": _arr_out(emb.spectral_weights.value),
+                "scale": float(emb.scale.value),
+            },
+            "output_scales": _arr_out(model.displacement.output_scales.value),
         },
         "body_force": {
             "dim": model.body_force.dim,
-            "net": nn.mlp_to_dict(model.body_force.net),
+            "net": mlp_to_dict(model.body_force.net),
         },
         "normalizer": {
             "mode": model.normalizer.mode,
@@ -210,8 +388,8 @@ def model_to_dict(model: TransportModel) -> dict:
             "raw_max": float(model.normalizer.raw_max),
             "unit": model.normalizer.unit,
         },
-        "scaler": ({"offset": nn._arr_out(model.scaler.offset),
-                    "scale": nn._arr_out(model.scaler.scale)}
+        "scaler": ({"offset": _arr_out(model.scaler.offset),
+                    "scale": _arr_out(model.scaler.scale)}
                    if model.scaler is not None else None),
         "config": asdict(model.config),
         "loss_history": [[float(v) for v in row] for row in model.loss_history],
@@ -222,57 +400,52 @@ def model_to_dict(model: TransportModel) -> dict:
                       if model.pca_basis is not None else None),
         "trained": model.trained,
     }
-    return doc
 
 
 def model_from_dict(doc: dict) -> TransportModel:
     """The model a document of format 1, 2 or 3 describes.
 
     Raises DataFormatError for an unknown version and for a malformed
-    document: a missing key, a value of the wrong type, invalid base64, or
-    an array whose size does not fit its declared shape.
+    document (see `format_errors`).
     """
-    with nn.format_errors("model document"):
-        return _model_from_dict(doc)
-
-
-def _model_from_dict(doc: dict) -> TransportModel:
-    if doc.get("version") not in _MODEL_VERSIONS:
-        raise DataFormatError(f"unsupported model version {doc.get('version')}")
-    if doc["version"] == 1:
-        doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
-    ddoc = doc["displacement"]
-    dim = ddoc["dim"]
-    disp = DisplacementField(
-        dim, nn.mlp_from_dict(ddoc["net"]),
-        embedding=nn.embedding_from_dict(ddoc["embedding"]),
-        output_scales=nn._arr_in(ddoc["output_scales"], (dim,)))
-    body = BodyForceField(doc["body_force"]["dim"],
-                          nn.mlp_from_dict(doc["body_force"]["net"]))
-    ndoc = doc["normalizer"]
-    normalizer = ConditionNormalizer(ndoc["mode"], float(ndoc["raw_min"]),
-                                     float(ndoc["raw_max"]), ndoc["unit"])
-    model = TransportModel(
-        disp, body, normalizer, TrainConfig.from_dict(doc["config"]),
-        loss_history=[tuple(float(v) for v in row)
-                      for row in doc["loss_history"]],
-        dropped_fraction=float(doc["dropped_fraction"]),
-        trained=bool(doc["trained"]),
-    )
-    if doc.get("reference_density") is not None:
-        model.reference_density = density_from_dict(doc["reference_density"])
-    if doc.get("pca_basis") is not None:
-        model.pca_basis = basis_from_dict(doc["pca_basis"])
-    if doc.get("scaler") is not None:
-        model.scaler = AffineScaler(nn._arr_in(doc["scaler"]["offset"]),
-                                    nn._arr_in(doc["scaler"]["scale"]))
-    return model
+    with format_errors("model document"):
+        if doc.get("version") not in _MODEL_VERSIONS:
+            raise DataFormatError(f"unsupported model version {doc.get('version')}")
+        if doc["version"] == 1:
+            doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
+        ddoc = doc["displacement"]
+        dim = ddoc["dim"]
+        edoc = ddoc["embedding"]
+        emb = None if edoc is None else FourierFeatureEmbedding(
+            _arr_in(edoc["spectral_weights"], edoc["shape"]),
+            scale=float(edoc["scale"]))
+        disp = DisplacementField(
+            dim, _mlp_from_dict(ddoc["net"]), embedding=emb,
+            output_scales=_arr_in(ddoc["output_scales"], (dim,)))
+        body = BodyForceField(doc["body_force"]["dim"],
+                              _mlp_from_dict(doc["body_force"]["net"]))
+        ndoc = doc["normalizer"]
+        normalizer = ConditionNormalizer(ndoc["mode"], float(ndoc["raw_min"]),
+                                         float(ndoc["raw_max"]), ndoc["unit"])
+        model = TransportModel(
+            disp, body, normalizer, TrainConfig.from_dict(doc["config"]),
+            loss_history=[tuple(float(v) for v in row)
+                          for row in doc["loss_history"]],
+            dropped_fraction=float(doc["dropped_fraction"]),
+            trained=bool(doc["trained"]),
+        )
+        if doc.get("reference_density") is not None:
+            model.reference_density = density_from_dict(doc["reference_density"])
+        if doc.get("pca_basis") is not None:
+            model.pca_basis = basis_from_dict(doc["pca_basis"])
+        if doc.get("scaler") is not None:
+            model.scaler = AffineScaler(_arr_in(doc["scaler"]["offset"]),
+                                        _arr_in(doc["scaler"]["scale"]))
+        return model
 
 
 def save_model(model: TransportModel, path):
-    text = json.dumps(model_to_dict(model), sort_keys=True)
-    with open(path, "w") as f:
-        f.write(text)
+    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True))
 
 
 def load_model(path) -> TransportModel:

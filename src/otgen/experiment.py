@@ -10,7 +10,6 @@ and `otgen generate` picks the same object for a saved model.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from contextlib import contextmanager
@@ -337,7 +336,7 @@ def run_experiment(config: RunConfig):
             dataio.save_model(model, out / "model.json")
             report = _report(config, model, training_nrmse={},
                              target_nrmse=None, dropped_j_fraction=0.0)
-            _write_report(out / "report.json", report)
+            _write_report(out, report)
         _write_meta(out, config, time.perf_counter() - t_start)
         return report, model, artifacts
 
@@ -367,13 +366,13 @@ def run_experiment(config: RunConfig):
     with _stage("emit"):
         task.write(out / "generated.csv", config.target_raw, generated)
         dataio.save_model(model, out / "model.json")
-        _write_loss_history(out / "loss_history.csv", model.loss_history)
+        dataio.write_loss_history(out / "loss_history.csv", model.loss_history)
         report = _report(config, model, training_nrmse=training_nrmse,
                          target_nrmse=target_nrmse,
                          dropped_j_fraction=cloud.dropped_fraction,
                          baseline_nrmse=baseline_nrmse,
                          pca_target_residual=pca_resid)
-        _write_report(out / "report.json", report)
+        _write_report(out, report)
         artifacts["generated"] = str(out / "generated.csv")
         if config.plots:
             series = [(f"train {c:g}", v)
@@ -398,23 +397,11 @@ def _report(config, model, **scores) -> ExperimentReport:
         **scores)
 
 
-def _write_report(path, report: ExperimentReport):
-    with open(path, "w") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=1)
+def _write_report(out, report: ExperimentReport):
+    (out / "report.json").write_text(dataio.pretty_json(report.to_dict()))
 
 
 def _write_meta(out, config, wall_clock):
     # wall-clock lives outside report.json so reports stay bit-reproducible
-    with open(Path(out) / "run_meta.json", "w") as f:
-        json.dump({"config": asdict(config), "wall_clock_s": wall_clock}, f,
-                  sort_keys=True, indent=1)
-
-
-def _write_loss_history(path, history):
-    import csv as _csv
-    with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["epoch", "total", "density", "boundary", "dynamics",
-                    "dropped_fraction"])
-        for i, row in enumerate(history):
-            w.writerow([i] + [dataio._fmt(v) for v in row])
+    (out / "run_meta.json").write_text(dataio.pretty_json(
+        {"config": asdict(config), "wall_clock_s": wall_clock}))

@@ -2,24 +2,16 @@
 
 Provides multilayer perceptrons with SELU / softplus / leaky-ReLU
 activations and per-layer dropout, a sinusoidal feature embedding with
-learnable spectral weights, the Adam optimizer, and a versioned JSON
-weight format. Each layer and the embedding is one tape node
-(`autodiff.dense`, `autodiff.sincos_features`) that also accepts a
-Taylor-mode jet, which is how `otgen.transport` gets exact input
-derivatives of the displacement field.
-
-Every float array in a saved document, here and in `otgen.dataio` and
-`otgen.pca`, goes through one codec, `_arr_out`/`_arr_in`: the base64 of
-its little-endian float64 bytes, so round trips are bit-exact and cost no
-per-float Python work.
+learnable spectral weights, and the Adam optimizer. Each layer and the
+embedding is one tape node (`autodiff.dense`, `autodiff.sincos_features`)
+that also accepts a Taylor-mode jet, which is how `otgen.transport` gets
+exact input derivatives of the displacement field. Weight documents are
+read and written by `otgen.dataio`.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +21,6 @@ from . import rng
 ACTIVATIONS = ("linear", "selu", "softplus", "leaky_relu")
 # softplus beta and leaky-ReLU slope when a layer's activation_param is 0
 _DEFAULT_PARAM = {"softplus": 1.0, "leaky_relu": 0.01}
-
-WEIGHT_FORMAT_VERSION = 2
-# version 1 wrote float arrays as lists of numbers; `_arr_in` reads both
-_WEIGHT_VERSIONS = (1, WEIGHT_FORMAT_VERSION)
-
-
-class DataFormatError(ValueError):
-    """Malformed input data file or saved document."""
-
 
 @dataclass
 class Layer:
@@ -208,172 +191,44 @@ def param_grad(loss_fn, params: list[ad.Tensor]) -> list[np.ndarray]:
 
 # -- Adam --------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters (moments start at zero)."""
+    """Adam moments (zero at the start), step count and learning rate."""
 
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    first_moment: list
+    second_moment: list
+    lr: float
     step_count: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            first_moment=[np.zeros_like(np.asarray(p)) for p in params],
-            second_moment=[np.zeros_like(np.asarray(p)) for p in params],
-            step_count=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_params(cls, params: list[ad.Tensor], lr):
+        return cls([np.zeros_like(p.value) for p in params],
+                   [np.zeros_like(p.value) for p in params], lr)
 
 
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update; returns (new_params, state).
+def adam_step_tensors(params: list[ad.Tensor], state: AdamState):
+    """One bias-corrected Adam update of `params` from their .grad, in place.
 
-    `params` and `grads` are parallel lists of arrays. The state is
-    advanced in place and returned for convenience.
+    A missing gradient counts as zero. Raises FloatingPointError, before
+    any parameter or moment changes, when a gradient is not finite.
     """
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
+    grads = [np.zeros_like(p.value) if p.grad is None else p.grad
+             for p in params]
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient component")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    new_params = []
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for i, (p, g) in enumerate(zip(params, grads)):
-        m = state.first_moment[i] = state.beta1 * state.first_moment[i] + (1 - state.beta1) * g
-        v = state.second_moment[i] = state.beta2 * state.second_moment[i] + (1 - state.beta2) * g * g
-        new_params.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    return new_params, state
-
-
-def adam_step_tensors(tensors: list[ad.Tensor], state: AdamState):
-    """In-place Adam update for tape parameters using their .grad fields."""
-    grads = [np.zeros_like(p.value) if p.grad is None else p.grad for p in tensors]
-    new_values, _ = adam_step([p.value for p in tensors], grads, state)
-    for p, v in zip(tensors, new_values):
-        p.value = v
-    return state
-
-
-# -- serialization -------------------------------------------------------------
-
-def _arr_out(a) -> str:
-    """Base64 text of the little-endian float64 bytes of `a`, in C order."""
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _arr_in(v, shape=(-1,)) -> np.ndarray:
-    """A writable native float64 array of `shape` read from a document.
-
-    `v` is `_arr_out` text or, in documents written before it, a list of
-    numbers. Raises TypeError for any other value and ValueError for
-    invalid base64 or a size that does not fit `shape`.
-    """
-    if isinstance(v, str):
-        # invalid base64 raises binascii.Error, a ValueError
-        raw = base64.b64decode(v, validate=True)
-        a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    elif isinstance(v, list):
-        a = np.array(v, dtype=np.float64)
-    else:
-        raise TypeError(f"expected an array, got {type(v).__name__}")
-    return a.reshape(shape)
-
-
-def mlp_to_dict(net: Mlp) -> dict:
-    return {
-        "version": WEIGHT_FORMAT_VERSION,
-        "layers": [
-            {
-                "shape": list(layer.weight.value.shape),
-                "activation": layer.activation,
-                "activation_param": float(layer.activation_param),
-                "dropout": float(layer.dropout),
-                "weight": _arr_out(layer.weight.value),
-                "bias": _arr_out(layer.bias.value),
-            }
-            for layer in net.layers
-        ],
-    }
-
-
-@contextmanager
-def format_errors(what: str):
-    """Re-raise an error from reading the document `what` as DataFormatError.
-
-    Covers the lookup, type and value errors of a malformed document: a
-    missing key, a value of the wrong type, a document that is not an
-    object, invalid base64, or an array whose size does not fit its shape.
-    """
-    try:
-        yield
-    except DataFormatError:
-        raise
-    except (AttributeError, LookupError, TypeError, ValueError) as e:
-        raise DataFormatError(
-            f"malformed {what}: {type(e).__name__}: {e}") from e
-
-
-def mlp_from_dict(doc: dict) -> Mlp:
-    """The network a weight document of version 1 or 2 describes.
-
-    Raises DataFormatError for an unknown version and for a malformed
-    document (see `format_errors`).
-    """
-    with format_errors("weight document"):
-        return _mlp_from_dict(doc)
-
-
-def _mlp_from_dict(doc: dict) -> Mlp:
-    if doc.get("version") not in _WEIGHT_VERSIONS:
-        raise DataFormatError(
-            f"unsupported weight format version {doc.get('version')}")
-    layers = []
-    for layer_doc in doc["layers"]:
-        out_dim, in_dim = layer_doc["shape"]
-        w = _arr_in(layer_doc["weight"], (out_dim, in_dim))
-        b = _arr_in(layer_doc["bias"], (out_dim,))
-        layers.append(Layer(
-            weight=ad.parameter(w), bias=ad.parameter(b),
-            activation=layer_doc["activation"],
-            activation_param=float(layer_doc["activation_param"]),
-            dropout=float(layer_doc["dropout"]),
-        ))
-    return Mlp(layers)
-
-
-def embedding_to_dict(emb: FourierFeatureEmbedding | None) -> dict | None:
-    if emb is None:
-        return None
-    return {
-        "version": WEIGHT_FORMAT_VERSION,
-        "shape": list(emb.spectral_weights.value.shape),
-        "spectral_weights": _arr_out(emb.spectral_weights.value),
-        "scale": float(emb.scale.value),
-    }
-
-
-def embedding_from_dict(doc: dict | None) -> FourierFeatureEmbedding | None:
-    if doc is None:
-        return None
-    m, d = doc["shape"]
-    w = _arr_in(doc["spectral_weights"], (m, d))
-    return FourierFeatureEmbedding(w, scale=float(doc["scale"]))
-
-
-def save_mlp(net: Mlp, path):
-    text = json.dumps(mlp_to_dict(net))
-    with open(path, "w") as f:
-        f.write(text)
-
-
-def load_mlp(path) -> Mlp:
-    with open(path) as f:
-        return mlp_from_dict(json.load(f))
+        m = state.first_moment[i] = (ADAM_BETA1 * state.first_moment[i]
+                                     + (1 - ADAM_BETA1) * g)
+        v = state.second_moment[i] = (ADAM_BETA2 * state.second_moment[i]
+                                      + (1 - ADAM_BETA2) * g * g)
+        p.value = p.value - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -1,4 +1,7 @@
-"""Principal component reduction for high-dimensional field samples."""
+"""Principal component reduction for high-dimensional field samples.
+
+Numpy only; `otgen.dataio` reads and writes basis documents.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .nn import WEIGHT_FORMAT_VERSION, _arr_in, _arr_out
 
 
 @dataclass(frozen=True)
@@ -98,23 +99,3 @@ def subspace_residual(basis: PcaBasis, x) -> float:
         return 0.0
     return float(np.linalg.norm(x - back) / denom)
 
-
-def basis_to_dict(basis: PcaBasis) -> dict:
-    return {
-        "version": WEIGHT_FORMAT_VERSION,
-        "shape": list(basis.components.shape),
-        "data_mean": _arr_out(basis.data_mean),
-        "components": _arr_out(basis.components),
-        "singular_values": _arr_out(basis.singular_values),
-        "explained_variance_ratio": _arr_out(basis.explained_variance_ratio),
-    }
-
-
-def basis_from_dict(doc: dict) -> PcaBasis:
-    d, D = doc["shape"]
-    return PcaBasis(
-        data_mean=_arr_in(doc["data_mean"], (D,)),
-        components=_arr_in(doc["components"], (d, D)),
-        singular_values=_arr_in(doc["singular_values"]),
-        explained_variance_ratio=_arr_in(doc["explained_variance_ratio"]),
-    )

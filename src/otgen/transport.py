@@ -199,9 +199,9 @@ class BodyForceField:
         return self.net.forward(inp, mode=mode, seed=seed)
 
 
-def make_displacement_field(dim, hidden=(256, 256, 256), fourier_m=32,
-                            activation="softplus", activation_param=10.0,
-                            final_std=1e-3, seed=0) -> DisplacementField:
+def make_displacement_field(dim, hidden, fourier_m, activation,
+                            activation_param, final_std=1e-3,
+                            seed=0) -> DisplacementField:
     in_dim = dim + 1
     if fourier_m > 0:
         gen = rng.stream(seed, 0x20)
@@ -215,8 +215,8 @@ def make_displacement_field(dim, hidden=(256, 256, 256), fourier_m=32,
     return DisplacementField(dim, net, embedding=emb)
 
 
-def make_body_force_field(dim, hidden=(300,) * 7, activation="selu",
-                          activation_param=0.0, dropout=0.1, seed=0) -> BodyForceField:
+def make_body_force_field(dim, hidden, activation, activation_param, dropout,
+                          seed=0) -> BodyForceField:
     net = nn.init_mlp([dim + 1, *hidden, dim], activation, seed=seed + 2,
                       dropout=dropout, activation_param=activation_param)
     return BodyForceField(dim, net)
@@ -470,20 +470,17 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     ts = np.repeat([s.t_norm for s in dataset.snapshots], n)
     u0, jac = fieldo.jet(Xs, ts)
     eye = np.eye(dim)
-    F_raw = ad.add(jac, ad.Tensor(np.broadcast_to(eye, jac.value.shape).copy()))
-    J_probe = np.linalg.det(F_raw.value)
-    mask = (J_probe > J_MIN).astype(np.float64)
+    F_raw = ad.add(jac, eye)
+    J = ad.det(F_raw)
+    mask = (J.value > J_MIN).astype(np.float64)
     dropped = int(len(mask) - mask.sum())
     evaluated = len(mask)
     if dropped:
         # swap degenerate rows for the identity so det/inv stay finite;
         # the mask removes their contribution
         m3 = mask[:, None, None]
-        F_safe = ad.add(ad.mul(F_raw, ad.Tensor(m3)),
-                        ad.Tensor((1.0 - m3) * eye))
-    else:
-        F_safe = F_raw
-    J = ad.det(F_safe)
+        J = ad.det(ad.add(ad.mul(F_raw, ad.Tensor(m3)),
+                          ad.Tensor((1.0 - m3) * eye)))
     mapped = ad.add(ad.constant(Xs), u0)
     ratio = ad.div(ad.Tensor(np.tile(rho0, n_snap)), J)
 
@@ -580,7 +577,7 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     if model is None:
         model = init_model(dataset, normalizer, config)
     params = model.parameters()
-    state = nn.AdamState.for_params([p.value for p in params], lr=config.learning_rate)
+    state = nn.AdamState.for_params(params, lr=config.learning_rate)
     cfg = config
     best = (np.inf, [p.value.copy() for p in params], 0.0)
     history = []

@@ -28,6 +28,8 @@ from otgen.transport import (Snapshot, SnapshotDataset, TrainConfig,
                              generate_density, loss)
 from tests_support_rigs import rigged_transport_model
 
+pytestmark = pytest.mark.acceptance
+
 N_SEEDS = 5
 
 CURVE_TRAIN = TrainConfig(

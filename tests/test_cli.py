@@ -104,7 +104,10 @@ class TestOtDiscreteCommand:
         ("0,0.5\n1,0.5\n2,abc\n", "src.csv:3: bad row"),   # not a header
         ("nan,0.5\n1,0.5\n", "must be finite"),
         ("0,nan\n1,0.5\n", "must be finite"),
-    ], ids=["bad-row-after-first", "nan-point", "nan-mass"])
+        ("0,0.5\n1\n", "src.csv:2: expected 2 columns, got 1"),
+        ("0.5\n0.5\n", "src.csv:1: a row needs at least one coordinate"),
+    ], ids=["bad-row-after-first", "nan-point", "nan-mass", "ragged-row",
+            "one-column"])
     def test_bad_input_is_validation_exit(self, tmp_path, capsys, text,
                                           message):
         src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
@@ -157,8 +160,8 @@ class TestSamplePfodeCommand:
     def test_weight_version_1_score_file(self, tmp_path, capsys):
         net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
         new, old = tmp_path / "score.json", tmp_path / "score_v1.json"
-        nn.save_mlp(net, new)
-        old.write_text(json.dumps(as_text_arrays(nn.mlp_to_dict(net))))
+        dataio.save_mlp(net, new)
+        old.write_text(json.dumps(as_text_arrays(dataio.mlp_to_dict(net))))
         outs = []
         for path in (new, old):
             outs.append(tmp_path / f"{path.stem}.csv")
@@ -176,7 +179,7 @@ class TestSamplePfodeCommand:
                                                      corrupt):
         net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
         path = tmp_path / "score.json"
-        path.write_text(json.dumps(corrupt(nn.mlp_to_dict(net))))
+        path.write_text(json.dumps(corrupt(dataio.mlp_to_dict(net))))
         code = run_cli("sample-pfode", "--score", str(path), "--n", "10",
                        "--steps", "5", "--out", str(tmp_path / "s.csv"))
         assert code == cli.EXIT_VALIDATION
@@ -253,8 +256,10 @@ class TestRunAndGenerateCommands:
         # u = -2 X: J = -1 at every particle
         fold = nn.Mlp([nn.Layer(ad.parameter([[-2.0, 0.0]]),
                                 ad.parameter([0.0]))])
+        body = make_body_force_field(1, hidden=(4,), activation="selu",
+                                     activation_param=0.0, dropout=0.1)
         model = TransportModel(
-            DisplacementField(1, fold), make_body_force_field(1, hidden=(4,)),
+            DisplacementField(1, fold), body,
             ConditionNormalizer("linear", 0.0, 1.0), TrainConfig(),
             reference_density=ReducedGaussianDensity([0.0], 0.3), trained=True)
         dataio.save_model(model, tmp_path / "model.json")

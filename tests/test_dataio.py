@@ -182,6 +182,13 @@ class TestSavedRunRoundtrip:
         assert model.scaler is not None
         assert_generates_like(dataio.load_model(path), model)
 
+    def test_resaved_model_is_byte_identical(self, trained_run, tmp_path):
+        # the curve run carries a scaler, the field run a scaler and a basis
+        _, path = trained_run
+        again = tmp_path / "again.json"
+        dataio.save_model(dataio.load_model(path), again)
+        assert again.read_bytes() == Path(path).read_bytes()
+
     def test_format_1_document_generates_like_format_2(self, trained_run,
                                                        tmp_path):
         model, path = trained_run

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from otgen import rng
-from otgen.pca import (basis_from_dict, basis_to_dict, fit_pca, project,
-                       reconstruct, subspace_residual)
+from otgen.dataio import basis_from_dict, basis_to_dict
+from otgen.pca import fit_pca, project, reconstruct, subspace_residual
 
 
 def covariance_eig_oracle(X, d):
