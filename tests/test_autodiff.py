@@ -38,6 +38,49 @@ def test_add_mul_chain_matches_fd():
     np.testing.assert_allclose(w.grad, expected, rtol=1e-8)
 
 
+# primitive applied to parameters of these shapes; parts of different sizes
+# make a per-part VJP that bound its slice late read the wrong part
+_FD_CASES = {
+    "sub": (ad.sub, [(3, 2), (3, 2)]),
+    "div": (ad.div, [(3, 2), (3, 2)]),
+    "mul-row-broadcast": (ad.mul, [(1, 3), (4, 3)]),
+    "sub-row-broadcast": (ad.sub, [(4, 3), (1, 3)]),
+    "div-row-broadcast": (ad.div, [(1, 3), (4, 3)]),
+    "concat-axis0": (lambda *p: ad.concat(p, axis=0), [(2, 3), (1, 3), (3, 3)]),
+    "concat-last": (lambda *p: ad.concat(p, axis=-1), [(2, 1), (2, 3), (2, 2)]),
+    "stack_last": (lambda *p: ad.stack_last(p), [(2, 3), (2, 3), (2, 3)]),
+    "tsum-axis1": (lambda a: ad.tsum(a, axis=1), [(3, 4)]),
+    "stable_mean": (ad.stable_mean, [(5,)]),
+    "stable_sum_scalars": (lambda *p: ad.stable_sum_scalars(p), [(), (), ()]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FD_CASES))
+def test_primitive_gradients_match_central_differences(case):
+    op, shapes = _FD_CASES[case]
+    gen = rng.stream(31)
+    # in [0.5, 1.5]: away from the zero a divisor must avoid
+    xs = [0.5 + rng.uniform(gen, shape) for shape in shapes]
+    params = [ad.parameter(x.copy()) for x in xs]
+    out = op(*params)
+    r = rng.normal(gen, out.value.shape)
+    ad.tsum(ad.mul(out, r)).backward()
+    for i, p in enumerate(params):
+        def loss(v, i=i):
+            args = [v if j == i else x for j, x in enumerate(xs)]
+            return float(np.sum(op(*map(ad.constant, args)).value * r))
+        expected = fd_grad(loss, xs[i].copy())
+        np.testing.assert_allclose(p.grad, expected, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
+def test_constant_parent_of_binary_node_gets_no_gradient(op):
+    w = ad.parameter(np.full((2, 2), 2.0))
+    c = ad.constant(np.full((2, 2), 3.0))
+    ad.tsum(ad.add(op(w, c), op(c, w))).backward()
+    assert w.grad is not None and c.grad is None
+
+
 def test_matmul_gradient():
     gen = rng.stream(7)
     A = ad.parameter(rng.normal(gen, (3, 4)))
