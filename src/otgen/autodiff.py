@@ -8,6 +8,12 @@ into every tensor created with ``requires_grad=True``.
 All arithmetic is 64-bit. Recording can be suspended with :func:`no_grad`
 for cheap evaluation-only passes; the forward values are identical either
 way, so replaying a graph reproduces its value bit-exactly.
+
+A primitive is its forward value plus one vector-Jacobian product (VJP)
+per parent, and `_node` builds every such tape node. The fused `dense`
+and `sincos_features` nodes keep their own backward: one inner gradient
+feeds all three parents, and the products made from it are handed over
+without a copy, so per-parent VJPs would compute it three times.
 """
 
 from __future__ import annotations
@@ -53,19 +59,14 @@ class Tensor:
         self._backward = backward
 
     def _accumulate(self, g, owned=False):
-        """Add `g` to the gradient.
+        """Add `g`, an array of this tensor's shape, to the gradient.
 
-        `owned` says `g` is a fresh float64 array of this tensor's shape
-        that no other node can reach; a first gradient then takes it over
-        without a copy. Any `g` that may reach a second parent is copied.
+        `owned` says `g` is a fresh float64 array that no other node can
+        reach; a first gradient then takes it over without a copy. Any `g`
+        that may reach a second parent is copied.
         """
         if self.grad is None:
-            if owned:
-                self.grad = g
-                return
-            self.grad = np.array(g, dtype=np.float64)
-            if self.grad.shape != self.value.shape:
-                self.grad = np.broadcast_to(self.grad, self.value.shape).copy()
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -119,12 +120,6 @@ def _recording(parents) -> bool:
                                    for p in parents)
 
 
-def _make(value, parents, backward):
-    if _recording(parents):
-        return Tensor(value, parents=parents, backward=backward)
-    return Tensor(value)
-
-
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -138,115 +133,75 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _node(out, parents, *vjps):
+    """A tensor of value `out`, on the tape when `_recording(parents)`.
+
+    `vjps[i]` maps the output gradient to the gradient of `parents[i]`
+    before unbroadcasting; it runs only for a parent on the tape.
+    """
+    if not _recording(parents):
+        return Tensor(out)
+
+    def backward(g):
+        for p, vjp in zip(parents, vjps):
+            if p.requires_grad or p._parents:
+                p._accumulate(_unbroadcast(vjp(g), p.value.shape))
+
+    return Tensor(out, parents=parents, backward=backward)
+
+
 # -- elementwise arithmetic ---------------------------------------------
 
 def add(a, b):
     a, b = constant(a), constant(b)
-    out = a.value + b.value
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(g, b.value.shape))
-
-    return _make(out, (a, b), backward)
+    return _node(a.value + b.value, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = constant(a), constant(b)
-    out = a.value - b.value
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(-g, b.value.shape))
-
-    return _make(out, (a, b), backward)
+    return _node(a.value - b.value, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = constant(a), constant(b)
-    out = a.value * b.value
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
-
-    return _make(out, (a, b), backward)
+    return _node(a.value * b.value, (a, b),
+                 lambda g: g * b.value, lambda g: g * a.value)
 
 
 def div(a, b):
     a, b = constant(a), constant(b)
-    out = a.value / b.value
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g / b.value, a.value.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(-g * a.value / b.value**2, b.value.shape))
-
-    return _make(out, (a, b), backward)
+    return _node(a.value / b.value, (a, b), lambda g: g / b.value,
+                 lambda g: -g * a.value / b.value**2)
 
 
 def square(a):
     a = constant(a)
-    out = a.value * a.value
-
-    def backward(g):
-        a._accumulate(g * 2.0 * a.value)
-
-    return _make(out, (a,), backward)
+    return _node(a.value * a.value, (a,), lambda g: g * 2.0 * a.value)
 
 
 def exp(a):
     a = constant(a)
     out = np.exp(a.value)
-
-    def backward(g):
-        a._accumulate(g * out)
-
-    return _make(out, (a,), backward)
+    return _node(out, (a,), lambda g: g * out)
 
 
 def sin(a):
     a = constant(a)
-    out = np.sin(a.value)
-
-    def backward(g):
-        a._accumulate(g * np.cos(a.value))
-
-    return _make(out, (a,), backward)
+    return _node(np.sin(a.value), (a,), lambda g: g * np.cos(a.value))
 
 
 def cos(a):
     a = constant(a)
-    out = np.cos(a.value)
-
-    def backward(g):
-        a._accumulate(-g * np.sin(a.value))
-
-    return _make(out, (a,), backward)
+    return _node(np.cos(a.value), (a,), lambda g: -g * np.sin(a.value))
 
 
 # -- linear algebra -----------------------------------------------------
 
 def matmul(a, b):
     a, b = constant(a), constant(b)
-    out = a.value @ b.value
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            ga = g @ np.swapaxes(b.value, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.value.shape))
-        if b.requires_grad or b._parents:
-            gb = np.swapaxes(a.value, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.value.shape))
-
-    return _make(out, (a, b), backward)
+    return _node(a.value @ b.value, (a, b),
+                 lambda g: g @ np.swapaxes(b.value, -1, -2),
+                 lambda g: np.swapaxes(a.value, -1, -2) @ g)
 
 
 def det(a):
@@ -257,75 +212,50 @@ def det(a):
     """
     a = constant(a)
     out = np.linalg.det(a.value)
-
-    def backward(g):
-        inv_t = np.swapaxes(np.linalg.inv(a.value), -1, -2)
-        a._accumulate(g[..., None, None] * out[..., None, None] * inv_t)
-
-    return _make(out, (a,), backward)
+    return _node(out, (a,), lambda g: g[..., None, None] * out[..., None, None]
+                 * np.swapaxes(np.linalg.inv(a.value), -1, -2))
 
 
 # -- shape manipulation --------------------------------------------------
 
 def concat(parts, axis=-1):
-    parts = [constant(p) for p in parts]
+    parts = tuple(constant(p) for p in parts)
     out = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad or p._parents:
-                idx = [slice(None)] * g.ndim
-                idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-                p._accumulate(g[tuple(idx)])
-
-    return _make(out, tuple(parts), backward)
+    edges = np.cumsum([0] + [p.value.shape[axis] for p in parts])
+    lead = (slice(None),) * (axis % out.ndim)
+    return _node(out, parts, *(lambda g, s=lead + (slice(lo, hi),): g[s]
+                               for lo, hi in zip(edges[:-1], edges[1:])))
 
 
 def stack_last(parts):
     """Stack equal-shaped tensors along a new trailing axis."""
-    parts = [constant(p) for p in parts]
-    out = np.stack([p.value for p in parts], axis=-1)
-
-    def backward(g):
-        for j, p in enumerate(parts):
-            if p.requires_grad or p._parents:
-                p._accumulate(g[..., j])
-
-    return _make(out, tuple(parts), backward)
+    parts = tuple(constant(p) for p in parts)
+    return _node(np.stack([p.value for p in parts], axis=-1), parts,
+                 *(lambda g, j=j: g[..., j] for j in range(len(parts))))
 
 
 def getitem(a, idx):
     a = constant(a)
-    out = a.value[idx]
     plain = isinstance(idx, (slice, int)) or (
         isinstance(idx, tuple) and all(isinstance(i, (slice, int)) for i in idx))
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(a.value)
         if plain:  # no duplicate positions possible
             full[idx] += g
         else:
             np.add.at(full, idx, g)
-        a._accumulate(full)
+        return full
 
-    return _make(out, (a,), backward)
+    return _node(a.value[idx], (a,), vjp)
 
 
 # -- reductions -----------------------------------------------------------
 
 def tsum(a, axis=None):
     a = constant(a)
-    out = a.value.sum(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.value.shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())
-
-    return _make(out, (a,), backward)
+    return _node(a.value.sum(axis=axis), (a,), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.value.shape).copy())
 
 
 def stable_mean(a):
@@ -338,25 +268,15 @@ def stable_mean(a):
     if a.value.ndim != 1:
         raise ValueError("stable_mean expects a 1-D tensor")
     n = a.value.shape[0]
-    out = np.float64(math.fsum(a.value.tolist()) / n)
-
-    def backward(g):
-        a._accumulate(np.full_like(a.value, g / n))
-
-    return _make(out, (a,), backward)
+    return _node(np.float64(math.fsum(a.value.tolist()) / n), (a,),
+                 lambda g: np.full_like(a.value, g / n))
 
 
 def stable_sum_scalars(tensors):
     """Order-independent sum of scalar tensors (exact rounding)."""
-    tensors = [constant(t) for t in tensors]
-    out = np.float64(math.fsum(float(t.value) for t in tensors))
-
-    def backward(g):
-        for t in tensors:
-            if t.requires_grad or t._parents:
-                t._accumulate(np.asarray(g))
-
-    return _make(out, tuple(tensors), backward)
+    tensors = tuple(constant(t) for t in tensors)
+    return _node(np.float64(math.fsum(float(t.value) for t in tensors)),
+                 tensors, *(np.asarray for _ in tensors))
 
 
 # -- activations ----------------------------------------------------------
@@ -423,22 +343,14 @@ def _activation_derivs(activation, x, param, order):
 def selu(a):
     a = constant(a)
     out, deriv = _selu_derivs(a.value, 1)
-
-    def backward(g):
-        a._accumulate(g * deriv)
-
-    return _make(out, (a,), backward)
+    return _node(out, (a,), lambda g: g * deriv)
 
 
 def softplus(a, beta=1.0):
     """Overflow-safe softplus log(1 + exp(beta*x)) / beta."""
     a = constant(a)
     out, sig = _softplus_derivs(a.value, beta, 1)
-
-    def backward(g):
-        a._accumulate(g * sig)
-
-    return _make(out, (a,), backward)
+    return _node(out, (a,), lambda g: g * sig)
 
 
 # -- Taylor-mode jets -------------------------------------------------------
@@ -587,8 +499,4 @@ def interp_query(grid, values, q):
     slopes = (values[seg + 1] - values[seg]) / (grid[seg + 1] - grid[seg])
     inside = (q.value >= grid[0]) & (q.value <= grid[-1])
     dq = np.where(inside, slopes, 0.0)
-
-    def backward(g):
-        q._accumulate(g * dq)
-
-    return _make(out, (q,), backward)
+    return _node(out, (q,), lambda g: g * dq)

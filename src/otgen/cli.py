@@ -143,10 +143,9 @@ def _load_run_config(args, data=None):
 
     A document that is not a valid config raises DataFormatError.
     """
-    from .dataio import format_errors
+    from .dataio import format_errors, read_json
     from .experiment import RunConfig
-    with open(args.config) as f:
-        doc = json.load(f)
+    doc = read_json(args.config, "run config")
     overrides = {"data": data, "seed": getattr(args, "seed", None),
                  "out_dir": getattr(args, "out_dir", None)}
     with format_errors("run config"):

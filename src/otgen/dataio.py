@@ -260,6 +260,20 @@ def pretty_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def write_json(path, doc):
+    """Write `doc` as sorted, compact JSON: model and fixture documents."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
+
+
+def read_json(path, what: str):
+    """The `what` document in file `path`; DataFormatError if not JSON."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise DataFormatError(f"{path}: {what} is not JSON: {e}") from e
+
+
 def mlp_to_dict(net: Mlp) -> dict:
     return {
         "version": WEIGHT_FORMAT_VERSION,
@@ -305,8 +319,7 @@ def load_mlp(path) -> Mlp:
     Raises DataFormatError for an unknown version and for a malformed
     document (see `format_errors`).
     """
-    with open(path) as f:
-        doc = json.load(f)
+    doc = read_json(path, "weight document")
     with format_errors("weight document"):
         return _mlp_from_dict(doc)
 
@@ -445,9 +458,8 @@ def model_from_dict(doc: dict) -> TransportModel:
 
 
 def save_model(model: TransportModel, path):
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True))
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> TransportModel:
-    with open(path) as f:
-        return model_from_dict(json.load(f))
+    return model_from_dict(read_json(path, "model document"))

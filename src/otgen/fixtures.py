@@ -14,7 +14,8 @@ trend; set d = 0 for the purely linear curve family.
 
 from __future__ import annotations
 
-import json
+import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,39 +53,55 @@ def field_family(tau, D=500, base_scale=1.0, mode_scale=0.6, seed=0):
     return base + tau * mode1 + tau**2 * mode2
 
 
+def _family_params(kind, params) -> dict:
+    """The defaults of family `kind` updated by `params`; ValueError if bad."""
+    defaults = {"curves": CURVE_DEFAULTS, "fields": FIELD_DEFAULTS}.get(kind)
+    if defaults is None:
+        raise ValueError(f"unknown fixture kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} params must be an object; got {params!r}")
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValueError(f"unknown {kind} param {key!r}; known: "
+                             f"{', '.join(defaults)}")
+        count = isinstance(defaults[key], int)  # n_points, D
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral) and value >= 1 if count
+                else isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+            raise ValueError(f"{kind} param {key!r} must be "
+                             f"{'an integer >= 1' if count else 'a finite number'}"
+                             f"; got {value!r}")
+    return {**defaults, **params}
+
+
 def synth_fixture(kind, out_dir, seed=0, taus=None, target_tau=1.0, params=None):
     """Write a synthetic dataset plus its analytic held-out target.
 
     Returns a dict of written paths: train, target, meta. `taus` defaults
     to five training conditions 0, 0.2, ..., 0.8.
     """
+    p = _family_params(kind, {} if params is None else params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = {**(params or {})}
     if taus is None:
         taus = [0.0, 0.2, 0.4, 0.6, 0.8]
     taus = [float(t) for t in taus]
     if kind == "curves":
-        p = {**CURVE_DEFAULTS, **params}
         train_path = out / "curves_train.csv"
         target_path = out / "curves_target.csv"
         snaps = [CurveSnapshot(t, curve_family(t, **p)) for t in taus]
         dataio.write_curves(train_path, snaps)
         dataio.write_curves(target_path,
                             [CurveSnapshot(target_tau, curve_family(target_tau, **p))])
-    elif kind == "fields":
-        p = {**FIELD_DEFAULTS, **params}
+    else:
         train_path = out / "fields_train.csv"
         target_path = out / "fields_target.csv"
         rows = np.stack([field_family(t, seed=seed, **p) for t in taus])
         dataio.write_fields(train_path, taus, rows)
         dataio.write_fields(target_path, [target_tau],
                             field_family(target_tau, seed=seed, **p)[None, :])
-    else:
-        raise ValueError(f"unknown fixture kind {kind!r}")
     meta_path = out / "fixture_meta.json"
-    with open(meta_path, "w") as f:
-        json.dump({"kind": kind, "seed": seed, "taus": taus,
-                   "target_tau": target_tau, "params": p}, f, sort_keys=True)
+    dataio.write_json(meta_path, {"kind": kind, "seed": seed, "taus": taus,
+                                  "target_tau": target_tau, "params": p})
     return {"train": str(train_path), "target": str(target_path),
             "meta": str(meta_path)}

@@ -194,6 +194,20 @@ class TestSynthCommand:
         assert code == 0
         assert (tmp_path / "fx" / "curves_train.csv").exists()
 
+    @pytest.mark.parametrize("params,message", [
+        ("[1]", "curves params must be an object"),
+        ('{"zzz": 1}', "unknown curves param 'zzz'"),
+        ('{"a": "x"}', "curves param 'a' must be a finite number"),
+        ('{"n_points": 2.5}', "curves param 'n_points' must be an integer"),
+    ], ids=["not-an-object", "unknown-key", "not-a-number", "fractional-count"])
+    def test_bad_params_is_validation_exit(self, tmp_path, capsys, params,
+                                           message):
+        code = run_cli("--out-dir", str(tmp_path / "fx"), "synth",
+                       "--kind", "curves", "--params", params)
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
 
 class TestRunAndGenerateCommands:
     def test_full_curve_run_and_generate(self, tmp_path, capsys):
@@ -458,6 +472,18 @@ class TestInputValidation:
                                     tmp_path / "missing.csv", extra)
         assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,what", [
+        (["run", "--config"], "run config"),
+        (["generate", "--target", "1.0", "--model"], "model document"),
+        (["sample-pfode", "--n", "10", "--score"], "weight document"),
+    ], ids=["config", "model", "score"])
+    def test_non_json_file_is_validation_exit(self, tmp_path, capsys, argv,
+                                              what):
+        path = tmp_path / "doc.json"
+        path.write_text("not json\n")
+        assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
+        assert f"{path}: {what} is not JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_config_not_an_object_is_validation_exit(self, tmp_path, capsys,
