@@ -3,7 +3,10 @@
 A `Tensor` wraps an ndarray and records the operations that produced it,
 forming an expression tape. Calling :meth:`Tensor.backward` on a scalar
 walks the tape in reverse topological order and accumulates gradients
-into every tensor created with ``requires_grad=True``.
+into every tensor created with ``requires_grad=True``. Only those leaves
+keep a `.grad` afterwards: an interior node's gradient is released as
+soon as its own backward has read it, and each node keeps only the
+arrays its backward reads.
 
 All arithmetic is 64-bit. Recording can be suspended with :func:`no_grad`
 for cheap evaluation-only passes; the forward values are identical either
@@ -74,7 +77,11 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Reverse-accumulate d(self)/d(leaf) for every recorded leaf."""
+        """Reverse-accumulate d(self)/d(leaf) for every recorded leaf.
+
+        Leaves keep their `.grad`; every interior node, this one included,
+        has its `.grad` set to None once its backward has run.
+        """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar tensor")
         order = []
@@ -96,6 +103,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -286,33 +294,73 @@ SELU_LAMBDA = 1.0507009873554805
 
 
 def _softplus_derivs(x, beta, order):
-    """[softplus(x), its first, ..., order-th derivative] (overflow-safe)."""
+    """[softplus(x), its first, ..., order-th derivative] (overflow-safe).
+
+    The sign branches are taken by arithmetic with the 0/1 mask [z < 0]
+    rather than masked selects, with the same bits: s + [z < 0](1 - 2s) is
+    exactly 1 - s for s in [1/2, 1], and w - 2[z < 0]w exactly -w.
+    """
     z = beta * x
-    ez = np.exp(-np.abs(z))
-    d = [(np.maximum(z, 0.0) + np.log1p(ez)) / beta]
+    ez = np.abs(z)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    value = np.maximum(z, 0.0)
+    value += np.log1p(ez)
+    value /= beta
+    d = [value]
     if order >= 1:
-        s = 1.0 / (1.0 + ez)
-        d.append(np.where(z >= 0.0, s, 1.0 - s))
+        neg = z < 0.0
+        s = ez + 1.0
+        np.divide(1.0, s, out=s)
+        sig = s * 2.0
+        np.subtract(1.0, sig, out=sig)
+        sig *= neg
+        sig += s
+        d.append(sig)
     if order >= 2:
         # sig (1 - sig) = ez s^2 and 1 - 2 sig = +-(ez - 1) s, free of the
         # cancellation in 1 - sig when |z| is large
-        q = ez * s * s
+        q = ez * s
+        q *= s
         d.append(beta * q)
     if order >= 3:
-        d.append(beta * beta * q * np.where(z >= 0.0, ez - 1.0, 1.0 - ez) * s)
+        w = ez - 1.0
+        flip = neg * w
+        flip *= 2.0
+        np.subtract(w, flip, out=flip)
+        third = beta * beta * q
+        third *= flip
+        third *= s
+        d.append(third)
     return d
 
 
 def _selu_derivs(x, order):
-    pos = x > 0.0
-    expx = SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-    d = [SELU_LAMBDA * np.where(pos, x, expx - SELU_ALPHA)]
+    """[selu(x), its first, ..., order-th derivative], free of masked selects.
+
+    With ae = alpha exp(min(x, 0)), exactly alpha for x > 0, the forms
+    lambda (max(x, 0) + (ae - alpha)), lambda (ae + [x > 0](1 - alpha)) and
+    lambda ae [x <= 0] equal the branchwise ones bit for bit: 1 - alpha is
+    exact, and alpha + (1 - alpha) rounds to exactly 1.
+    """
+    ae = np.minimum(x, 0.0)
+    np.exp(ae, out=ae)
+    ae *= SELU_ALPHA
+    value = np.maximum(x, 0.0)
+    value += ae - SELU_ALPHA
+    value *= SELU_LAMBDA
+    d = [value]
     if order >= 1:
-        d.append(SELU_LAMBDA * np.where(pos, 1.0, expx))
+        slope = (x > 0.0) * (1.0 - SELU_ALPHA)
+        slope += ae
+        slope *= SELU_LAMBDA
+        d.append(slope)
     if order >= 2:
-        d.append(SELU_LAMBDA * np.where(pos, 0.0, expx))
+        ae *= x <= 0.0
+        ae *= SELU_LAMBDA
+        d.append(ae)
     if order >= 3:
-        d.append(d[2])
+        d.append(ae)
     return d
 
 
@@ -372,6 +420,8 @@ def _jet_order(streams, second, recording):
 
 
 def _jet_forward(d, z, second):
+    if z.shape[0] == 1:  # the value stream alone: no copy
+        return d[0][None]
     k = z.shape[0] - 1 - second
     out = np.empty_like(z)
     out[0] = d[0]
@@ -384,8 +434,11 @@ def _jet_forward(d, z, second):
 
 
 def _jet_backward(d, z, g, second):
-    """Gradient of sum(g * _jet_forward(d, z, second)) with respect to z."""
-    k = z.shape[0] - 1 - second
+    """Gradient of sum(g * _jet_forward(d, z, second)) with respect to z.
+
+    Reads d[1:] only, and `z` only for a jet: one stream may pass None.
+    """
+    k = g.shape[0] - 1 - second
     gz = g * d[1]
     if k:
         gz[0] += d[2] * np.einsum("snm,snm->nm", g[1:1 + k], z[1:1 + k])
@@ -408,12 +461,18 @@ def _stream_matmul(h, w_t):
     return out.reshape(h.shape[:-1] + (w_t.shape[-1],))
 
 
-def dense(h, weight, bias, activation="linear", param=0.0, second=0):
+def dense(h, weight, bias, activation="linear", param=0.0, second=0,
+          mask=None):
     """One dense layer activation(h W^T + b) as a single tape node.
 
     `h` is a batch [n, in] or [in], or a jet [S, n, in] (layout above) whose
     last `second` streams are second-order; the bias enters the value
     stream only. `param` is the softplus beta or the leaky-ReLU slope.
+    `mask` ([n, out] or [out]), when given, multiplies every stream of the
+    output in place, as dropout does; backward multiplies the incoming
+    gradient by it first. The node keeps only what its backward reads: the
+    activation derivatives, not its value, and the pre-activation streams
+    of a jet only.
     """
     h, weight, bias = constant(h), constant(weight), constant(bias)
     parents = (h, weight, bias)
@@ -425,11 +484,17 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0):
                            _jet_order(len(z), second, recording))
     out = _jet_forward(d, z, second).reshape(h.value.shape[:-1]
                                              + (z.shape[-1],))
+    if mask is not None:
+        out *= mask
     if not recording:
         return Tensor(out)
+    d[0] = None
+    tangents = z if len(z) > 1 else None
 
     def backward(g):
-        gz = _jet_backward(d, z, _streams(g), second)
+        if mask is not None:
+            g = g * mask
+        gz = _jet_backward(d, tangents, _streams(g), second)
         flat = gz.reshape(-1, gz.shape[-1])
         if h.requires_grad or h._parents:
             h._accumulate((flat @ weight.value).reshape(h.value.shape),
@@ -464,11 +529,13 @@ def sincos_features(v, weights, scale, second=0):
     out = out.reshape(v.value.shape[:-1] + (out.shape[-1],))
     if not recording:
         return Tensor(out)
+    d_sin[0] = d_cos[0] = None
+    tangents = y if len(y) > 1 else None
 
     def backward(g):
         g = _streams(g)
-        gy = (_jet_backward(d_sin, y, g[..., :m], second)
-              + _jet_backward(d_cos, y, g[..., m:2 * m], second))
+        gy = (_jet_backward(d_sin, tangents, g[..., :m], second)
+              + _jet_backward(d_cos, tangents, g[..., m:2 * m], second))
         if v.requires_grad or v._parents:
             gv = g[..., 2 * m:] + _stream_matmul(gy, weights.value) * scale.value
             v._accumulate(gv.reshape(v.value.shape), owned=True)

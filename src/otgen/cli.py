@@ -148,7 +148,7 @@ def _load_run_config(args, data=None):
     doc = read_json(args.config, "run config")
     overrides = {"data": data, "seed": getattr(args, "seed", None),
                  "out_dir": getattr(args, "out_dir", None)}
-    with format_errors("run config"):
+    with format_errors("run config", args.config):
         doc.update((k, v) for k, v in overrides.items() if v is not None)
         return RunConfig.from_dict(doc)
 
@@ -225,9 +225,15 @@ def cmd_sample_pfode(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .dataio import DataFormatError
     from .fixtures import synth_fixture
     taus = ([float(v) for v in args.taus.split(",")] if args.taus else None)
-    params = json.loads(args.params) if args.params else None
+    params = None
+    if args.params:
+        try:
+            params = json.loads(args.params)
+        except ValueError as e:
+            raise DataFormatError(f"--params is not JSON: {e}") from e
     seed = getattr(args, "seed", 0)
     out_dir = getattr(args, "out_dir", "fixtures")
     paths = synth_fixture(args.kind, out_dir, seed=seed, taus=taus,

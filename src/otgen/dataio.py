@@ -50,20 +50,25 @@ class DataFormatError(ValueError):
 
 
 @contextmanager
-def format_errors(what: str):
+def format_errors(what: str, path=None):
     """Re-raise an error from reading the document `what` as DataFormatError.
 
     Covers the lookup, type and value errors of a malformed document: a
     missing key, a value of the wrong type, a document that is not an
     object, invalid base64, or an array whose size does not fit its shape.
+    Given the document's file `path`, every such error names it, a
+    DataFormatError raised inside too.
     """
+    where = what if path is None else f"{what} {path}"
     try:
         yield
-    except DataFormatError:
-        raise
+    except DataFormatError as e:
+        if path is None:
+            raise
+        raise DataFormatError(f"malformed {where}: {e}") from e
     except (AttributeError, LookupError, TypeError, ValueError) as e:
         raise DataFormatError(
-            f"malformed {what}: {type(e).__name__}: {e}") from e
+            f"malformed {where}: {type(e).__name__}: {e}") from e
 
 
 def _arr_out(a) -> str:
@@ -320,7 +325,7 @@ def load_mlp(path) -> Mlp:
     document (see `format_errors`).
     """
     doc = read_json(path, "weight document")
-    with format_errors("weight document"):
+    with format_errors("weight document", path):
         return _mlp_from_dict(doc)
 
 
@@ -415,13 +420,14 @@ def model_to_dict(model: TransportModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> TransportModel:
+def model_from_dict(doc: dict, path=None) -> TransportModel:
     """The model a document of format 1, 2 or 3 describes.
 
     Raises DataFormatError for an unknown version and for a malformed
-    document (see `format_errors`).
+    document (see `format_errors`), naming the document's file `path` if
+    given.
     """
-    with format_errors("model document"):
+    with format_errors("model document", path):
         if doc.get("version") not in _MODEL_VERSIONS:
             raise DataFormatError(f"unsupported model version {doc.get('version')}")
         if doc["version"] == 1:
@@ -462,4 +468,4 @@ def save_model(model: TransportModel, path):
 
 
 def load_model(path) -> TransportModel:
-    return model_from_dict(read_json(path, "model document"))
+    return model_from_dict(read_json(path, "model document"), path)

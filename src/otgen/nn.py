@@ -85,14 +85,16 @@ class Mlp:
         for i, layer in enumerate(self.layers):
             param = (layer.activation_param
                      or _DEFAULT_PARAM.get(layer.activation, 0.0))
-            h = ad.dense(h, layer.weight, layer.bias, layer.activation, param,
-                         second)
+            mask = None
             if layer.dropout > 0.0 and mode == "train":
                 gen = rng.stream(seed, i, 0xD0)
-                shape = h.value.shape[1:] if h.value.ndim == 3 else h.value.shape
-                keep = rng.uniform(gen, shape) >= layer.dropout
-                mask = keep.astype(np.float64) / (1.0 - layer.dropout)
-                h = ad.mul(h, ad.Tensor(mask))
+                rows = (h.value.shape[1:-1] if h.value.ndim == 3
+                        else h.value.shape[:-1])
+                u = rng.uniform(gen, rows + (layer.weight.value.shape[0],))
+                mask = (u >= layer.dropout).astype(np.float64)
+                mask /= 1.0 - layer.dropout
+            h = ad.dense(h, layer.weight, layer.bias, layer.activation, param,
+                         second, mask)
         if not np.all(np.isfinite(h.value)):
             raise FloatingPointError("non-finite network output")
         return h

@@ -279,7 +279,8 @@ def test_dense_jet_skips_tape_under_no_grad():
     assert out.value.shape == (3, 4, 2) and out._parents == ()
 
 
-def _training_loss_gradients():
+def _training_loss():
+    """A small model and its train-mode loss on the tape (dropout, jets)."""
     from otgen.density import ReducedGaussianDensity
     from otgen.transport import (ConditionNormalizer, Snapshot,
                                  SnapshotDataset, TrainConfig, compute_loss,
@@ -292,7 +293,13 @@ def _training_loss_gradients():
                       shear_modulus=0.3, dnn_hidden=(8, 8), dnn_fourier_m=2,
                       fnn_hidden=(8, 8), seed=4)
     model = init_model(ds, ConditionNormalizer("linear", 0.0, 1.0), cfg)
-    compute_loss(model, ds, cfg, epoch_seed=1, train_mode=True).tape.backward()
+    return model, compute_loss(model, ds, cfg, epoch_seed=1,
+                               train_mode=True).tape
+
+
+def _training_loss_gradients():
+    model, tape = _training_loss()
+    tape.backward()
     return [p.grad for p in model.parameters()]
 
 
@@ -308,14 +315,142 @@ def test_gradients_handed_over_without_copy_are_unchanged(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
-def test_parents_of_one_node_never_share_a_gradient_buffer():
+def test_parents_of_one_node_never_share_a_gradient_buffer(monkeypatch):
+    # backward releases interior gradients, so each buffer is kept here as
+    # it is accumulated
+    buffers = {}
+    accumulate = ad.Tensor._accumulate
+
+    def observed(self, g, owned=False):
+        accumulate(self, g, owned)
+        buffers[id(self)] = self.grad
+
+    monkeypatch.setattr(ad.Tensor, "_accumulate", observed)
     x = ad.parameter(np.ones((3, 2)))
     w = ad.parameter(np.full((4, 2), 0.5))
     b = ad.parameter(np.zeros(4))
     h = ad.dense(x, w, b, "softplus", 1.0)
     c = ad.parameter(np.ones((3, 4)))
     ad.tsum(ad.add(h, c)).backward()
-    assert not np.shares_memory(h.grad, c.grad)
+    assert not np.shares_memory(buffers[id(h)], buffers[id(c)])
     a, b2 = ad.parameter(np.ones(3)), ad.parameter(np.ones(3))
     ad.tsum(ad.add(a, b2)).backward()
-    assert not np.shares_memory(a.grad, b2.grad)
+    assert not np.shares_memory(buffers[id(a)], buffers[id(b2)])
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    model, tape = _training_loss()
+    tape.backward()
+    assert all(p.grad is not None for p in model.parameters())
+    seen, stack, interior = {id(tape)}, [tape], 0
+    while stack:
+        node = stack.pop()
+        if node._parents:
+            interior += 1
+            assert node.grad is None
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert interior > 50
+
+
+def _dense_mask_case(second):
+    """Inputs of a dense node: an [n, in] batch, or a jet with tangents."""
+    gen = rng.stream(17)
+    streams = 1 if second is None else 3 + second
+    x = rng.normal(gen, (5, 4) if second is None else (streams, 5, 4))
+    W, b = rng.normal(gen, (6, 4)), rng.normal(gen, 6)
+    mask = (rng.uniform(gen, (5, 6)) >= 0.3) / 0.7
+    r = rng.normal(gen, x.shape[:-1] + (6,))
+    return x, W, b, mask, r, second or 0
+
+
+@pytest.mark.parametrize("second", [None, 0, 2], ids=["batch", "jet",
+                                                      "jet-second-order"])
+@pytest.mark.parametrize("activation,param", [("softplus", 10.0),
+                                              ("selu", 0.0)])
+def test_dense_mask_is_the_mul_node_it_replaced(second, activation, param):
+    x, W, b, mask, r, second = _dense_mask_case(second)
+    runs = []
+    for fold in (True, False):
+        h, w, bias = ad.parameter(x), ad.parameter(W), ad.parameter(b)
+        if fold:
+            out = ad.dense(h, w, bias, activation, param, second, mask=mask)
+        else:
+            out = ad.mul(ad.dense(h, w, bias, activation, param, second),
+                         ad.Tensor(mask))
+        ad.tsum(ad.mul(out, r)).backward()
+        runs.append([out.value, h.grad, w.grad, bias.grad])
+    for folded, composed in zip(*runs):
+        assert _same_bytes(folded, composed)
+
+
+# -- activation helpers against their branchwise forms -----------------------
+
+def _softplus_derivs_where(x, beta, order):
+    """The masked-select softplus helper the arithmetic one replaced."""
+    z = beta * x
+    ez = np.exp(-np.abs(z))
+    d = [(np.maximum(z, 0.0) + np.log1p(ez)) / beta]
+    if order >= 1:
+        s = 1.0 / (1.0 + ez)
+        d.append(np.where(z >= 0.0, s, 1.0 - s))
+    if order >= 2:
+        q = ez * s * s
+        d.append(beta * q)
+    if order >= 3:
+        d.append(beta * beta * q * np.where(z >= 0.0, ez - 1.0, 1.0 - ez) * s)
+    return d
+
+
+def _selu_derivs_where(x, order):
+    """The masked-select SELU helper the arithmetic one replaced."""
+    pos = x > 0.0
+    expx = ad.SELU_ALPHA * np.exp(np.minimum(x, 0.0))
+    d = [ad.SELU_LAMBDA * np.where(pos, x, expx - ad.SELU_ALPHA)]
+    if order >= 1:
+        d.append(ad.SELU_LAMBDA * np.where(pos, 1.0, expx))
+    if order >= 2:
+        d.append(ad.SELU_LAMBDA * np.where(pos, 0.0, expx))
+    if order >= 3:
+        d.append(d[2])
+    return d
+
+
+def _edge_inputs():
+    special = [0.0, 5e-324, 2.2e-308, 1e308, np.inf, 37.0]
+    x = [s * sign for s in special for sign in (1.0, -1.0)]
+    x += [709.0, -745.0, np.nan, -np.nan]
+    gen = rng.stream(41)
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 800.0):
+        x.extend(scale * rng.normal(gen, 200))
+    return np.array(x)
+
+
+def _same_bytes(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 10.0])
+def test_softplus_derivs_match_branchwise_form_bit_for_bit(order, beta):
+    x = _edge_inputs()
+    with np.errstate(all="ignore"):
+        got = ad._softplus_derivs(x, beta, order)
+        want = _softplus_derivs_where(x, beta, order)
+    assert len(got) == len(want) == order + 1
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert _same_bytes(g, w), f"derivative {k}"
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_selu_derivs_match_branchwise_form_bit_for_bit(order):
+    x = _edge_inputs()
+    with np.errstate(all="ignore"):
+        got = ad._selu_derivs(x, order)
+        want = _selu_derivs_where(x, order)
+    assert len(got) == len(want) == order + 1
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert _same_bytes(g, w), f"derivative {k}"

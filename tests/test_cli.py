@@ -199,7 +199,9 @@ class TestSynthCommand:
         ('{"zzz": 1}', "unknown curves param 'zzz'"),
         ('{"a": "x"}', "curves param 'a' must be a finite number"),
         ('{"n_points": 2.5}', "curves param 'n_points' must be an integer"),
-    ], ids=["not-an-object", "unknown-key", "not-a-number", "fractional-count"])
+        ("{bad", "error: --params is not JSON: "),
+    ], ids=["not-an-object", "unknown-key", "not-a-number", "fractional-count",
+            "not-json"])
     def test_bad_params_is_validation_exit(self, tmp_path, capsys, params,
                                            message):
         code = run_cli("--out-dir", str(tmp_path / "fx"), "synth",
@@ -484,6 +486,21 @@ class TestInputValidation:
         path.write_text("not json\n")
         assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
         assert f"{path}: {what} is not JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,text,what", [
+        (["generate", "--target", "1.0", "--model"], "[1]",
+         "malformed model document"),
+        (["generate", "--target", "1.0", "--model"], '{"version": 99}',
+         "malformed model document"),
+        (["sample-pfode", "--n", "10", "--score"], '{"version": 2}',
+         "malformed weight document"),
+    ], ids=["model-not-an-object", "model-version", "score-no-layers"])
+    def test_malformed_document_names_its_file(self, tmp_path, capsys, argv,
+                                               text, what):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
+        assert f"error: {what} {path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_config_not_an_object_is_validation_exit(self, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,21 @@ class TestTraining:
             epochs=epochs, n_samples=64, n_samples_pde=16, n_collocation=5,
             dnn_hidden=(16, 16), dnn_fourier_m=3, fnn_hidden=(16,),
             fnn_dropout=0.0, auto_rescale_weights=True, seed=seed)
+
+    def test_default_nets_train_within_memory_bound(self):
+        # numpy reports its buffers to tracemalloc, so the peak is a byte
+        # count, not a sample of the resident set; the bound is the measured
+        # 57.0 MB plus 10 %. A tape that keeps its layers' values, every
+        # interior gradient and a node per dropout mask peaks at 74.9 MB.
+        cfg = TrainConfig(epochs=2, n_samples=64, n_samples_pde=16,
+                          n_collocation=5, auto_rescale_weights=True)
+        tracemalloc.start()
+        try:
+            train(self.small_dataset(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 57.0e6
 
     def test_zero_epochs_returns_initial_model(self):
         ds = self.small_dataset()
