@@ -199,7 +199,7 @@ def cmd_baseline(args) -> int:
     snapshots = dataio.ingest_curves(args.data)
     grid, curves = common_grid(snapshots, args.grid_points)
     conds = np.array([s.condition_raw for s in snapshots])
-    mean, std = fpca_gpr.fit_predict_baseline(grid, curves, conds, args.target)
+    mean, std = fpca_gpr.fit_predict_baseline(curves, conds, args.target)
     dataio.write_table(args.out, ["strain", "mean", "std"], zip(grid, mean, std))
     print(f"baseline prediction written to {args.out}")
     return EXIT_OK
@@ -210,7 +210,14 @@ def cmd_sample_pfode(args) -> int:
     from .pfode import VeSchedule, gaussian_score, sample_chains, trained_score
     schedule = VeSchedule(args.sigma_min, args.sigma_max)
     if args.score.startswith("gaussian:"):
-        std = float(args.score.split(":", 1)[1])
+        text = args.score.split(":", 1)[1]
+        try:
+            std = float(text)
+        except ValueError:
+            std = float("nan")
+        if not (np.isfinite(std) and std > 0):
+            raise ValueError("--score gaussian:<std> needs a finite positive "
+                             f"std, not {text!r}")
         score = gaussian_score(std, schedule)
         dim = args.dim
     else:
@@ -271,7 +278,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StageError, TrainingDivergence, ValueError, OSError) as e:
+    except (StageError, TrainingDivergence, ValueError, OSError,
+            FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         cause = e.cause if isinstance(e, StageError) else e
         if isinstance(cause, TrainingDivergence):

@@ -21,7 +21,7 @@ import numpy as np
 from . import dataio, fpca_gpr, svgplot
 from .density import (CurveSnapshot, GaussianCurveDensity,
                       ReducedGaussianDensity, field_to_samples)
-from .pca import fit_pca, project, reconstruct, subspace_residual
+from .pca import fit_pca, project, subspace_residual
 from .transport import (AffineScaler, ConditionNormalizer, Snapshot,
                         SnapshotDataset, TrainConfig, generate_density,
                         generate_mean, nrmse, train)
@@ -90,6 +90,10 @@ class RunConfig:
             raise ValueError("task must be 'curves' or 'fields'")
         if self.boundary_anchors < 2:
             raise ValueError("need at least the two endpoint anchors")
+        if self.grid_points < 2:
+            raise ValueError("grid_points must be at least 2")
+        if not isinstance(self.pca_d, int) or self.pca_d < 1:
+            raise ValueError("pca_d must be an integer of at least 1")
         if self.gen_samples < 1:
             raise ValueError("gen_samples must be at least 1")
 
@@ -148,6 +152,8 @@ def _anchor_indices(m, count):
 
 def common_grid(snapshots, points):
     """Strains spanning the range every curve covers, and each curve on them."""
+    if points < 2:
+        raise ValueError(f"a strain grid needs at least 2 points, not {points}")
     lo = max(s.strains[0] for s in snapshots)
     hi = min(s.strains[-1] for s in snapshots)
     if hi <= lo:
@@ -232,8 +238,8 @@ class CurveTask:
         dataio.write_curves(path, [CurveSnapshot(condition, curve)])
 
     def baseline(self, target_raw):
-        mean, _ = fpca_gpr.fit_predict_baseline(
-            self.grid, self.truths, np.array(self.conditions), target_raw)
+        mean, _ = fpca_gpr.fit_predict_baseline(self.truths, self.conditions,
+                                                target_raw)
         return np.column_stack([self.grid, mean])
 
     def plot(self, path, series, title):
@@ -263,13 +269,10 @@ class FieldTask:
         dataio.write_fields(path, [condition], field[None, :])
 
     def baseline(self, target_raw):
-        """GP regression of each reduced coordinate over the condition."""
-        coeffs = project(self.basis, self.truths)
-        pred = np.empty(self.basis.d)
-        for k in range(self.basis.d):
-            g = fpca_gpr.gpr_fit(self.conditions, coeffs[:, k])
-            pred[k], _ = fpca_gpr.gpr_predict(g, target_raw)
-        return reconstruct(self.basis, pred)
+        """The baseline in the training basis, so it compares like for like."""
+        mean, _ = fpca_gpr.fit_predict_baseline(self.truths, self.conditions,
+                                                target_raw, self.basis)
+        return mean
 
     def plot(self, path, series, title):
         idx = np.arange(len(series[0][1]), dtype=float)

@@ -1,10 +1,12 @@
-"""Curve regression baseline: functional PCA plus Gaussian-process regression.
+"""The regression baseline: PCA plus Gaussian-process regression.
 
-A set of curves sampled on a common strain grid is decomposed into
-orthonormal modes by SVD; each mode coefficient is regressed against the
-operating condition with a zero-mean GP under a squared-exponential
-kernel. Prediction at a new condition reconstructs the curve from the
-posterior coefficient means and propagates their variances pointwise.
+Training data, one row of values per operating condition (a curve on a
+common strain grid, or a field), is reduced by `pca.fit_pca`; each
+reduced coordinate is regressed against the condition with a zero-mean
+GP under a squared-exponential kernel. Prediction at a new condition
+reconstructs the values from the posterior coordinate means and
+propagates their variances pointwise. `fit_predict_baseline` is the one
+entry point for curves and fields alike.
 
 GP hyperparameters come from a fixed 20x20x20 log-spaced grid scored by
 log-marginal likelihood (Rasmussen & Williams 2006, ch. 5). The grid is
@@ -15,61 +17,11 @@ factoring each candidate on its own.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pca import _fix_signs
-
-
-@dataclass(frozen=True)
-class FpcaModel:
-    """Orthonormal curve modes and per-curve coefficients.
-
-    Y[:, i] ~ column_mean + sum_k coefficients[i, k] * modes[k].
-    """
-
-    strain_grid: np.ndarray
-    modes: np.ndarray          # [r, m]
-    coefficients: np.ndarray   # [n_T, r]
-    column_mean: np.ndarray    # [m]
-    variance_ratio: np.ndarray
-
-
-def fit_fpca(strain_grid, Y, variance_threshold=0.99) -> FpcaModel:
-    """Decompose curve matrix Y [m, n_T] (one column per condition).
-
-    Retains the smallest mode count whose cumulative variance reaches the
-    threshold. If every curve is identical the decomposition is degenerate;
-    the documented rule is r = 1 with a uniform unit mode and zero
-    coefficients, so predictions return the shared curve.
-    """
-    strain_grid = np.asarray(strain_grid, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2:
-        raise ValueError("Y must be [m, n_T]")
-    m, n_T = Y.shape
-    if n_T < 2:
-        raise ValueError("need at least two curves")
-    if strain_grid.shape != (m,):
-        raise ValueError("grid length must match curve rows")
-    col_mean = Y.mean(axis=1)
-    Yc = Y - col_mean[:, None]
-    u, s, vt = np.linalg.svd(Yc, full_matrices=False)
-    total = float((s * s).sum())
-    if total == 0.0:
-        warnings.warn("all curves identical; returning a single trivial mode")
-        modes = np.full((1, m), 1.0 / math.sqrt(m))
-        return FpcaModel(strain_grid, modes, np.zeros((n_T, 1)),
-                         col_mean, np.array([0.0]))
-    ratio = (s * s) / total
-    r = int(np.searchsorted(np.cumsum(ratio), variance_threshold) + 1)
-    r = min(r, len(s))
-    modes = _fix_signs(u[:, :r].T)
-    coeffs = Yc.T @ modes.T  # [n_T, r]
-    return FpcaModel(strain_grid, modes, coeffs, col_mean, ratio[:r])
+from .pca import fit_pca, project, reconstruct
 
 
 # -- Gaussian process regression ---------------------------------------------
@@ -198,33 +150,19 @@ def gpr_predict(model: GprModel, T_star):
     return mean, var
 
 
-def predict_curve(fpca: FpcaModel, gprs: list[GprModel], T_star):
-    """Curve posterior at a new condition.
+def fit_predict_baseline(values, conditions, target, basis=None):
+    """Baseline prediction at condition `target`: (mean, pointwise std).
 
-    Returns (mean [m], pointwise std [m]); coefficient posteriors are
-    treated as independent, so variances propagate through squared modes.
+    `values` is [n_T, m], one row per training condition. Each coordinate
+    of `basis`, by default the PCA of `values` that keeps 99 % of the
+    variance, gets its own GP over the condition. Coordinate posteriors
+    are treated as independent, so variances propagate through the
+    squared components.
     """
-    if len(gprs) != fpca.modes.shape[0]:
-        raise ValueError("need one GPR per retained mode")
-    m = fpca.column_mean.copy()
-    var = np.zeros_like(m)
-    for k, g in enumerate(gprs):
-        mu_k, var_k = gpr_predict(g, T_star)
-        m = m + mu_k * fpca.modes[k]
-        var = var + var_k * fpca.modes[k] ** 2
-    return m, np.sqrt(var)
-
-
-def fit_predict_baseline(strain_grid, curves, conditions, target_condition,
-                         variance_threshold=0.99, hyper=None):
-    """End-to-end baseline: FPCA over training curves, GPR per mode, predict.
-
-    `curves` is [n_T, m] (row per condition). Returns (mean, std) on the
-    grid.
-    """
-    curves = np.asarray(curves, dtype=np.float64)
-    fpca = fit_fpca(strain_grid, curves.T, variance_threshold)
-    gprs = [gpr_fit(np.asarray(conditions, dtype=np.float64),
-                    fpca.coefficients[:, k], hyper=hyper)
-            for k in range(fpca.modes.shape[0])]
-    return predict_curve(fpca, gprs, target_condition)
+    if basis is None:
+        basis = fit_pca(values, 0.99)
+    coeffs = project(basis, values)
+    mean, var = np.empty(basis.d), np.empty(basis.d)
+    for k in range(basis.d):
+        mean[k], var[k] = gpr_predict(gpr_fit(conditions, coeffs[:, k]), target)
+    return reconstruct(basis, mean), np.sqrt(var @ basis.components ** 2)

@@ -43,34 +43,40 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pca(samples, d: int) -> PcaBasis:
-    """Top-d principal directions of the centered sample matrix [n, D]."""
+def fit_pca(samples, d: int | float) -> PcaBasis:
+    """Top principal directions of the centered sample matrix [n, D].
+
+    An integer d keeps d components. A fraction 0 < d < 1 keeps the fewest
+    whose explained-variance ratios sum to at least d, and one when every
+    row is the same.
+    """
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("samples must be [n, D]")
     n, D = X.shape
-    if d < 1 or d > min(n, D):
+    fraction = 0 < d < 1
+    if not fraction and (d < 1 or d > min(n, D)):
         raise ValueError(f"d must satisfy 1 <= d <= min(n, D) = {min(n, D)}")
-    if n <= d:
-        raise ValueError("need more samples than retained dimensions")
     mean = X.mean(axis=0)
     Xc = X - mean
     _, s, vt = np.linalg.svd(Xc, full_matrices=False)
     total = float((s * s).sum())
+    ratios = (s * s) / total if total else np.zeros(len(s))
+    if fraction:
+        d = 1 if total == 0.0 else min(
+            int(np.searchsorted(np.cumsum(ratios), d) + 1), len(s))
+    if n <= d:
+        raise ValueError("need more samples than retained dimensions")
     if total == 0.0:
         warnings.warn("degenerate sample set: all rows identical")
-        ratios = np.zeros(d)
-    else:
-        ratios = (s[:d] * s[:d]) / total
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
-    if rank < d:
+    elif (rank := int(np.sum(s > s[0] * 1e-12))) < d:
         warnings.warn(f"sample rank {rank} below requested d={d}; "
                       "trailing components span an arbitrary complement")
     return PcaBasis(
         data_mean=mean,
         components=_fix_signs(vt[:d]),
         singular_values=s[:d].copy(),
-        explained_variance_ratio=ratios,
+        explained_variance_ratio=ratios[:d],
     )
 
 

@@ -301,8 +301,10 @@ class TrainConfig:
             raise ValueError("loss weights must be nonnegative with positive sum")
         if self.n_collocation < 2:
             raise ValueError("need at least two collocation times")
-        if self.epochs < 0 or self.n_samples < 1:
-            raise ValueError("bad epoch/batch configuration")
+        if not isinstance(self.epochs, int) or self.epochs < 0:
+            raise ValueError("epochs must be a nonnegative integer")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
         if self.n_samples_pde < 1:
             raise ValueError("n_samples_pde must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -311,6 +313,16 @@ class TrainConfig:
             raise ValueError("shear modulus must be nonnegative")
         if self.checkpoint not in ("best", "last"):
             raise ValueError("checkpoint policy must be 'best' or 'last'")
+        for key in ("dnn_activation", "fnn_activation"):
+            if getattr(self, key) not in nn.ACTIVATIONS:
+                raise ValueError(f"{key} must be one of {nn.ACTIVATIONS}")
+        for key in ("dnn_hidden", "fnn_hidden"):
+            if not all(isinstance(w, int) and w >= 1 for w in getattr(self, key)):
+                raise ValueError(f"{key} widths must be integers >= 1")
+        if not isinstance(self.dnn_fourier_m, int) or self.dnn_fourier_m < 0:
+            raise ValueError("dnn_fourier_m must be a nonnegative integer")
+        if not 0.0 <= self.fnn_dropout < 1.0:
+            raise ValueError("fnn_dropout must be in [0, 1)")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":

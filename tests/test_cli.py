@@ -146,6 +146,18 @@ class TestBaselineCommand:
         assert lines[0] == "strain,mean,std"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_grid_points_is_validation_exit(self, tmp_path, capsys,
+                                                     points):
+        paths = synth_fixture("curves", tmp_path, seed=4,
+                              taus=[0.0, 0.25, 0.5, 0.75])
+        out = tmp_path / "pred.csv"
+        code = run_cli("baseline", "--data", paths["train"], "--target", "1.0",
+                       "--out", str(out), "--grid-points", points)
+        assert code == cli.EXIT_VALIDATION
+        assert f"at least 2 points, not {points}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSamplePfodeCommand:
     def test_gaussian_score_samples(self, tmp_path, capsys):
@@ -156,6 +168,16 @@ class TestSamplePfodeCommand:
         rows = np.loadtxt(out, skiprows=1)
         assert rows.shape == (200,)
         assert 0.5 < rows.std() < 1.5
+
+    @pytest.mark.parametrize("std", ["nan", "inf", "0", "-1", "wide"])
+    def test_bad_gaussian_std_is_validation_exit(self, tmp_path, capsys, std):
+        out = tmp_path / "s.csv"
+        code = run_cli("sample-pfode", "--score", f"gaussian:{std}",
+                       "--n", "10", "--steps", "5", "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert f"--score gaussian:<std> needs a finite positive std, not " \
+               f"'{std}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_weight_version_1_score_file(self, tmp_path, capsys):
         net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
@@ -307,6 +329,25 @@ class TestRunAndGenerateCommands:
              "training diverged at epoch 1; restoring best checkpoint")]
         model = dataio.load_model(tmp_path / "out" / "model.json")
         assert len(model.loss_history) == 1
+
+    def test_overflowing_model_generate_is_validation_exit(self, tmp_path,
+                                                          capsys):
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5])
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
+                                    {"train": dict(SMALL_TRAIN, epochs=2)})
+        assert run_cli("run", "--config", cfg_path) == cli.EXIT_OK
+        model = dataio.load_model(tmp_path / "out" / "model.json")
+        for p in model.parameters():
+            p.value *= 1e200
+        dataio.save_model(model, tmp_path / "big.json")
+        gen_out = tmp_path / "gen.csv"
+        with np.errstate(all="ignore"):   # numpy's own overflow warnings
+            code = run_cli("generate", "--model", str(tmp_path / "big.json"),
+                           "--target", "1.0", "--out", str(gen_out))
+        assert code == cli.EXIT_VALIDATION
+        assert "error: non-finite network output" in capsys.readouterr().err
+        assert not gen_out.exists()
 
     def test_missing_data_is_io_exit(self, tmp_path, capsys):
         cfg_path = write_run_config(tmp_path / "cfg.json",
@@ -464,8 +505,22 @@ class TestInputValidation:
         ({"train": dict(SMALL_TRAIN, n_samples_pde=0)}, "n_samples_pde"),
         ({"gen_samples": 0}, "gen_samples"),
         ({"train": dict(SMALL_TRAIN, colour=1)}, "colour"),
+        ({"train": dict(SMALL_TRAIN, dnn_activation="tanh")},
+         "dnn_activation must be one of"),
+        ({"train": dict(SMALL_TRAIN, fnn_activation="relu")},
+         "fnn_activation must be one of"),
+        ({"train": dict(SMALL_TRAIN, fnn_dropout=1.0)}, "fnn_dropout"),
+        ({"train": dict(SMALL_TRAIN, dnn_hidden=[0])}, "dnn_hidden"),
+        ({"train": dict(SMALL_TRAIN, dnn_fourier_m=-1)}, "dnn_fourier_m"),
+        ({"train": dict(SMALL_TRAIN, epochs=2.5)}, "epochs"),
+        ({"pca_d": 0.5}, "pca_d"),
+        ({"pca_d": 0}, "pca_d"),
+        ({"grid_points": 0}, "grid_points"),
     ], ids=["nan-learning-rate", "zero-learning-rate", "zero-n-samples-pde",
-            "zero-gen-samples", "unknown-key"])
+            "zero-gen-samples", "unknown-key", "unknown-dnn-activation",
+            "unknown-fnn-activation", "full-dropout", "zero-width-layer",
+            "negative-fourier-m", "fractional-epochs", "fractional-pca-d",
+            "zero-pca-d", "zero-grid-points"])
     def test_bad_config_exits_before_ingest(self, tmp_path, capsys, extra,
                                             message):
         # the data file is missing, so a check made at ingest or later

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from otgen import fpca_gpr, rng
-from otgen.fpca_gpr import (fit_fpca, fit_predict_baseline,
-                            gpr_fit, gpr_predict,
-                            predict_curve)
+from otgen.fpca_gpr import fit_predict_baseline, gpr_fit, gpr_predict
+from otgen.pca import fit_pca, project, reconstruct
 
 
 def make_rank1_family(n_T=5, m=30):
@@ -12,65 +11,79 @@ def make_rank1_family(n_T=5, m=30):
     mode = np.sin(np.pi * grid)
     mode /= np.linalg.norm(mode)
     alphas = np.linspace(-2.0, 2.0, n_T)
-    Y = 5.0 + np.outer(mode, alphas)  # [m, n_T]
-    return grid, Y, mode, alphas
+    values = 5.0 + np.outer(alphas, mode)  # [n_T, m]
+    return grid, values, mode, alphas
 
 
 class TestFpca:
+    """`fit_pca` with a variance fraction: the baseline's reduction."""
+
     def test_identical_curves_degenerate_rule(self):
-        grid = np.linspace(0, 1, 10)
-        Y = np.tile(np.linspace(1, 2, 10)[:, None], (1, 4))
-        with pytest.warns(UserWarning):
-            model = fit_fpca(grid, Y)
-        assert model.modes.shape[0] == 1
-        np.testing.assert_array_equal(model.coefficients, np.zeros((4, 1)))
-        mean, std = predict_curve(model, [gpr_fit([0., 1., 2., 3.],
-                                                  model.coefficients[:, 0])], 1.5)
-        np.testing.assert_allclose(mean, Y[:, 0], atol=1e-8)
+        values = np.tile(np.linspace(1, 2, 10), (4, 1))
+        with pytest.warns(UserWarning, match="all rows identical"):
+            basis = fit_pca(values, 0.99)
+        assert basis.d == 1
+        np.testing.assert_array_equal(project(basis, values), np.zeros((4, 1)))
+        with pytest.warns(UserWarning, match="all rows identical"):
+            mean, std = fit_predict_baseline(values, [0., 1., 2., 3.], 1.5)
+        np.testing.assert_allclose(mean, values[0], atol=1e-8)
+        assert np.all(std >= 0)
 
     def test_rank1_family_single_mode(self):
-        grid, Y, mode, alphas = make_rank1_family()
-        model = fit_fpca(grid, Y)
-        assert model.modes.shape[0] == 1
-        assert model.variance_ratio[0] == pytest.approx(1.0, abs=1e-10)
-        overlap = abs(model.modes[0] @ mode)
+        _, values, mode, _ = make_rank1_family()
+        basis = fit_pca(values, 0.99)
+        assert basis.d == 1
+        assert basis.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-10)
+        overlap = abs(basis.components[0] @ mode)
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_rank3_reconstruction_exact(self):
         gen = rng.stream(50)
-        grid = np.linspace(0, 1, 40)
-        basis = rng.normal(gen, (3, 40))
+        modes = rng.normal(gen, (3, 40))
         coeffs = rng.normal(gen, (6, 3)) * np.array([5.0, 2.0, 1.0])
-        Y = (coeffs @ basis).T + 3.0
-        model = fit_fpca(grid, Y, variance_threshold=0.999999)
-        assert model.modes.shape[0] == 3
-        for i in range(6):
-            rec = model.column_mean + model.coefficients[i] @ model.modes
-            np.testing.assert_allclose(rec, Y[:, i], atol=1e-8)
+        values = coeffs @ modes + 3.0
+        basis = fit_pca(values, 0.999999)
+        assert basis.d == 3
+        np.testing.assert_allclose(reconstruct(basis, project(basis, values)),
+                                   values, atol=1e-8)
 
     def test_modes_orthonormal(self):
         gen = rng.stream(51)
-        grid = np.linspace(0, 1, 25)
-        Y = rng.normal(gen, (25, 8))
-        model = fit_fpca(grid, Y, variance_threshold=0.999)
-        r = model.modes.shape[0]
-        np.testing.assert_allclose(model.modes @ model.modes.T, np.eye(r),
-                                   atol=1e-10)
+        basis = fit_pca(rng.normal(gen, (8, 25)), 0.999)
+        np.testing.assert_allclose(basis.components @ basis.components.T,
+                                   np.eye(basis.d), atol=1e-10)
 
     def test_reconstruction_error_nonincreasing_in_r(self):
         gen = rng.stream(52)
-        grid = np.linspace(0, 1, 30)
-        Y = rng.normal(gen, (30, 7)) * np.linspace(3, 0.3, 7)
-        errs = []
-        col_mean = Y.mean(axis=1)
-        Yc = Y - col_mean[:, None]
-        u, s, vt = np.linalg.svd(Yc, full_matrices=False)
-        for r in range(1, 7):
-            rec = u[:, :r] @ np.diag(s[:r]) @ vt[:r]
-            errs.append(float(((Yc - rec) ** 2).sum()))
+        values = rng.normal(gen, (7, 30)) * np.linspace(3, 0.3, 7)[:, None]
+        dims, errs = [], []
+        for fraction in (0.3, 0.5, 0.7, 0.9, 0.99, 0.999999):
+            basis = fit_pca(values, fraction)
+            rec = reconstruct(basis, project(basis, values))
+            dims.append(basis.d)
+            errs.append(float(((values - rec) ** 2).sum()))
+        assert dims == sorted(dims)
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-        # exact at full rank
-        assert errs[-1] < 1e-20 or len(s) > 6
+        # seven centred rows span six directions, all kept at the top
+        assert dims[-1] == 6 and errs[-1] < 1e-20
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8, 0.95, 0.99])
+    def test_fraction_keeps_fewest_components_reaching_it(self, fraction):
+        gen = rng.stream(53)
+        values = rng.normal(gen, (9, 20)) * np.linspace(4, 0.2, 20)
+        ratios = fit_pca(values, 8).explained_variance_ratio
+        d = int(np.argmax(np.cumsum(ratios) >= fraction)) + 1
+        basis = fit_pca(values, fraction)
+        assert basis.d == d
+        assert ratios[:d - 1].sum() < fraction <= ratios[:d].sum()
+        # the fraction form is the integer form at the chosen d, bit for bit
+        fixed = fit_pca(values, d)
+        for a, b in zip(vars(basis).values(), vars(fixed).values()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_single_row_rejected(self):
+        with pytest.raises(ValueError, match="more samples"):
+            fit_pca(np.ones((1, 5)), 0.99)
 
 
 class TestGpr:
@@ -157,41 +170,58 @@ class TestGpr:
 
 
 class TestPredictCurve:
+    """`fit_predict_baseline`: the one baseline path for curves and fields."""
+
     def test_reproduces_training_curve_noiseless(self):
-        grid, Y, _, alphas = make_rank1_family()
-        model = fit_fpca(grid, Y)
-        conditions = np.linspace(0.0, 4.0, Y.shape[1])
-        gprs = [gpr_fit(conditions, model.coefficients[:, k], hyper=(1.0, 10.0, 1e-10))
-                for k in range(model.modes.shape[0])]
-        mean, std = predict_curve(model, gprs, conditions[2])
-        np.testing.assert_allclose(mean, Y[:, 2], atol=1e-6)
+        _, values, _, _ = make_rank1_family()
+        conditions = np.linspace(0.0, 4.0, len(values))
+        mean, std = fit_predict_baseline(values, conditions, conditions[2])
+        np.testing.assert_allclose(mean, values[2], atol=1e-6)
         assert np.all(std >= 0)
 
-    def test_mode_count_mismatch(self):
-        grid, Y, _, _ = make_rank1_family()
-        model = fit_fpca(grid, Y)
-        with pytest.raises(ValueError):
-            predict_curve(model, [], 1.0)
+    def test_basis_dimension_mismatch(self):
+        _, values, _, _ = make_rank1_family()
+        basis = fit_pca(values[:, :-1], 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fit_predict_baseline(values, np.arange(5.0), 1.0, basis)
 
     def test_linearity_in_coefficients(self):
-        grid, Y, mode, _ = make_rank1_family()
-        model = fit_fpca(grid, Y)
-        g = gpr_fit([0., 1., 2., 3., 4.], model.coefficients[:, 0],
-                    hyper=(1.0, 10.0, 1e-8))
-        m1, _ = predict_curve(model, [g], 1.0)
-        m2, _ = predict_curve(model, [g], 3.0)
+        _, values, _, _ = make_rank1_family()
+        conditions = np.arange(5.0)
+        basis = fit_pca(values, 0.99)
+        g = gpr_fit(conditions, project(basis, values)[:, 0])
+        m1, _ = fit_predict_baseline(values, conditions, 1.0)
+        m2, _ = fit_predict_baseline(values, conditions, 3.0)
         a1, _ = gpr_predict(g, 1.0)
         a2, _ = gpr_predict(g, 3.0)
-        np.testing.assert_allclose(m2 - m1, (a2 - a1) * model.modes[0], atol=1e-10)
+        np.testing.assert_allclose(m2 - m1, (a2 - a1) * basis.components[0],
+                                   atol=1e-10)
 
     def test_extrapolation_bias_reported_not_asserted(self):
         # linear-in-T coefficients: GPR extrapolates with prior reversion;
         # record the bias just to confirm the pipeline runs end to end
-        grid, Y, _, _ = make_rank1_family()
+        grid, values, _, _ = make_rank1_family()
         conditions = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        mean, std = fit_predict_baseline(grid, Y.T, conditions, 1.5)
-        assert mean.shape == grid.shape
+        mean, std = fit_predict_baseline(values, conditions, 1.5)
+        assert mean.shape == std.shape == grid.shape
         assert np.all(np.isfinite(mean)) and np.all(std >= 0)
+
+    def test_given_basis_matches_per_coordinate_loop(self):
+        # the field baseline's former hand loop, kept as a bit-for-bit oracle
+        gen = rng.stream(54)
+        fields = rng.normal(gen, (7, 60)) * np.linspace(5, 0.1, 60) + 2.0
+        conditions = np.linspace(100.0, 400.0, 7)
+        basis = fit_pca(np.vstack([fields, fields + rng.normal(gen, (7, 60))]),
+                        4)
+        coeffs = project(basis, fields)
+        pred, var = np.empty(basis.d), np.zeros(basis.D)
+        for k in range(basis.d):
+            pred[k], var_k = gpr_predict(gpr_fit(conditions, coeffs[:, k]),
+                                         500.0)
+            var = var + var_k * basis.components[k] ** 2
+        mean, std = fit_predict_baseline(fields, conditions, 500.0, basis)
+        np.testing.assert_array_equal(mean, reconstruct(basis, pred))
+        np.testing.assert_allclose(std, np.sqrt(var), rtol=1e-12)
 
 
 def _grid_search_oracle(T, a):
@@ -279,5 +309,8 @@ class TestGridSearch:
             gpr_fit([0.0, 1.0, 2.0], [1.0, bad, 3.0], hyper=(1.0, 1.0, 0.1))
 
     def test_overflowing_variance_raises_lin_alg_error(self):
-        with pytest.raises(np.linalg.LinAlgError):
+        # the target variance overflows to inf, and inf * 0 in the noise
+        # grid gives NaN, on the way
+        with pytest.raises(np.linalg.LinAlgError), \
+                pytest.warns(RuntimeWarning):
             gpr_fit([0.0, 1.0], [1e200, -1e200])
