@@ -26,7 +26,6 @@ class CurveSnapshot:
 
     condition_raw: float
     points: np.ndarray  # [n, 2] strain, stress
-    unit: str = "dimensionless"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)

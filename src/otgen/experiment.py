@@ -23,8 +23,8 @@ from .density import (CurveSnapshot, GaussianCurveDensity,
                       ReducedGaussianDensity, field_to_samples)
 from .pca import fit_pca, project, subspace_residual
 from .transport import (AffineScaler, ConditionNormalizer, Snapshot,
-                        SnapshotDataset, TrainConfig, generate_density,
-                        generate_mean, nrmse, train)
+                        SnapshotDataset, TrainConfig, check_config_numbers,
+                        generate_density, generate_mean, nrmse, train)
 
 
 class StageError(RuntimeError):
@@ -46,7 +46,8 @@ class RunConfig:
                     it is the largest condition)
     reference       optional CSV with the held-out truth for scoring
     time_mode       "linear" or "log10" condition normalization
-    unit            condition unit tag carried into reports
+    unit            condition unit tag, kept in run_meta.json and the saved
+                    model's normalizer
     sigma_frac      stress noise scale as a fraction of each snapshot's
                     stress range (curves)
     reduced_sigma   isotropic density std in normalized reduced space (fields)
@@ -88,14 +89,9 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in ("curves", "fields"):
             raise ValueError("task must be 'curves' or 'fields'")
-        if self.boundary_anchors < 2:
-            raise ValueError("need at least the two endpoint anchors")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        if not isinstance(self.pca_d, int) or self.pca_d < 1:
-            raise ValueError("pca_d must be an integer of at least 1")
-        if self.gen_samples < 1:
-            raise ValueError("gen_samples must be at least 1")
+        check_config_numbers(self, dict(
+            pca_d=1, pca_samples=1, grid_points=2, boundary_anchors=2,
+            gen_samples=1))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

@@ -14,14 +14,13 @@ trend; set d = 0 for the purely linear curve family.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, rng
 from .density import CurveSnapshot
+from .transport import check_number
 
 CURVE_DEFAULTS = dict(a=40.0, b=10.0, c=8.0, d=15.0, strain_max=0.5, n_points=40)
 FIELD_DEFAULTS = dict(D=500, base_scale=1.0, mode_scale=0.6)
@@ -65,21 +64,18 @@ def _family_params(kind, params) -> dict:
             raise ValueError(f"unknown {kind} param {key!r}; known: "
                              f"{', '.join(defaults)}")
         count = isinstance(defaults[key], int)  # n_points, D
-        if isinstance(value, bool) or not (
-                isinstance(value, numbers.Integral) and value >= 1 if count
-                else isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-            raise ValueError(f"{kind} param {key!r} must be "
-                             f"{'an integer >= 1' if count else 'a finite number'}"
-                             f"; got {value!r}")
+        check_number(f"{kind} param {key!r}", value, count,
+                     1 if count else None)
     return {**defaults, **params}
 
 
-def synth_fixture(kind, out_dir, seed=0, taus=None, target_tau=1.0, params=None):
+def synth_fixture(kind, out_dir, seed=0, taus=None, params=None):
     """Write a synthetic dataset plus its analytic held-out target.
 
     Returns a dict of written paths: train, target, meta. `taus` defaults
-    to five training conditions 0, 0.2, ..., 0.8.
+    to five training conditions 0, 0.2, ..., 0.8; the target is at 1.
     """
+    target_tau = 1.0
     p = _family_params(kind, {} if params is None else params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FD_STEP = 1e-5  # central-difference step for metrics without derivatives
+
 
 class MetricSingularityError(RuntimeError):
     """Metric stopped being usable (singular or outside its domain)."""
@@ -28,14 +30,13 @@ class MetricField:
     `metric_fn(x) -> [N, N]` must return symmetric positive-definite
     matrices. `deriv_fn(x) -> [N, N, N]`, when provided, returns analytic
     derivatives with deriv[k][i][j] = d g_ij / d x^k; otherwise central
-    finite differences with step `fd_step` are used.
+    finite differences with step FD_STEP are used.
     """
 
-    def __init__(self, dim, metric_fn, deriv_fn=None, fd_step=1e-5, name="custom"):
+    def __init__(self, dim, metric_fn, deriv_fn=None, name="custom"):
         self.dim = int(dim)
         self._metric_fn = metric_fn
         self._deriv_fn = deriv_fn
-        self.fd_step = float(fd_step)
         self.name = name
 
     def g(self, x) -> np.ndarray:
@@ -62,7 +63,7 @@ class MetricField:
             if d.shape != (self.dim,) * 3:
                 raise ValueError("derivative function returned wrong shape")
             return d
-        h = self.fd_step
+        h = FD_STEP
         out = np.empty((self.dim, self.dim, self.dim))
         for k in range(self.dim):
             e = np.zeros(self.dim)
@@ -168,19 +169,17 @@ class GeodesicTrajectory:
 
 
 def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
-                       G=0.0, g0=None, domain_guard=None) -> GeodesicTrajectory:
+                       G=0.0, g0=None) -> GeodesicTrajectory:
     """Classic fourth-order Runge-Kutta on (position, velocity).
 
-    `domain_guard(x) -> bool`, when given, aborts integration once the
-    position leaves the metric's domain; the partial trajectory computed so
-    far is returned with `complete=False`.
+    Integration stops once the metric turns singular or, for the Lobachevsky
+    metric, once x2 falls to 1e-9; the partial trajectory computed so far is
+    returned with `complete=False`.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     x = np.asarray(x0, dtype=np.float64).copy()
     v = np.asarray(v0, dtype=np.float64).copy()
-    if metric.name == "lobachevsky" and domain_guard is None:
-        domain_guard = lambda p: p[1] > 1e-9
     h = float(t_end) / steps
     times = np.linspace(0.0, float(t_end), steps + 1)
     xs = np.empty((steps + 1, metric.dim))
@@ -201,7 +200,7 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
                                       complete=False)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if domain_guard is not None and not domain_guard(x):
+        if metric.name == "lobachevsky" and not x[1] > 1e-9:
             return GeodesicTrajectory(times[:s + 1], xs[:s + 1], vs[:s + 1],
                                       complete=False)
         xs[s + 1], vs[s + 1] = x, v

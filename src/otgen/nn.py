@@ -42,8 +42,8 @@ class Layer:
 class Mlp:
     """Dense feed-forward network over tape tensors.
 
-    Evaluation mode is a pure deterministic function of the input; training
-    mode applies inverted dropout with masks drawn from the call seed.
+    Without a dropout seed a pass is a pure function of the input; with one
+    it applies inverted dropout with masks drawn from that seed.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -68,14 +68,14 @@ class Mlp:
             out.extend([layer.weight, layer.bias])
         return out
 
-    def forward(self, x, mode="eval", seed=0, second=0):
+    def forward(self, x, dropout_seed=None, second=0):
         """Apply the network to `x`: a batch [n, in] or [in], or a jet.
 
         A jet [S, n, in] carries tangent and `second` second-order streams
-        through every layer (layout in `autodiff`); dropout masks are drawn
-        per value and shared by all streams. Raises if the result stops
-        being finite, which signals exploded weights rather than a
-        recoverable condition.
+        through every layer (layout in `autodiff`). With `dropout_seed`, the
+        dropout masks are drawn per value and shared by all streams. Raises
+        if the result stops being finite, which signals exploded weights
+        rather than a recoverable condition.
         """
         h = ad.constant(x)
         if h.value.shape[-1] != self.in_dim:
@@ -86,8 +86,8 @@ class Mlp:
             param = (layer.activation_param
                      or _DEFAULT_PARAM.get(layer.activation, 0.0))
             mask = None
-            if layer.dropout > 0.0 and mode == "train":
-                gen = rng.stream(seed, i, 0xD0)
+            if layer.dropout > 0.0 and dropout_seed is not None:
+                gen = rng.stream(dropout_seed, i, 0xD0)
                 rows = (h.value.shape[1:-1] if h.value.ndim == 3
                         else h.value.shape[:-1])
                 u = rng.uniform(gen, rows + (layer.weight.value.shape[0],))
@@ -131,11 +131,11 @@ class FourierFeatureEmbedding:
         return ad.sincos_features(x, self.spectral_weights, self.scale, second)
 
 
-def forward(net: Mlp, embedding, x, mode="eval", seed=0, second=0):
-    """Network forward pass with an optional feature embedding in front."""
+def forward(net: Mlp, embedding, x, second=0):
+    """Dropout-free pass through `embedding` (when given), then `net`."""
     if embedding is not None:
         x = embedding.apply(x, second)
-    return net.forward(x, mode=mode, seed=seed, second=second)
+    return net.forward(x, second=second)
 
 
 # -- construction ----------------------------------------------------------

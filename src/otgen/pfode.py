@@ -12,12 +12,12 @@ the central-difference recursion
 
     u(t - dt) = 2 u(t) - u(t + dt) + dt/2 * (v(t + dt) - v(t - dt)),
 
-resolving the implicit velocity at t - dt with an Euler predictor plus a
-few fixed-point sweeps of the corrector, and starting from a trapezoidal
-first step (the recursion needs two known levels, and a lower-order start
-would feed a spurious drift mode). The total displacement accumulated over
-the pass is the amount the noise moved to become the sample: the output is
-x_init minus that accumulated displacement.
+resolving the implicit velocity at t - dt with an Euler predictor plus
+CORRECTOR_SWEEPS fixed-point sweeps of the corrector, and starting from a
+trapezoidal first step (the recursion needs two known levels, and a
+lower-order start would feed a spurious drift mode). The displacement
+accumulated over the pass is the amount the noise moved to become the
+sample: the output is x_init minus it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import numpy as np
 
 from . import rng
 from .nn import Mlp
+
+CORRECTOR_SWEEPS = 3  # fixed-point sweeps per reverse step
 
 
 @dataclass
@@ -170,16 +172,16 @@ def sample_euler(score: ScoreFunction, schedule: VeSchedule, x_init,
 
 
 def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
-                        n_steps=100, eps=None, corrector_sweeps=3) -> np.ndarray:
+                        n_steps=100, eps=None) -> np.ndarray:
     """Second-order reverse pass from noise x_init to a sample at t = eps.
 
     Displacement u(t) = x(t) - x_init obeys du/dt = v; its second
     difference is closed with the central velocity difference (see module
     docstring). The velocity at the unknown earlier level is resolved by an
-    Euler predictor followed by a few fixed-point sweeps of the corrector:
-    the two-level recursion telescopes into trapezoid steps once the
-    velocities are self-consistent, which keeps the parasitic mode of the
-    second difference unexcited. Deterministic given x_init.
+    Euler predictor followed by CORRECTOR_SWEEPS fixed-point sweeps of the
+    corrector: the two-level recursion telescopes into trapezoid steps once
+    the velocities are self-consistent, which keeps the parasitic mode of
+    the second difference unexcited. Deterministic given x_init.
     """
     x_init = np.asarray(x_init, dtype=np.float64)
     t_f = schedule.t_final
@@ -198,7 +200,7 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
     v_prev = pf_velocity(score, x_init, times[0], schedule)
     v_next = pf_velocity(score, x_init - dt * v_prev, times[1], schedule)
     u_cur = u_prev
-    for _ in range(corrector_sweeps):
+    for _ in range(CORRECTOR_SWEEPS):
         u_cur = u_prev - 0.5 * dt * (v_prev + v_next)
         v_next = pf_velocity(score, x_init + u_cur, times[1], schedule)
     u_cur = u_prev - 0.5 * dt * (v_prev + v_next)
@@ -208,7 +210,7 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
         v_cur = pf_velocity(score, x_cur, times[k], schedule)
         v_next = pf_velocity(score, x_cur - dt * v_cur, times[k + 1], schedule)
         u_next = u_cur
-        for _ in range(corrector_sweeps):
+        for _ in range(CORRECTOR_SWEEPS):
             u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
             v_next = pf_velocity(score, x_init + u_next, times[k + 1], schedule)
         u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)

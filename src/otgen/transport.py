@@ -1,7 +1,8 @@
 """Learned time-indexed transport of probability densities.
 
 An operating condition (temperature, log strain rate, impact speed) is
-normalized to a pseudo-time t in [0, 1]. A displacement network u(X, t)
+normalized to a pseudo-time t in [0, 1]; any other time (beyond TIME_TOL)
+or NaN given to a network raises ValueError. A displacement network u(X, t)
 moves points of the reference (t = 0) distribution; a body-force network
 F_b(x, t) models the acceleration field those trajectories obey. Training
 minimizes three terms:
@@ -22,8 +23,10 @@ and reweights densities by 1/J.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from . import rng
 from .density import GaussianCurveDensity
 from .pca import reconstruct
 
-TIME_GUARD = (-0.05, 1.05)
+TIME_TOL = 1e-12  # rounding slack of the pseudo-time range [0, 1]
 
 # a particle whose volume change J is at most this counts as folded (J <= 0)
 J_MIN = 1e-12
@@ -41,6 +44,9 @@ J_MIN = 1e-12
 # rows per jet evaluation when generating: bounds the working set of the
 # stacked streams (1 + dim of them) for large particle counts
 JET_BLOCK_ROWS = 2048
+
+# numpy's overflow warnings are off: the finite checks report a blow-up once
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class TrainingDivergence(RuntimeError):
@@ -71,7 +77,7 @@ class ConditionNormalizer:
             raise ValueError("log10 mode needs raw_min > 0")
 
     def normalize(self, raw: float) -> float:
-        if raw < self.raw_min or raw > self.raw_max:
+        if not self.raw_min <= raw <= self.raw_max:
             raise ValueError(f"condition {raw} outside [{self.raw_min}, {self.raw_max}]")
         if self.mode == "linear":
             return (raw - self.raw_min) / (self.raw_max - self.raw_min)
@@ -131,7 +137,7 @@ class DisplacementField:
 
     def u(self, X, t) -> ad.Tensor:
         """Displacement at points X [n, dim] and time(s) t (scalar or [n])."""
-        out = nn.forward(self.net, self.embedding, _inputs(X, t), mode="eval")
+        out = nn.forward(self.net, self.embedding, _inputs(X, t))
         return ad.mul(out, self.output_scales)
 
     def jet(self, X, t, wrt="space", laplacian=False):
@@ -142,7 +148,6 @@ class DisplacementField:
         wrt="time": (u, d2u/dt2), and the Laplacian sum_b d2u/dX_b^2 as a
         third entry when `laplacian` is set. All entries are tape tensors.
         """
-        _check_time(t)
         inp = _inputs(X, t)
         n, dim = inp.shape[0], self.dim
         if wrt == "space":
@@ -175,13 +180,20 @@ class DisplacementField:
 def _inputs(X, t) -> np.ndarray:
     """Network input rows [X, t] for points X [n, dim] (or [dim])."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    tcol = np.broadcast_to(
-        np.asarray(t, dtype=np.float64).reshape(-1, 1), (X.shape[0], 1))
+    tcol = np.broadcast_to(_pseudo_time(t).reshape(-1, 1), (X.shape[0], 1))
     return np.concatenate([X, tcol], axis=1)
 
 
+def _pseudo_time(t) -> np.ndarray:
+    """t as an array; ValueError unless every entry is in [0, 1], not NaN."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t >= -TIME_TOL) & (t <= 1.0 + TIME_TOL)):
+        raise ValueError(f"pseudo-time must be finite and in [0, 1]; got {t}")
+    return t
+
+
 class BodyForceField:
-    """F_b(x, t) network; dropout is active only in training mode."""
+    """F_b(x, t) network; dropout is active only under a dropout seed."""
 
     def __init__(self, dim, net: nn.Mlp):
         self.dim = int(dim)
@@ -192,11 +204,11 @@ class BodyForceField:
     def parameters(self) -> list[ad.Tensor]:
         return self.net.parameters()
 
-    def force(self, x: ad.Tensor, t, mode="eval", seed=0) -> ad.Tensor:
-        tcol = np.broadcast_to(
-            np.asarray(t, dtype=np.float64).reshape(-1, 1), (x.value.shape[0], 1))
+    def force(self, x: ad.Tensor, t, dropout_seed=None) -> ad.Tensor:
+        tcol = np.broadcast_to(_pseudo_time(t).reshape(-1, 1),
+                               (x.value.shape[0], 1))
         inp = ad.concat([x, ad.constant(tcol)], axis=-1)
-        return self.net.forward(inp, mode=mode, seed=seed)
+        return self.net.forward(inp, dropout_seed)
 
 
 def make_displacement_field(dim, hidden, fourier_m, activation,
@@ -242,8 +254,7 @@ class SnapshotDataset:
         if len(snapshots) < 2:
             raise ValueError("transport needs at least two distinct pseudo-times")
         for s in snapshots:
-            if not np.isfinite(s.t_norm):
-                raise ValueError(f"pseudo-time {s.t_norm} is not finite")
+            _pseudo_time(s.t_norm)
             if s.boundary_pairs is not None and not all(
                     np.all(np.isfinite(p)) for p in s.boundary_pairs):
                 raise ValueError(f"non-finite boundary pair at t = {s.t_norm}")
@@ -251,10 +262,8 @@ class SnapshotDataset:
         ts = [s.t_norm for s in snaps]
         if len(set(ts)) != len(ts):
             raise ValueError("pseudo-times must be distinct")
-        if abs(ts[0]) > 1e-12:
+        if ts[0] > TIME_TOL:
             raise ValueError("a reference snapshot at t = 0 is required")
-        if ts[-1] > 1.0 + 1e-12:
-            raise ValueError("pseudo-times must lie in [0, 1]")
         self.snapshots = snaps
 
     @property
@@ -270,6 +279,27 @@ class SnapshotDataset:
 
 
 # -- config and model -----------------------------------------------------------
+
+def check_number(name, value, count=False, least=None):
+    """ValueError naming `name` unless `value` is a finite number (an integer
+    if `count`) of at least `least`, when given; a bool is never a number."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral if count else numbers.Real)
+            and abs(value) <= sys.float_info.max
+            and (least is None or value >= least)):
+        raise ValueError(f"{name} must be "
+                         f"{'an integer' if count else 'a finite number'}"
+                         f"{'' if least is None else f' >= {least}'}"
+                         f"; got {value!r}")
+
+
+def check_config_numbers(config, least: dict):
+    """`check_number` on each int (a count) and float field of `config`."""
+    for f in fields(config):
+        if f.type in ("int", "float"):
+            check_number(f.name, getattr(config, f.name), f.type == "int",
+                         least.get(f.name))
+
 
 @dataclass
 class TrainConfig:
@@ -297,30 +327,21 @@ class TrainConfig:
     fnn_dropout: float = 0.1
 
     def __post_init__(self):
+        check_config_numbers(self, dict(
+            epochs=0, n_samples=1, n_collocation=2, n_samples_pde=1,
+            dnn_fourier_m=0, shear_modulus=0.0))
         if min(self.w1, self.w2, self.w3) < 0 or self.w1 + self.w2 + self.w3 <= 0:
             raise ValueError("loss weights must be nonnegative with positive sum")
-        if self.n_collocation < 2:
-            raise ValueError("need at least two collocation times")
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ValueError("epochs must be a nonnegative integer")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if self.n_samples_pde < 1:
-            raise ValueError("n_samples_pde must be at least 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        if self.shear_modulus < 0:
-            raise ValueError("shear modulus must be nonnegative")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if self.checkpoint not in ("best", "last"):
             raise ValueError("checkpoint policy must be 'best' or 'last'")
         for key in ("dnn_activation", "fnn_activation"):
             if getattr(self, key) not in nn.ACTIVATIONS:
                 raise ValueError(f"{key} must be one of {nn.ACTIVATIONS}")
         for key in ("dnn_hidden", "fnn_hidden"):
-            if not all(isinstance(w, int) and w >= 1 for w in getattr(self, key)):
-                raise ValueError(f"{key} widths must be integers >= 1")
-        if not isinstance(self.dnn_fourier_m, int) or self.dnn_fourier_m < 0:
-            raise ValueError("dnn_fourier_m must be a nonnegative integer")
+            for width in getattr(self, key):
+                check_number(f"{key} width", width, True, 1)
         if not 0.0 <= self.fnn_dropout < 1.0:
             raise ValueError("fnn_dropout must be in [0, 1)")
 
@@ -381,12 +402,6 @@ def init_model(dataset: SnapshotDataset, normalizer: ConditionNormalizer,
 
 # -- kinematics -----------------------------------------------------------------
 
-def _check_time(t):
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < TIME_GUARD[0]) or np.any(t > TIME_GUARD[1]):
-        raise ValueError(f"pseudo-time outside guard band {TIME_GUARD}")
-
-
 def spatial_jacobian_t(fieldo: DisplacementField, X, t) -> ad.Tensor:
     """du/dX, exact: tape tensor [n, dim, dim]."""
     return fieldo.jet(X, t)[1]
@@ -412,7 +427,7 @@ def deformation_gradient(model: TransportModel, X, t) -> np.ndarray:
     return F[0] if X.ndim == 1 else F
 
 
-def eom_residual_t(model: TransportModel, X, t, mode="eval", seed=0) -> ad.Tensor:
+def eom_residual_t(model: TransportModel, X, t, dropout_seed=None) -> ad.Tensor:
     """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     G = model.config.shear_modulus
@@ -420,7 +435,7 @@ def eom_residual_t(model: TransportModel, X, t, mode="eval", seed=0) -> ad.Tenso
     if lap:
         r = ad.sub(r, ad.mul(lap[0], G))
     mapped = ad.add(ad.constant(X), u0)
-    fb = model.body_force.force(mapped, t, mode=mode, seed=seed)
+    fb = model.body_force.force(mapped, t, dropout_seed)
     return ad.sub(r, fb)
 
 
@@ -523,9 +538,8 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     t_coll = np.linspace(0.0, 1.0, config.n_collocation + 2)[1:-1]
     X3s = np.tile(X3, (len(t_coll), 1))
     t3s = np.repeat(t_coll, config.n_samples_pde)
-    r = eom_residual_t(model, X3s, t3s,
-                       mode="train" if train_mode else "eval",
-                       seed=_combine(config.seed, epoch_seed, 3))
+    r = eom_residual_t(model, X3s, t3s, _combine(config.seed, epoch_seed, 3)
+                       if train_mode else None)
     L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
     return _weighted_loss((L1, L2, L3), config, dropped, evaluated)
 
@@ -574,9 +588,9 @@ def _combine(*parts: int) -> int:
 
 # -- training ---------------------------------------------------------------------
 
+@_QUIET
 def train(dataset: SnapshotDataset, config: TrainConfig,
-          normalizer: ConditionNormalizer | None = None,
-          model: TransportModel | None = None) -> TransportModel:
+          normalizer: ConditionNormalizer | None = None) -> TransportModel:
     """Adam descent on the three-term loss; returns the best checkpoint.
 
     A fresh Monte-Carlo batch is drawn each epoch from seeds derived from
@@ -586,50 +600,46 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     """
     if normalizer is None:
         normalizer = ConditionNormalizer("linear", 0.0, 1.0)
-    if model is None:
-        model = init_model(dataset, normalizer, config)
+    model = init_model(dataset, normalizer, config)
     params = model.parameters()
     state = nn.AdamState.for_params(params, lr=config.learning_rate)
     cfg = config
     best = (np.inf, [p.value.copy() for p in params], 0.0)
     history = []
-    # numpy's own overflow warnings are silenced: the finite checks on the
-    # loss, network outputs and gradients report divergence once
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(config.epochs):
-            for p in params:
-                p.zero_grad()
-            try:
-                res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
-                                   train_mode=True)
-                if epoch == 0 and config.auto_rescale_weights:
-                    cfg, res = _rescale_weights(res, config)
-            except (TrainingDivergence, FloatingPointError) as e:
-                # a network output that overflows is divergence too
-                if not history:
-                    raise TrainingDivergence(
-                        f"training diverged at epoch {epoch}, before any "
-                        f"checkpoint: {e}") from e
-                warnings.warn(f"training diverged at epoch {epoch}; "
-                              "restoring best checkpoint")
-                break
-            res.tape.backward()
-            history.append((res.total, res.l1, res.l2, res.l3,
-                            res.dropped_fraction))
-            if res.total < best[0]:
-                best = (res.total, [p.value.copy() for p in params],
-                        res.dropped_fraction)
-            try:
-                nn.adam_step_tensors(params, state)
-            except FloatingPointError:
-                warnings.warn(f"non-finite gradient at epoch {epoch}; "
-                              "restoring best checkpoint")
-                break
-        else:
-            # loop ran to completion; "last" keeps the final parameters
-            if config.checkpoint == "last" and config.epochs > 0 and history:
-                best = (history[-1][0], [p.value.copy() for p in params],
-                        history[-1][4])
+    for epoch in range(config.epochs):
+        for p in params:
+            p.zero_grad()
+        try:
+            res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
+                               train_mode=True)
+            if epoch == 0 and config.auto_rescale_weights:
+                cfg, res = _rescale_weights(res, config)
+        except (TrainingDivergence, FloatingPointError) as e:
+            # a network output that overflows is divergence too
+            if not history:
+                raise TrainingDivergence(
+                    f"training diverged at epoch {epoch}, before any "
+                    f"checkpoint: {e}") from e
+            warnings.warn(f"training diverged at epoch {epoch}; "
+                          "restoring best checkpoint")
+            break
+        res.tape.backward()
+        history.append((res.total, res.l1, res.l2, res.l3,
+                        res.dropped_fraction))
+        if res.total < best[0]:
+            best = (res.total, [p.value.copy() for p in params],
+                    res.dropped_fraction)
+        try:
+            nn.adam_step_tensors(params, state)
+        except FloatingPointError:
+            warnings.warn(f"non-finite gradient at epoch {epoch}; "
+                          "restoring best checkpoint")
+            break
+    else:
+        # loop ran to completion; "last" keeps the final parameters
+        if config.checkpoint == "last" and config.epochs > 0 and history:
+            best = (history[-1][0], [p.value.copy() for p in params],
+                    history[-1][4])
     for p, v in zip(params, best[1]):
         p.value = v
     model.loss_history = history
@@ -659,18 +669,16 @@ class ParticleCloudDensity:
     points: np.ndarray
     weights: np.ndarray
     density_values: np.ndarray
-    t_norm: float
     dropped_fraction: float = 0.0
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
 
 
+@_QUIET
 def generate_density(model: TransportModel, t_target_norm, n=2048,
                      seed=0) -> ParticleCloudDensity:
     """Transported density at pseudo-time t as a weighted particle cloud."""
-    if not -1e-12 <= t_target_norm <= 1.0 + 1e-12:
-        raise ValueError("target pseudo-time must lie in [0, 1]")
     ref = model.reference_density
     if ref is None:
         raise ValueError("model has no reference density attached")
@@ -690,10 +698,10 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
     pts = (X + u0)[keep]
     vals = rho0[keep] / J[keep]
     w = np.full(len(pts), 1.0 / len(pts))
-    return ParticleCloudDensity(pts, w, vals, float(t_target_norm),
-                                float(dropped_fraction))
+    return ParticleCloudDensity(pts, w, vals, float(dropped_fraction))
 
 
+@_QUIET
 def generate_mean(model: TransportModel, t_target_norm, n=2048, seed=0,
                   cloud: ParticleCloudDensity | None = None):
     """Mean of the transported density at pseudo-time t, in data units.

@@ -342,11 +342,24 @@ class TestRunAndGenerateCommands:
             p.value *= 1e200
         dataio.save_model(model, tmp_path / "big.json")
         gen_out = tmp_path / "gen.csv"
-        with np.errstate(all="ignore"):   # numpy's own overflow warnings
-            code = run_cli("generate", "--model", str(tmp_path / "big.json"),
-                           "--target", "1.0", "--out", str(gen_out))
+        capsys.readouterr()
+        code = run_cli("generate", "--model", str(tmp_path / "big.json"),
+                       "--target", "1.0", "--out", str(gen_out))
         assert code == cli.EXIT_VALIDATION
-        assert "error: non-finite network output" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: non-finite network output\n"
+        assert not gen_out.exists()
+
+    def test_nan_target_is_validation_exit(self, tmp_path, capsys):
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5])
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
+                                    {"train": dict(SMALL_TRAIN, epochs=2)})
+        assert run_cli("run", "--config", cfg_path) == cli.EXIT_OK
+        gen_out = tmp_path / "gen.csv"
+        code = run_cli("generate", "--model", str(tmp_path / "out/model.json"),
+                       "--target", "nan", "--out", str(gen_out))
+        assert code == cli.EXIT_VALIDATION
+        assert "error: condition nan outside [" in capsys.readouterr().err
         assert not gen_out.exists()
 
     def test_missing_data_is_io_exit(self, tmp_path, capsys):
@@ -529,6 +542,28 @@ class TestInputValidation:
                                     tmp_path / "missing.csv", extra)
         assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", True), ("seed", 1.5), ("w1", float("nan")),
+        ("shear_modulus", float("nan")), ("n_samples", 31.5),
+        ("n_collocation", 2.5), ("grid_points", 10.5),
+        ("boundary_anchors", 2.5), ("sigma_frac", float("nan")),
+        ("gen_samples", 100.5), ("target_raw", float("nan")),
+    ])
+    def test_bad_config_number_exits_before_any_stage(self, tmp_path, capsys,
+                                                      key, value):
+        # on good data, so a value let through trains, or fails in a stage
+        # after `out_dir` is made
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5])
+        in_train = key in TrainConfig.__dataclass_fields__ and key != "seed"
+        extra = ({"train": dict(SMALL_TRAIN, **{key: value})} if in_train
+                 else {key: value})
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
+                                    extra)
+        assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,what", [
         (["run", "--config"], "run config"),

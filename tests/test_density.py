@@ -25,7 +25,7 @@ def make_curve(seed=0, n=20):
     strains = np.sort(rng.uniform(gen, n)) * 0.5
     strains[0] = 0.0
     stresses = 30.0 * (1.0 - np.exp(-5.0 * strains)) + rng.normal(gen, n) * 0.5
-    return CurveSnapshot(25.0, np.column_stack([strains, stresses]), unit="degC")
+    return CurveSnapshot(25.0, np.column_stack([strains, stresses]))
 
 
 class TestCurveSnapshot:

@@ -60,17 +60,17 @@ def test_nonfinite_output_raises():
 def test_eval_forward_is_deterministic():
     net = nn.init_mlp([2, 16, 2], "selu", seed=1, dropout=0.3)
     x = rng.normal(rng.stream(2), (5, 2))
-    a = net.forward(x, mode="eval").value
-    b = net.forward(x, mode="eval").value
+    a = net.forward(x).value
+    b = net.forward(x).value
     np.testing.assert_array_equal(a, b)
 
 
 def test_dropout_train_mode_seeded_and_rescaled():
     net = nn.init_mlp([2, 64, 2], "selu", seed=1, dropout=0.5)
     x = rng.normal(rng.stream(3), (4, 2))
-    a = net.forward(x, mode="train", seed=7).value
-    b = net.forward(x, mode="train", seed=7).value
-    c = net.forward(x, mode="train", seed=8).value
+    a = net.forward(x, dropout_seed=7).value
+    b = net.forward(x, dropout_seed=7).value
+    c = net.forward(x, dropout_seed=8).value
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -81,11 +81,11 @@ def test_dropout_expectation_matches_eval():
     layer = make_linear(W, np.zeros(8), dropout=0.25)
     net = nn.Mlp([layer])
     x = np.ones((1, 8))
-    eval_out = net.forward(x, mode="eval").value
+    eval_out = net.forward(x).value
     acc = np.zeros_like(eval_out)
     n = 4000
     for s in range(n):
-        acc += net.forward(x, mode="train", seed=s).value
+        acc += net.forward(x, dropout_seed=s).value
     np.testing.assert_allclose(acc / n, eval_out, atol=0.05)
 
 

@@ -130,6 +130,6 @@ def test_forward_eval_bit_reproducible(seed):
     gen = rng.stream(seed, 0xA5)
     net = init_mlp([3, 8, 2], "selu", seed=seed % 1000, dropout=0.2)
     x = rng.normal(gen, (4, 3))
-    a = net.forward(x, mode="eval").value
-    b = net.forward(x, mode="eval").value
+    a = net.forward(x).value
+    b = net.forward(x).value
     np.testing.assert_array_equal(a, b)

@@ -149,20 +149,37 @@ class TestEomResidual:
                                axis=1)).value
             np.testing.assert_allclose(r[0], d2u - G * lap - fb[0], atol=1e-6)
 
-    def test_guard_band(self):
-        # one band for every input derivative of the network
+    @pytest.mark.parametrize("kind", ["curve", "field"])
+    def test_pseudo_time_rule(self, kind):
+        # one rule wherever a pseudo-time enters: [0, 1], NaN rejected
+        if kind == "curve":
+            grid = np.linspace(0.0, 1.0, 6)
+            ref = GaussianCurveDensity(grid, 2.0 * grid, sigma_stress=0.05)
+        else:
+            ref = ReducedGaussianDensity([0.0, 0.0], 0.1)
         model = init_model(
-            SnapshotDataset([
-                Snapshot(0.0, ReducedGaussianDensity([0.0], 0.1)),
-                Snapshot(1.0, ReducedGaussianDensity([0.4], 0.1)),
-            ]),
+            SnapshotDataset([Snapshot(0.0, ref), Snapshot(1.0, ref)]),
             ConditionNormalizer("linear", 0.0, 1.0),
             TrainConfig(dnn_hidden=(4,), dnn_fourier_m=2, fnn_hidden=(4,)))
-        eom_residual(model, np.zeros((1, 1)), 1.05)
-        with pytest.raises(ValueError, match="guard band"):
-            eom_residual(model, np.zeros((1, 1)), 1.2)
-        with pytest.raises(ValueError, match="guard band"):
-            deformation_gradient(model, np.zeros(1), -0.1)
+        model.reference_density = ref
+        field, X = model.displacement, np.zeros((3, 2))
+        calls = [
+            lambda t: field.u(X, t),
+            lambda t: field.jet(X, t),
+            lambda t: field.jet(X, t, "time", laplacian=True),
+            lambda t: field.u_values(X, t),
+            lambda t: generate_density(model, t, n=16),
+            lambda t: generate_mean(model, t, n=16),
+        ]
+        message = r"pseudo-time must be finite and in \[0, 1\]; got"
+        for call in calls:
+            for t in (0.0, 1.0):
+                call(t)
+            for t in (-0.05, 1.05, np.nan):
+                with pytest.raises(ValueError, match=message):
+                    call(t)
+        with pytest.raises(ValueError, match=message):
+            SnapshotDataset([Snapshot(0.0, ref), Snapshot(1.05, ref)])
 
 
 def identity_dataset(dim=1, sigma=0.1):

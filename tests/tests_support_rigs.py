@@ -65,7 +65,7 @@ class RiggedForce:
         self.dim = dim
         self.fn = fn or (lambda x, t: np.zeros_like(x))
 
-    def force(self, x, t, mode="eval", seed=0):
+    def force(self, x, t, dropout_seed=None):
         tcol = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1),
                                (x.value.shape[0], 1))
         return ad.constant(self.fn(x.value, tcol))
