@@ -234,7 +234,10 @@ def cmd_sample_pfode(args) -> int:
 def cmd_synth(args) -> int:
     from .dataio import DataFormatError
     from .fixtures import synth_fixture
-    taus = ([float(v) for v in args.taus.split(",")] if args.taus else None)
+    try:
+        taus = [float(v) for v in args.taus.split(",")] if args.taus else None
+    except ValueError as e:
+        raise ValueError(f"--taus must be comma-separated numbers: {e}") from e
     params = None
     if args.params:
         try:

@@ -370,11 +370,9 @@ def density_to_dict(dens) -> dict:
 
 def density_from_dict(doc: dict):
     if doc["kind"] == "gaussian_curve":
-        lo, hi = doc["strain_range"]
         return GaussianCurveDensity(_arr_in(doc["strain_grid"]),
                                     _arr_in(doc["mean_stress"]),
-                                    float(doc["sigma_stress"]),
-                                    (float(lo), float(hi)))
+                                    float(doc["sigma_stress"]))
     if doc["kind"] == "reduced_gaussian":
         return ReducedGaussianDensity(_arr_in(doc["mean"]),
                                       float(doc["sigma"]))
@@ -382,6 +380,8 @@ def density_from_dict(doc: dict):
 
 
 def model_to_dict(model: TransportModel) -> dict:
+    # the `dim`s, `strain_range` and `trained` are derived on load; they are
+    # written so documents keep their bytes and load in readers needing them
     emb = model.displacement.embedding
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -412,8 +412,7 @@ def model_to_dict(model: TransportModel) -> dict:
         "config": asdict(model.config),
         "loss_history": [[float(v) for v in row] for row in model.loss_history],
         "dropped_fraction": float(model.dropped_fraction),
-        "reference_density": (density_to_dict(model.reference_density)
-                              if model.reference_density is not None else None),
+        "reference_density": density_to_dict(model.reference_density),
         "pca_basis": (basis_to_dict(model.pca_basis)
                       if model.pca_basis is not None else None),
         "trained": model.trained,
@@ -433,28 +432,25 @@ def model_from_dict(doc: dict, path=None) -> TransportModel:
         if doc["version"] == 1:
             doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
         ddoc = doc["displacement"]
-        dim = ddoc["dim"]
+        net = _mlp_from_dict(ddoc["net"])
         edoc = ddoc["embedding"]
         emb = None if edoc is None else FourierFeatureEmbedding(
             _arr_in(edoc["spectral_weights"], edoc["shape"]),
             scale=float(edoc["scale"]))
         disp = DisplacementField(
-            dim, _mlp_from_dict(ddoc["net"]), embedding=emb,
-            output_scales=_arr_in(ddoc["output_scales"], (dim,)))
-        body = BodyForceField(doc["body_force"]["dim"],
-                              _mlp_from_dict(doc["body_force"]["net"]))
+            net, embedding=emb,
+            output_scales=_arr_in(ddoc["output_scales"], (net.out_dim,)))
+        body = BodyForceField(_mlp_from_dict(doc["body_force"]["net"]))
         ndoc = doc["normalizer"]
         normalizer = ConditionNormalizer(ndoc["mode"], float(ndoc["raw_min"]),
                                          float(ndoc["raw_max"]), ndoc["unit"])
         model = TransportModel(
             disp, body, normalizer, TrainConfig.from_dict(doc["config"]),
+            density_from_dict(doc["reference_density"]),
             loss_history=[tuple(float(v) for v in row)
                           for row in doc["loss_history"]],
             dropped_fraction=float(doc["dropped_fraction"]),
-            trained=bool(doc["trained"]),
         )
-        if doc.get("reference_density") is not None:
-            model.reference_density = density_from_dict(doc["reference_density"])
         if doc.get("pca_basis") is not None:
             model.pca_basis = basis_from_dict(doc["pca_basis"])
         if doc.get("scaler") is not None:

@@ -50,13 +50,15 @@ class GaussianCurveDensity:
     """Uniform-in-strain, Gaussian-in-stress density about a mean curve.
 
     rho(strain, stress) = 1/(hi-lo) * N(stress; mean(strain), sigma^2) for
-    strain inside [lo, hi] and 0 outside, where mean(.) interpolates the
-    stored mean curve linearly.
+    strain inside [lo, hi], the span of the strain grid, and 0 outside,
+    where mean(.) interpolates the stored mean curve linearly.
     """
 
-    def __init__(self, strain_grid, mean_stress, sigma_stress, strain_range=None):
+    def __init__(self, strain_grid, mean_stress, sigma_stress):
         self.strain_grid = np.asarray(strain_grid, dtype=np.float64)
         self.mean_stress = np.asarray(mean_stress, dtype=np.float64)
+        if self.strain_grid.ndim != 1 or self.strain_grid.size < 2:
+            raise ValueError("a strain grid needs at least 2 points")
         if self.strain_grid.shape != self.mean_stress.shape:
             raise ValueError("grid/mean length mismatch")
         if not (np.all(np.isfinite(self.strain_grid))
@@ -67,13 +69,7 @@ class GaussianCurveDensity:
         if not 0 < sigma_stress < np.inf:
             raise ValueError("sigma_stress must be positive and finite")
         self.sigma_stress = float(sigma_stress)
-        if strain_range is None:
-            strain_range = (self.strain_grid[0], self.strain_grid[-1])
-        self.strain_range = (float(strain_range[0]), float(strain_range[1]))
-        if not np.all(np.isfinite(self.strain_range)):
-            raise ValueError("strain range must be finite")
-        if self.strain_range[0] >= self.strain_range[1]:
-            raise ValueError("empty strain range")
+        self.strain_range = (float(self.strain_grid[0]), float(self.strain_grid[-1]))
 
     @property
     def dim(self) -> int:

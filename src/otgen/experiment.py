@@ -56,10 +56,11 @@ class RunConfig:
     pca_d           retained reduced dimensions (fields)
     pca_samples     noisy samples per snapshot for the PCA fit (fields)
     grid_points     common strain grid size (curves)
-    boundary_anchors  matched anchor count along the mean curve (curves);
+    boundary_anchors  anchor count along the mean curve (curves);
                     2 means endpoints only
-    mean_anchor     use snapshot means as matched anchor pairs (fields)
-    train           TrainConfig for the transport networks
+    mean_anchor     use snapshot means as anchors (fields)
+    train           TrainConfig for the transport networks; its seed is
+                    set to the run seed
     baseline        also fit the mode-regression baseline and report it
     gen_samples     particle count for generation
     plots           write SVG overlays
@@ -92,6 +93,7 @@ class RunConfig:
         check_config_numbers(self, dict(
             pca_d=1, pca_samples=1, grid_points=2, boundary_anchors=2,
             gen_samples=1))
+        self.train = replace(self.train, seed=self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -174,10 +176,9 @@ def prepare_curve_dataset(config: RunConfig, snapshots):
         mean_n = curve_n[:, 1]
         span = float(mean_n.max() - mean_n.min())
         sigma = max(config.sigma_frac * span, 1e-4)
-        dens = GaussianCurveDensity(grid_n, mean_n, sigma,
-                                    strain_range=(grid_n[0], grid_n[-1]))
+        dens = GaussianCurveDensity(grid_n, mean_n, sigma)
         t = normalizer.normalize(snap.condition_raw)
-        snaps.append(Snapshot(t, dens, (curves_n[0][anchors], curve_n[anchors])))
+        snaps.append(Snapshot(t, dens, curve_n[anchors]))
     return SnapshotDataset(snaps), normalizer, scaler, grid, means
 
 
@@ -197,13 +198,12 @@ def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
     scaler = AffineScaler.from_bounds(pooled_c.min(axis=0), pooled_c.max(axis=0))
     normalizer = _build_normalizer(config, conditions)
     snaps = []
-    mu0 = scaler.forward(coeffs[0])
     for cond, mu in zip(conditions, coeffs):
         t = normalizer.normalize(cond)
         mu_n = scaler.forward(mu)
         dens = ReducedGaussianDensity(mu_n, config.reduced_sigma)
-        pairs = (mu0[None, :], mu_n[None, :]) if config.mean_anchor else None
-        snaps.append(Snapshot(t, dens, pairs))
+        snaps.append(Snapshot(t, dens, mu_n[None, :] if config.mean_anchor
+                              else None))
     return SnapshotDataset(snaps), normalizer, scaler, basis
 
 
@@ -308,8 +308,7 @@ def fit_model(config: RunConfig):
         dataset, normalizer, scaler, basis = task.prepare(config)
 
     with _stage("train"):
-        model = train(dataset, replace(config.train, seed=config.seed),
-                      normalizer=normalizer)
+        model = train(dataset, config.train, normalizer=normalizer)
         model.scaler, model.pca_basis = scaler, basis
     return task, model
 

@@ -77,11 +77,13 @@ def synth_fixture(kind, out_dir, seed=0, taus=None, params=None):
     """
     target_tau = 1.0
     p = _family_params(kind, {} if params is None else params)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if taus is None:
         taus = [0.0, 0.2, 0.4, 0.6, 0.8]
+    for t in taus:
+        check_number("tau", t)
     taus = [float(t) for t in taus]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if kind == "curves":
         train_path = out / "curves_train.csv"
         target_path = out / "curves_target.csv"

@@ -138,6 +138,8 @@ def gpr_fit(T, a, hyper=None) -> GprModel:
 def gpr_predict(model: GprModel, T_star):
     """Posterior predictive mean and variance (including noise) at T_star."""
     T_star = np.atleast_1d(np.asarray(T_star, dtype=np.float64))
+    if not np.all(np.isfinite(T_star)):
+        raise ValueError(f"query condition must be finite; got {T_star}")
     ts = (T_star - model.input_shift) / model.input_scale
     k_star = _sq_exp(ts, model.train_inputs, model.length_scale,
                      model.signal_variance)

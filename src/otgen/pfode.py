@@ -29,6 +29,7 @@ import numpy as np
 
 from . import rng
 from .nn import Mlp
+from .transport import check_number
 
 CORRECTOR_SWEEPS = 3  # fixed-point sweeps per reverse step
 
@@ -225,6 +226,8 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
 def sample_chains(score: ScoreFunction, schedule: VeSchedule, n_chains, dim,
                   seed, n_steps=100, eps=None, method="second_order") -> np.ndarray:
     """Draw x_init ~ N(0, sigma(t_final)^2 I) and run the reverse pass."""
+    check_number("n_chains", n_chains, count=True, least=1)
+    check_number("dim", dim, count=True, least=1)
     gen = rng.stream(seed, 0xF1)
     x0 = schedule.sigma(schedule.t_final) * rng.normal(gen, (n_chains, dim))
     sampler = sample_second_order if method == "second_order" else sample_euler

@@ -115,18 +115,16 @@ class DisplacementField:
     so the initial map is close to the identity.
     """
 
-    def __init__(self, dim, net: nn.Mlp, embedding=None, output_scales=None):
-        self.dim = int(dim)
+    def __init__(self, net: nn.Mlp, embedding=None, output_scales=None):
+        self.dim = net.out_dim
         self.net = net
         self.embedding = embedding
         if output_scales is None:
-            output_scales = np.ones(dim)
+            output_scales = np.ones(self.dim)
         self.output_scales = ad.parameter(np.asarray(output_scales, dtype=np.float64))
         in_dim = embedding.in_dim if embedding is not None else net.in_dim
-        if in_dim != dim + 1:
+        if in_dim != self.dim + 1:
             raise ValueError("field input must be data dim + 1 (time)")
-        if net.out_dim != dim:
-            raise ValueError("field output must match data dim")
 
     def parameters(self) -> list[ad.Tensor]:
         ps = list(self.net.parameters())
@@ -195,10 +193,10 @@ def _pseudo_time(t) -> np.ndarray:
 class BodyForceField:
     """F_b(x, t) network; dropout is active only under a dropout seed."""
 
-    def __init__(self, dim, net: nn.Mlp):
-        self.dim = int(dim)
+    def __init__(self, net: nn.Mlp):
+        self.dim = net.out_dim
         self.net = net
-        if net.in_dim != dim + 1 or net.out_dim != dim:
+        if net.in_dim != self.dim + 1:
             raise ValueError("body-force network must map dim+1 -> dim")
 
     def parameters(self) -> list[ad.Tensor]:
@@ -224,29 +222,29 @@ def make_displacement_field(dim, hidden, fourier_m, activation,
         first = in_dim
     net = nn.init_mlp([first, *hidden, dim], activation, seed=seed + 1,
                       activation_param=activation_param, final_std=final_std)
-    return DisplacementField(dim, net, embedding=emb)
+    return DisplacementField(net, embedding=emb)
 
 
 def make_body_force_field(dim, hidden, activation, activation_param, dropout,
                           seed=0) -> BodyForceField:
     net = nn.init_mlp([dim + 1, *hidden, dim], activation, seed=seed + 2,
                       dropout=dropout, activation_param=activation_param)
-    return BodyForceField(dim, net)
+    return BodyForceField(net)
 
 
 # -- dataset --------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Observed state: pseudo-time, density model, optional boundary pairs.
+    """Observed state: pseudo-time, density model, optional anchors.
 
-    `boundary_pairs` is (source_points [m, dim], target_points [m, dim]):
-    matched anchor locations of the reference and this snapshot.
+    `anchors` [m, dim] are this snapshot's boundary points bx_i. The
+    reference snapshot's anchors are the points bX the map moves onto them.
     """
 
     t_norm: float
     density: object
-    boundary_pairs: tuple | None = None
+    anchors: np.ndarray | None = None
 
 
 class SnapshotDataset:
@@ -255,15 +253,19 @@ class SnapshotDataset:
             raise ValueError("transport needs at least two distinct pseudo-times")
         for s in snapshots:
             _pseudo_time(s.t_norm)
-            if s.boundary_pairs is not None and not all(
-                    np.all(np.isfinite(p)) for p in s.boundary_pairs):
-                raise ValueError(f"non-finite boundary pair at t = {s.t_norm}")
         snaps = sorted(snapshots, key=lambda s: s.t_norm)
         ts = [s.t_norm for s in snaps]
         if len(set(ts)) != len(ts):
             raise ValueError("pseudo-times must be distinct")
         if ts[0] > TIME_TOL:
             raise ValueError("a reference snapshot at t = 0 is required")
+        shape0, dim = np.shape(snaps[0].anchors), snaps[0].density.dim
+        for s in (s for s in snaps if s.anchors is not None):
+            if np.shape(s.anchors) != shape0 or shape0[1:] != (dim,):
+                raise ValueError(f"anchors at t = {s.t_norm} must be [m, {dim}] like "
+                                 f"the reference's {shape0}; got {np.shape(s.anchors)}")
+            if not np.all(np.isfinite(s.anchors)):
+                raise ValueError(f"non-finite anchors at t = {s.t_norm}")
         self.snapshots = snaps
 
     @property
@@ -362,12 +364,15 @@ class TransportModel:
     body_force: BodyForceField
     normalizer: ConditionNormalizer
     config: TrainConfig
+    reference_density: object  # the t = 0 density generation samples
     loss_history: list = field(default_factory=list)
     dropped_fraction: float = 0.0
     pca_basis: object = None
     scaler: AffineScaler | None = None
-    reference_density: object = None
-    trained: bool = False
+
+    @property
+    def trained(self) -> bool:  # training with epochs > 0 records one or raises
+        return bool(self.loss_history)
 
     def parameters(self) -> list[ad.Tensor]:
         return self.displacement.parameters() + self.body_force.parameters()
@@ -397,7 +402,7 @@ def init_model(dataset: SnapshotDataset, normalizer: ConditionNormalizer,
         dim, hidden=tuple(config.fnn_hidden), activation=config.fnn_activation,
         activation_param=config.fnn_activation_param,
         dropout=config.fnn_dropout, seed=config.seed)
-    return TransportModel(disp, body, normalizer, config)
+    return TransportModel(disp, body, normalizer, config, dataset.reference.density)
 
 
 # -- kinematics -----------------------------------------------------------------
@@ -511,6 +516,7 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     mapped = ad.add(ad.constant(Xs), u0)
     ratio = ad.div(ad.Tensor(np.tile(rho0, n_snap)), J)
 
+    src_b = dataset.reference.anchors
     l1_terms = []
     l2_terms = []
     for i, snap in enumerate(dataset.snapshots):
@@ -519,11 +525,10 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
         diff = ad.sub(ad.getitem(ratio, sl), rho_i)
         l1_terms.append(_masked_mean(ad.square(diff), mask[sl]))
 
-        if snap.boundary_pairs is not None:
-            src_b, dst_b = snap.boundary_pairs
+        if snap.anchors is not None:
             ub = fieldo.u(src_b, snap.t_norm)
-            bdiff = ad.sub(ad.add(ad.constant(np.atleast_2d(src_b)), ub),
-                           ad.Tensor(np.atleast_2d(dst_b)))
+            bdiff = ad.sub(ad.add(ad.constant(src_b), ub),
+                           ad.Tensor(snap.anchors))
             l2_terms.append(ad.stable_mean(ad.tsum(ad.square(bdiff), axis=-1)))
 
     L1 = ad.mul(ad.stable_sum_scalars(l1_terms), 1.0 / n_snap)
@@ -644,8 +649,6 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
         p.value = v
     model.loss_history = history
     model.config = cfg
-    model.reference_density = dataset.reference.density
-    model.trained = config.epochs > 0
     if history:
         model.dropped_fraction = best[2]
         if best[2] > 0.01:
@@ -680,8 +683,6 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
                      seed=0) -> ParticleCloudDensity:
     """Transported density at pseudo-time t as a weighted particle cloud."""
     ref = model.reference_density
-    if ref is None:
-        raise ValueError("model has no reference density attached")
     X = ref.sample(n, seed)
     rho0 = ref.pdf(X)
     u0, jac = _jet_values(model.displacement, X, t_target_norm)
@@ -714,8 +715,6 @@ def generate_mean(model: TransportModel, t_target_norm, n=2048, seed=0,
     a PCA basis returns the reconstructed field.
     """
     ref = model.reference_density
-    if ref is None:
-        raise ValueError("model has no reference density attached")
     if isinstance(ref, GaussianCurveDensity):
         P = ref.mean_curve()
         mapped = P + model.displacement.u_values(P, t_target_norm)

@@ -287,7 +287,7 @@ def _training_loss():
                                  init_model)
     ds = SnapshotDataset([
         Snapshot(t, ReducedGaussianDensity([0.4 * t, -0.2 * t], 0.1),
-                 (np.zeros((1, 2)), np.array([[0.4 * t, -0.2 * t]])))
+                 np.array([[0.4 * t, -0.2 * t]]))
         for t in (0.0, 0.5, 1.0)])
     cfg = TrainConfig(n_samples=32, n_samples_pde=8, n_collocation=4,
                       shear_modulus=0.3, dnn_hidden=(8, 8), dnn_fourier_m=2,

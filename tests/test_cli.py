@@ -158,6 +158,18 @@ class TestBaselineCommand:
         assert f"at least 2 points, not {points}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_is_validation_exit(self, tmp_path, capsys,
+                                                  target):
+        paths = synth_fixture("curves", tmp_path, seed=4,
+                              taus=[0.0, 0.25, 0.5, 0.75])
+        out = tmp_path / "pred.csv"
+        code = run_cli("baseline", "--data", paths["train"],
+                       f"--target={target}", "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert "query condition must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSamplePfodeCommand:
     def test_gaussian_score_samples(self, tmp_path, capsys):
@@ -177,6 +189,19 @@ class TestSamplePfodeCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"--score gaussian:<std> needs a finite positive std, not " \
                f"'{std}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--n", "0", "n_chains"), ("--n", "-2", "n_chains"),
+        ("--dim", "0", "dim"), ("--dim", "-1", "dim")])
+    def test_empty_sample_is_validation_exit(self, tmp_path, capsys, flag,
+                                             value, name):
+        out = tmp_path / "s.csv"
+        code = run_cli("sample-pfode", "--score", "gaussian:1.0", "--n", "3",
+                       "--steps", "5", flag, value, "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {name} must be an integer >= 1; got {value}" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_weight_version_1_score_file(self, tmp_path, capsys):
@@ -232,6 +257,19 @@ class TestSynthCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fx").exists()
 
+    @pytest.mark.parametrize("taus,message", [
+        ("0,nan", "tau must be a finite number; got nan"),
+        ("0,inf", "tau must be a finite number; got inf"),
+        ("0,abc", "--taus must be comma-separated numbers"),
+    ], ids=["nan", "inf", "not-a-number"])
+    def test_bad_taus_is_validation_exit(self, tmp_path, capsys, taus,
+                                         message):
+        code = run_cli("--out-dir", str(tmp_path / "fx"), "synth",
+                       "--kind", "curves", "--taus", taus)
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
 
 class TestRunAndGenerateCommands:
     def test_full_curve_run_and_generate(self, tmp_path, capsys):
@@ -273,6 +311,17 @@ class TestRunAndGenerateCommands:
                        "--target", "0.5", "--out", str(tmp_path / "g.csv"))
         assert code == cli.EXIT_VALIDATION
 
+    def test_run_meta_records_the_run_seed(self, tmp_path, capsys):
+        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5])
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
+                                    {"train": dict(SMALL_TRAIN, epochs=0)})
+        assert run_cli("--seed", "1", "run", "--config", cfg_path) == 0
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        assert meta["config"]["seed"] == meta["config"]["train"]["seed"] == 1
+        model = dataio.load_model(tmp_path / "out" / "model.json")
+        assert model.config.seed == 1
+
     def test_train_writes_only_the_model(self, tmp_path, capsys):
         paths = synth_fixture("curves", tmp_path / "fx", seed=0,
                               taus=[0.0, 0.5])
@@ -297,9 +346,9 @@ class TestRunAndGenerateCommands:
         body = make_body_force_field(1, hidden=(4,), activation="selu",
                                      activation_param=0.0, dropout=0.1)
         model = TransportModel(
-            DisplacementField(1, fold), body,
+            DisplacementField(fold), body,
             ConditionNormalizer("linear", 0.0, 1.0), TrainConfig(),
-            reference_density=ReducedGaussianDensity([0.0], 0.3), trained=True)
+            ReducedGaussianDensity([0.0], 0.3), loss_history=[(0.0,) * 5])
         dataio.save_model(model, tmp_path / "model.json")
         code = run_cli("generate", "--model", str(tmp_path / "model.json"),
                        "--target", "1.0", "--out", str(tmp_path / "g.csv"))

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,6 @@ class TestModelRoundtrip:
         cfg = TrainConfig(dnn_hidden=(8, 8), dnn_fourier_m=2, fnn_hidden=(8,),
                           epochs=0, seed=11)
         model = init_model(ds, ConditionNormalizer("log10", 0.1, 10.0, "1/s"), cfg)
-        model.reference_density = ds.reference.density
         model.loss_history = [(1.0, 0.5, 0.25, 0.25, 0.0)]
         return model
 
@@ -210,6 +210,23 @@ class TestSavedRunRoundtrip:
         old.write_text(json.dumps(doc))
         assert_generates_like(dataio.load_model(old), model)
 
+    def test_derived_keys_are_not_read(self, trained_run, tmp_path):
+        # the dims come from the networks, the strain range from the grid
+        # and `trained` from the loss history; writers still emit them
+        model, path = trained_run
+        doc = json.loads(Path(path).read_text())
+        del doc["displacement"]["dim"], doc["body_force"]["dim"]
+        del doc["trained"]
+        doc["reference_density"].pop("strain_range", None)
+        slim = tmp_path / "slim.json"
+        slim.write_text(json.dumps(doc))
+        back = dataio.load_model(slim)
+        assert back.trained
+        assert_generates_like(back, model)
+        again = tmp_path / "again.json"
+        dataio.save_model(back, again)
+        assert again.read_bytes() == Path(path).read_bytes()
+
 
 LAYER0 = ("displacement", "net", "layers", 0)
 
@@ -221,8 +238,9 @@ LAYER0 = ("displacement", "net", "layers", 0)
     (LAYER0 + ("weight",), "not*base64"),
     (LAYER0 + ("bias",), "AAAA"),
     (LAYER0 + ("bias",), base64.b64encode(bytes(8)).decode()),
+    (("reference_density",), None),
 ], ids=["missing-key", "wrong-type", "number-for-array", "invalid-base64",
-        "partial-float", "size-off-shape"])
+        "partial-float", "size-off-shape", "no-reference-density"])
 def test_malformed_document_is_typed_error(trained_run, tmp_path, keys,
                                            value):
     _, path = trained_run
@@ -236,7 +254,8 @@ def test_malformed_document_is_typed_error(trained_run, tmp_path, keys,
         parent[keys[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(dataio.DataFormatError, match="malformed"):
+    with pytest.raises(dataio.DataFormatError,
+                       match=f"malformed .*{re.escape(str(bad))}"):
         dataio.load_model(bad)
     assert cli.main(["generate", "--model", str(bad), "--target", "1.0",
                      "--out", str(tmp_path / "gen.csv")]) == 2

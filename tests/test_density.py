@@ -147,22 +147,25 @@ class TestGaussianCurveDensity:
                 assert xt.grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-    @pytest.mark.parametrize("bad", ["grid", "mean", "sigma", "range"])
+    @pytest.mark.parametrize("bad", ["grid", "mean", "sigma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad, value):
         args = dict(strain_grid=np.linspace(0.0, 1.0, 5),
-                    mean_stress=np.arange(5.0), sigma_stress=0.3,
-                    strain_range=(0.0, 1.0))
+                    mean_stress=np.arange(5.0), sigma_stress=0.3)
         if bad == "grid":
             args["strain_grid"] = np.append(args["strain_grid"][:-1], value)
         elif bad == "mean":
             args["mean_stress"][2] = value
-        elif bad == "sigma":
-            args["sigma_stress"] = value
         else:
-            args["strain_range"] = (0.0, value)
+            args["sigma_stress"] = value
         with pytest.raises(ValueError, match="finite"):
             GaussianCurveDensity(**args)
+
+    @pytest.mark.parametrize("grid", [[0.5], []])
+    def test_grid_needs_two_points(self, grid):
+        # the density's strain range is the span of its grid
+        with pytest.raises(ValueError, match="needs at least 2 points"):
+            GaussianCurveDensity(grid, np.zeros(len(grid)), 0.3)
 
 
 class TestReducedGaussianDensity:

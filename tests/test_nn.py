@@ -199,7 +199,7 @@ def jet_field(activation, param, fourier_m, dim=2, seed=1):
 def test_input_derivs_linear_spatial_exact():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     W = np.hstack([A, np.zeros((2, 1))])  # u = A X, no time dependence
-    field = DisplacementField(2, nn.Mlp([make_linear(W, np.zeros(2))]))
+    field = DisplacementField(nn.Mlp([make_linear(W, np.zeros(2))]))
     gen = rng.stream(6)
     X = rng.normal(gen, (5, 2))
     jac = spatial_jacobian_t(field, X, 0.2)
@@ -240,7 +240,7 @@ def test_jet_matches_central_difference_oracles(activation, param, fourier_m):
 
 def test_gradients_flow_through_input_derivs():
     net = nn.init_mlp([2, 6, 1], "softplus", seed=13, activation_param=4.0)
-    field = DisplacementField(1, net)
+    field = DisplacementField(net)
     X = np.array([[0.3]])
 
     def loss_fn():

@@ -89,7 +89,7 @@ def test_loss_invariant_under_batch_permutation(perm_seed):
     base = loss(model, ds_plain, model.config, epoch_seed=5)
 
     snaps = [Snapshot(s.t_norm, PermutedDensity(s.density, perm_seed)
-                      if i == 0 else s.density, s.boundary_pairs)
+                      if i == 0 else s.density, s.anchors)
              for i, s in enumerate(ds_plain.snapshots)]
     ds_perm = SnapshotDataset(snaps)
     permuted = loss(model, ds_perm, model.config, epoch_seed=5)

@@ -9,20 +9,11 @@ from otgen import rng
 from otgen.density import GaussianCurveDensity, ReducedGaussianDensity
 from otgen.transport import (ConditionNormalizer, DegenerateMapError,
                              Snapshot, SnapshotDataset, TrainConfig,
-                             TrainingDivergence, TransportModel,
-                             compute_loss, deformation_gradient, eom_residual,
+                             TrainingDivergence, compute_loss,
+                             deformation_gradient, eom_residual,
                              generate_density, generate_mean, init_model,
                              loss, nrmse, train)
-from tests_support_rigs import NanDensity, RiggedField, RiggedForce
-
-
-def rigged_model(dim, u_fn, f_fn=None, **cfg_kw):
-    cfg_kw.setdefault("n_samples", 64)
-    cfg_kw.setdefault("n_samples_pde", 16)
-    cfg = TrainConfig(**cfg_kw)
-    f_fn = f_fn or (lambda x, t: np.zeros_like(x))
-    return TransportModel(RiggedField(dim, u_fn), RiggedForce(dim, f_fn),
-                          ConditionNormalizer("linear", 0.0, 1.0), cfg)
+from tests_support_rigs import NanDensity, rigged_transport_model
 
 
 class TestConditionNormalizer:
@@ -66,12 +57,12 @@ class TestKinematics:
         assert np.linalg.norm(F - np.eye(2)) < 1e-2
 
     def test_linear_rig_gradient(self):
-        model = rigged_model(2, lambda X, t: 0.5 * X)
+        model = rigged_transport_model(2, lambda X, t: 0.5 * X)
         F = deformation_gradient(model, np.array([0.3, 0.4]), 0.7)
         np.testing.assert_allclose(F, 1.5 * np.eye(2), atol=1e-8)
         # a non-symmetric map pins the orientation F[i, j] = dx_i / dX_j
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        model = rigged_model(2, lambda X, t: X @ A.T)
+        model = rigged_transport_model(2, lambda X, t: X @ A.T)
         X = rng.normal(rng.stream(6), (5, 2))
         F = deformation_gradient(model, X, 0.2)
         np.testing.assert_allclose(F, np.tile(np.eye(2) + A, (5, 1, 1)),
@@ -106,15 +97,15 @@ class TestKinematics:
 class TestEomResidual:
     def test_quadratic_time_rig_zero_residual(self):
         c = np.array([0.7, -0.3])
-        model = rigged_model(2, lambda X, t: 0.5 * t**2 * c,
-                             lambda x, t: np.broadcast_to(c, x.shape).copy())
+        model = rigged_transport_model(2, lambda X, t: 0.5 * t**2 * c,
+                                       lambda x, t: np.broadcast_to(c, x.shape).copy())
         X = rng.normal(rng.stream(1), (5, 2)) * 0.1
         r = eom_residual(model, X, 0.5)
         np.testing.assert_allclose(r, 0.0, atol=1e-6)
 
     def test_fnn_matching_d2u_zero_residual(self):
         # u linear in t: d2u/dt2 = 0 and F_b = 0 gives zero residual
-        model = rigged_model(1, lambda X, t: 0.2 * t * np.ones_like(X))
+        model = rigged_transport_model(1, lambda X, t: 0.2 * t * np.ones_like(X))
         r = eom_residual(model, np.zeros((3, 1)), 0.5)
         np.testing.assert_allclose(r, 0.0, atol=1e-9)
 
@@ -161,7 +152,6 @@ class TestEomResidual:
             SnapshotDataset([Snapshot(0.0, ref), Snapshot(1.0, ref)]),
             ConditionNormalizer("linear", 0.0, 1.0),
             TrainConfig(dnn_hidden=(4,), dnn_fourier_m=2, fnn_hidden=(4,)))
-        model.reference_density = ref
         field, X = model.displacement, np.zeros((3, 2))
         calls = [
             lambda t: field.u(X, t),
@@ -184,17 +174,17 @@ class TestEomResidual:
 
 def identity_dataset(dim=1, sigma=0.1):
     dens = ReducedGaussianDensity(np.zeros(dim), sigma)
-    bp = (np.zeros((1, dim)), np.zeros((1, dim)))
+    anchors = np.zeros((1, dim))
     return SnapshotDataset([
-        Snapshot(0.0, dens, bp),
-        Snapshot(0.5, ReducedGaussianDensity(np.zeros(dim), sigma), bp),
-        Snapshot(1.0, ReducedGaussianDensity(np.zeros(dim), sigma), bp),
+        Snapshot(0.0, dens, anchors),
+        Snapshot(0.5, ReducedGaussianDensity(np.zeros(dim), sigma), anchors),
+        Snapshot(1.0, ReducedGaussianDensity(np.zeros(dim), sigma), anchors),
     ])
 
 
 class TestLoss:
     def test_identity_transport_zero_loss(self):
-        model = rigged_model(1, lambda X, t: np.zeros_like(X))
+        model = rigged_transport_model(1, lambda X, t: np.zeros_like(X))
         res = loss(model, identity_dataset(), model.config)
         assert res.total == 0.0 and res.l1 == 0.0
         assert res.l2 == 0.0 and res.l3 == 0.0
@@ -206,7 +196,7 @@ class TestLoss:
         ref = ReducedGaussianDensity([m0], s0)
         tgt = ReducedGaussianDensity([a * m0 + b], a * s0)
         ds = SnapshotDataset([Snapshot(0.0, ref), Snapshot(1.0, tgt)])
-        model = rigged_model(
+        model = rigged_transport_model(
             1, lambda X, t: t * ((a - 1.0) * X + b),
             w2=0.0, w3=0.0, n_samples=512)
         res = loss(model, ds, model.config)
@@ -215,10 +205,10 @@ class TestLoss:
 
     def test_total_is_weighted_sum(self):
         gen = rng.stream(9)
-        model = rigged_model(
+        model = rigged_transport_model(
             1, lambda X, t: 0.1 * t * (X + 1.0),
             lambda x, t: 0.05 * np.ones_like(x),
-            w1=0.7, w2=2.0, w3=3.5)
+            w1=0.7, w2=2.0, w3=3.5, n_collocation=21)
         ds = identity_dataset()
         res = loss(model, ds, model.config)
         assert res.total == pytest.approx(
@@ -231,7 +221,8 @@ class TestLoss:
         dens0 = ReducedGaussianDensity([0.0], 0.1)
         d1 = ReducedGaussianDensity([0.2], 0.1)
         d2 = ReducedGaussianDensity([0.5], 0.1)
-        model = rigged_model(1, lambda X, t: 0.3 * t * np.ones_like(X))
+        model = rigged_transport_model(
+            1, lambda X, t: 0.3 * t * np.ones_like(X), n_collocation=21)
         ds_a = SnapshotDataset([Snapshot(0.0, dens0), Snapshot(0.5, d1),
                                 Snapshot(1.0, d2)])
         ds_b = SnapshotDataset([Snapshot(1.0, d2), Snapshot(0.0, dens0),
@@ -244,7 +235,7 @@ class TestLoss:
         # x = X - 2 t X^2 has J = 1 - 4 t X: folds for X > 1/(4t), so part
         # of each batch drops while the rest carries the term
         ds = identity_dataset(sigma=0.5)
-        model = rigged_model(1, lambda X, t: -2.0 * t * X**2)
+        model = rigged_transport_model(1, lambda X, t: -2.0 * t * X**2)
         res = loss(model, ds, model.config)
         assert res.dropped > 0
         assert res.dropped < res.evaluated
@@ -252,7 +243,8 @@ class TestLoss:
 
     def test_all_samples_degenerate_is_divergence(self):
         ds = identity_dataset()
-        model = rigged_model(1, lambda X, t: -2.0 * t * X)  # J = 1 - 2t <= 0 at t=1
+        # J = 1 - 2t <= 0 at t = 1
+        model = rigged_transport_model(1, lambda X, t: -2.0 * t * X)
         with pytest.raises(TrainingDivergence):
             loss(model, ds, model.config)
 
@@ -266,9 +258,40 @@ class TestLoss:
         (0.5, (np.full((1, 1), np.inf), np.zeros((1, 1)))),
     ])
     def test_non_finite_snapshot_rejected(self, t, pairs):
+        # `pairs`: the anchors of the reference and of the snapshot at t
+        ref_anchors, anchors = pairs or (None, None)
         dens = ReducedGaussianDensity([0.0], 0.1)
         with pytest.raises(ValueError, match="finite"):
-            SnapshotDataset([Snapshot(0.0, dens), Snapshot(t, dens, pairs)])
+            SnapshotDataset([Snapshot(0.0, dens, ref_anchors),
+                             Snapshot(t, dens, anchors)])
+
+    @pytest.mark.parametrize("ref_anchors,anchors", [
+        (np.zeros((1, 1)), np.zeros((3, 1))),
+        (None, np.zeros((1, 1))),
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((1, 2)), np.zeros((1, 2))),
+        (np.zeros((1, 1)), (np.zeros((1, 1)), np.ones((1, 1)))),
+    ], ids=["fewer-reference-points", "no-reference-anchors", "not-2d",
+            "not-data-dim", "source-target-tuple"])
+    def test_anchor_shape_rejected(self, ref_anchors, anchors):
+        # the source points are the reference's anchors, so every snapshot's
+        # anchors need their [m, dim] shape
+        dens = ReducedGaussianDensity([0.0], 0.1)
+        with pytest.raises(ValueError, match=r"anchors at t = .* must be \[m, 1\]"):
+            SnapshotDataset([Snapshot(0.0, dens, ref_anchors),
+                             Snapshot(0.5, dens, anchors)])
+
+    def test_boundary_term_moves_reference_anchors(self):
+        # u = 0.3 t moves the reference anchors bX onto bx_i = bX + 0.3 t_i
+        # exactly; an offset of 0.1 at t = 1 alone gives 0.1^2 / 3
+        bX = np.array([[-0.5], [0.0], [0.5]])
+        dens = ReducedGaussianDensity([0.0], 0.1)
+        snaps = [Snapshot(t, dens, bX + 0.3 * t) for t in (0.0, 0.5, 1.0)]
+        model = rigged_transport_model(1, lambda X, t: 0.3 * t * np.ones_like(X))
+        assert loss(model, SnapshotDataset(snaps), model.config).l2 == 0.0
+        snaps[-1] = Snapshot(1.0, dens, bX + 0.4)
+        res = loss(model, SnapshotDataset(snaps), model.config)
+        assert res.l2 == pytest.approx(0.01 / 3, rel=1e-12)
 
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -285,7 +308,7 @@ class TestTraining:
         for t in [0.0, 0.5, 1.0]:
             snaps.append(Snapshot(
                 t, ReducedGaussianDensity([0.4 * t], sigma),
-                (np.array([[0.0]]), np.array([[0.4 * t]]))))
+                np.array([[0.4 * t]])))
         return SnapshotDataset(snaps)
 
     def small_config(self, epochs, seed=0):
@@ -315,6 +338,7 @@ class TestTraining:
         model = train(ds, cfg)
         assert model.loss_history == []
         assert not model.trained
+        assert model.reference_density is ds.reference.density
 
     def test_divergence_before_any_checkpoint_raises(self):
         # a non-finite first loss leaves no checkpoint to restore
@@ -383,8 +407,8 @@ class TestGeneration:
     def test_translation_rig_moves_density(self):
         c = 0.4
         ref = ReducedGaussianDensity([0.0], 0.1)
-        model = rigged_model(1, lambda X, t: c * t * np.ones_like(X))
-        model.reference_density = ref
+        model = rigged_transport_model(
+            1, lambda X, t: c * t * np.ones_like(X), reference=ref)
         cloud = generate_density(model, 1.0, n=400, seed=2)
         src = ref.sample(400, seed=2)
         np.testing.assert_allclose(cloud.points, src + c, atol=1e-12)
@@ -394,23 +418,22 @@ class TestGeneration:
 
     def test_t0_with_pinned_boundary_reproduces_source(self):
         ref = ReducedGaussianDensity([0.0], 0.1)
-        model = rigged_model(1, lambda X, t: 0.3 * t * np.ones_like(X))
-        model.reference_density = ref
+        model = rigged_transport_model(
+            1, lambda X, t: 0.3 * t * np.ones_like(X), reference=ref)
         cloud = generate_density(model, 0.0, n=200, seed=3)
         np.testing.assert_allclose(cloud.points, ref.sample(200, seed=3),
                                    atol=1e-12)
 
     def test_fully_folded_map_raises_typed_error(self):
-        ref = ReducedGaussianDensity([0.0], 0.3)
-        model = rigged_model(1, lambda X, t: -2.0 * t * X)  # J = -1 at t = 1
-        model.reference_density = ref
+        # the rig's reference density is N(0, 0.3^2)
+        model = rigged_transport_model(1, lambda X, t: -2.0 * t * X)  # J = -1 at t = 1
         with pytest.raises(DegenerateMapError, match="folds"):
             generate_density(model, 1.0, n=100, seed=1)
 
     def test_weights_sum_to_one_with_drops(self):
         ref = ReducedGaussianDensity([0.0], 0.5)
-        model = rigged_model(1, lambda X, t: -2.0 * t * X**2)  # partial fold
-        model.reference_density = ref
+        model = rigged_transport_model(1, lambda X, t: -2.0 * t * X**2,  # partial fold
+                                       reference=ref)
         with pytest.warns(UserWarning):
             cloud = generate_density(model, 1.0, n=300, seed=4)
         assert 0.0 < cloud.dropped_fraction < 1.0
@@ -418,8 +441,8 @@ class TestGeneration:
 
     def test_symmetric_map_mean(self):
         ref = ReducedGaussianDensity([0.0, 0.0], 0.2)
-        model = rigged_model(2, lambda X, t: 0.5 * t * X)  # linear stretch
-        model.reference_density = ref
+        model = rigged_transport_model(2, lambda X, t: 0.5 * t * X,  # linear stretch
+                                       reference=ref)
         cloud = generate_density(model, 1.0, n=5000, seed=5)
         np.testing.assert_allclose(cloud.mean(), [0.0, 0.0], atol=0.02)
 
@@ -427,10 +450,10 @@ class TestGeneration:
         grid = np.linspace(0.0, 1.0, 12)
         ref = GaussianCurveDensity(grid, 2.0 * grid, sigma_stress=0.05)
         shift = 0.8
-        model = rigged_model(
+        model = rigged_transport_model(
             2, lambda X, t: np.column_stack(
-                [np.zeros(len(X)), shift * t[:, 0] * np.ones(len(X))]))
-        model.reference_density = ref
+                [np.zeros(len(X)), shift * t[:, 0] * np.ones(len(X))]),
+            reference=ref)
         curve = generate_mean(model, 1.0)
         np.testing.assert_allclose(curve[:, 0], grid, atol=1e-12)
         np.testing.assert_allclose(curve[:, 1], 2.0 * grid + shift, atol=1e-12)
@@ -450,8 +473,8 @@ class TestGeneration:
         with pytest.warns(UserWarning, match="rank"):  # rank-1 cloud, d=2
             basis = fit_pca(samples, 2)
         ref = ReducedGaussianDensity(np.zeros(2), 0.05)
-        model = rigged_model(2, lambda X, t: np.zeros_like(X))
-        model.reference_density = ref
+        model = rigged_transport_model(2, lambda X, t: np.zeros_like(X),
+                                       reference=ref)
         model.pca_basis = basis
         mean_field = generate_mean(model, 1.0, n=4000, seed=7)
         assert mean_field.shape == (D,)

@@ -81,13 +81,18 @@ class NanDensity(ReducedGaussianDensity):
         return ad.mul(super().pdf_t(x), np.nan)
 
 
-def rigged_transport_model(dim, u_fn, f_fn=None, **cfg_kw):
+def rigged_transport_model(dim, u_fn, f_fn=None, reference=None, **cfg_kw):
+    """A model of the two stubs; its reference density defaults to a
+    centred Gaussian of std 0.3."""
     cfg_kw.setdefault("n_samples", 64)
     cfg_kw.setdefault("n_samples_pde", 16)
     cfg_kw.setdefault("n_collocation", 7)
     cfg = TrainConfig(**cfg_kw)
+    if reference is None:
+        reference = ReducedGaussianDensity(np.zeros(dim), 0.3)
     return TransportModel(RiggedField(dim, u_fn), RiggedForce(dim, f_fn),
-                          ConditionNormalizer("linear", 0.0, 1.0), cfg)
+                          ConditionNormalizer("linear", 0.0, 1.0), cfg,
+                          reference)
 
 
 def make_translation_model_and_data(shift=0.3, sigma=0.1):
@@ -97,7 +102,7 @@ def make_translation_model_and_data(shift=0.3, sigma=0.1):
     for t in (0.0, 0.5, 1.0):
         snaps.append(Snapshot(
             t, ReducedGaussianDensity([shift * t], sigma),
-            (np.zeros((1, 1)), shift * t * np.ones((1, 1)))))
+            shift * t * np.ones((1, 1))))
     return model, SnapshotDataset(snaps)
 
 
