@@ -119,11 +119,19 @@ def cmd_ot_discrete(args) -> int:
     return EXIT_OK
 
 
+def _numbers(flag, text) -> list[float]:
+    """The comma-separated floats of `text`; ValueError naming `flag` if not."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as e:
+        raise ValueError(f"{flag} must be comma-separated numbers: {e}") from e
+
+
 def cmd_geodesic(args) -> int:
     from .dataio import write_table
     from .geodesic import euclidean_metric, integrate_geodesic, lobachevsky_metric
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    v0 = np.array([float(v) for v in args.v0.split(",")])
+    x0 = np.array(_numbers("--x0", args.x0))
+    v0 = np.array(_numbers("--v0", args.v0))
     metric = (lobachevsky_metric() if args.metric == "lobachevsky"
               else euclidean_metric(len(x0)))
     if metric.dim != len(x0) or len(x0) != len(v0):
@@ -234,10 +242,7 @@ def cmd_sample_pfode(args) -> int:
 def cmd_synth(args) -> int:
     from .dataio import DataFormatError
     from .fixtures import synth_fixture
-    try:
-        taus = [float(v) for v in args.taus.split(",")] if args.taus else None
-    except ValueError as e:
-        raise ValueError(f"--taus must be comma-separated numbers: {e}") from e
+    taus = _numbers("--taus", args.taus) if args.taus else None
     params = None
     if args.params:
         try:

@@ -12,8 +12,8 @@ scaler, the reference density, the optional PCA basis and the training
 history, so a reloaded model generates exactly what the in-memory one
 does. Every float array goes through one codec, `_arr_out`/`_arr_in`: the
 base64 of its little-endian float64 bytes, so round trips are bit-exact.
-Older documents with arrays as lists of numbers (weight version 1, model
-formats 1 and 2) still load. A malformed file raises `DataFormatError`.
+The reader takes exactly what the writer writes (model format 3, weight
+version 2, every key); anything else raises `DataFormatError`.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
                         DisplacementField, TrainConfig, TransportModel)
 
 WEIGHT_FORMAT_VERSION = 2
-# version 1 wrote float arrays as lists of numbers; `_arr_in` reads both
-_WEIGHT_VERSIONS = (1, WEIGHT_FORMAT_VERSION)
 MODEL_FORMAT_VERSION = 3
-_MODEL_VERSIONS = (1, 2, MODEL_FORMAT_VERSION)
 
 
 class DataFormatError(ValueError):
@@ -78,21 +75,16 @@ def _arr_out(a) -> str:
 
 
 def _arr_in(v, shape=(-1,)) -> np.ndarray:
-    """A writable native float64 array of `shape` read from a document.
+    """A writable native float64 array of `shape` read from `_arr_out` text.
 
-    `v` is `_arr_out` text or, in documents written before it, a list of
-    numbers. Raises TypeError for any other value and ValueError for
+    Raises TypeError for any value that is not text and ValueError for
     invalid base64 or a size that does not fit `shape`.
     """
-    if isinstance(v, str):
-        # invalid base64 raises binascii.Error, a ValueError
-        raw = base64.b64decode(v, validate=True)
-        a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    elif isinstance(v, list):
-        a = np.array(v, dtype=np.float64)
-    else:
-        raise TypeError(f"expected an array, got {type(v).__name__}")
-    return a.reshape(shape)
+    if not isinstance(v, str):
+        raise TypeError(f"expected base64 array text, got {type(v).__name__}")
+    # invalid base64 raises binascii.Error, a ValueError
+    raw = base64.b64decode(v, validate=True)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 # -- CSV files -------------------------------------------------------------------
@@ -296,10 +288,14 @@ def mlp_to_dict(net: Mlp) -> dict:
     }
 
 
+def _check_version(doc: dict, what: str, version: int):
+    if doc["version"] != version:
+        raise DataFormatError(f"unsupported {what} version {doc['version']!r}; "
+                              f"this reader reads version {version}")
+
+
 def _mlp_from_dict(doc: dict) -> Mlp:
-    if doc.get("version") not in _WEIGHT_VERSIONS:
-        raise DataFormatError(
-            f"unsupported weight format version {doc.get('version')}")
+    _check_version(doc, "weight format", WEIGHT_FORMAT_VERSION)
     layers = []
     for layer_doc in doc["layers"]:
         out_dim, in_dim = layer_doc["shape"]
@@ -319,7 +315,7 @@ def save_mlp(net: Mlp, path):
 
 
 def load_mlp(path) -> Mlp:
-    """The network of a weight document of version 1 or 2.
+    """The network of a weight document of version 2.
 
     Raises DataFormatError for an unknown version and for a malformed
     document (see `format_errors`).
@@ -331,7 +327,6 @@ def load_mlp(path) -> Mlp:
 
 def basis_to_dict(basis: PcaBasis) -> dict:
     return {
-        "version": WEIGHT_FORMAT_VERSION,
         "shape": list(basis.components.shape),
         "data_mean": _arr_out(basis.data_mean),
         "components": _arr_out(basis.components),
@@ -357,7 +352,6 @@ def density_to_dict(dens) -> dict:
             "strain_grid": _arr_out(dens.strain_grid),
             "mean_stress": _arr_out(dens.mean_stress),
             "sigma_stress": dens.sigma_stress,
-            "strain_range": list(dens.strain_range),
         }
     if isinstance(dens, ReducedGaussianDensity):
         return {
@@ -380,16 +374,12 @@ def density_from_dict(doc: dict):
 
 
 def model_to_dict(model: TransportModel) -> dict:
-    # the `dim`s, `strain_range` and `trained` are derived on load; they are
-    # written so documents keep their bytes and load in readers needing them
     emb = model.displacement.embedding
     return {
         "version": MODEL_FORMAT_VERSION,
         "displacement": {
-            "dim": model.displacement.dim,
             "net": mlp_to_dict(model.displacement.net),
             "embedding": None if emb is None else {
-                "version": WEIGHT_FORMAT_VERSION,
                 "shape": list(emb.spectral_weights.value.shape),
                 "spectral_weights": _arr_out(emb.spectral_weights.value),
                 "scale": float(emb.scale.value),
@@ -397,7 +387,6 @@ def model_to_dict(model: TransportModel) -> dict:
             "output_scales": _arr_out(model.displacement.output_scales.value),
         },
         "body_force": {
-            "dim": model.body_force.dim,
             "net": mlp_to_dict(model.body_force.net),
         },
         "normalizer": {
@@ -415,22 +404,18 @@ def model_to_dict(model: TransportModel) -> dict:
         "reference_density": density_to_dict(model.reference_density),
         "pca_basis": (basis_to_dict(model.pca_basis)
                       if model.pca_basis is not None else None),
-        "trained": model.trained,
     }
 
 
 def model_from_dict(doc: dict, path=None) -> TransportModel:
-    """The model a document of format 1, 2 or 3 describes.
+    """The model a document of format 3 describes.
 
     Raises DataFormatError for an unknown version and for a malformed
     document (see `format_errors`), naming the document's file `path` if
     given.
     """
     with format_errors("model document", path):
-        if doc.get("version") not in _MODEL_VERSIONS:
-            raise DataFormatError(f"unsupported model version {doc.get('version')}")
-        if doc["version"] == 1:
-            doc = dict(doc, scaler=(doc.get("preprocessing") or {}).get("scaler"))
+        _check_version(doc, "model", MODEL_FORMAT_VERSION)
         ddoc = doc["displacement"]
         net = _mlp_from_dict(ddoc["net"])
         edoc = ddoc["embedding"]
@@ -451,9 +436,9 @@ def model_from_dict(doc: dict, path=None) -> TransportModel:
                           for row in doc["loss_history"]],
             dropped_fraction=float(doc["dropped_fraction"]),
         )
-        if doc.get("pca_basis") is not None:
+        if doc["pca_basis"] is not None:
             model.pca_basis = basis_from_dict(doc["pca_basis"])
-        if doc.get("scaler") is not None:
+        if doc["scaler"] is not None:
             model.scaler = AffineScaler(_arr_in(doc["scaler"]["offset"]),
                                         _arr_in(doc["scaler"]["scale"]))
         return model

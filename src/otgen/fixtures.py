@@ -14,6 +14,7 @@ trend; set d = 0 for the purely linear curve family.
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,6 @@ import numpy as np
 from . import dataio, rng
 from .density import CurveSnapshot
 from .transport import check_number
-
-CURVE_DEFAULTS = dict(a=40.0, b=10.0, c=8.0, d=15.0, strain_max=0.5, n_points=40)
-FIELD_DEFAULTS = dict(D=500, base_scale=1.0, mode_scale=0.6)
-
 
 def curve_family(tau, a=40.0, b=10.0, c=8.0, d=15.0, strain_max=0.5, n_points=40):
     """Exact mean curve of the synthetic family at condition tau."""
@@ -50,6 +47,12 @@ def field_family(tau, D=500, base_scale=1.0, mode_scale=0.6, seed=0):
     mode2 = mode_scale * np.exp(-0.5 * ((idx - 0.7) / 0.18) ** 2) \
         * np.sin(4 * np.pi * idx + phases[2])
     return base + tau * mode1 + tau**2 * mode2
+
+
+# the params a fixture defaults to: its family's keyword defaults but `seed`
+CURVE_DEFAULTS, FIELD_DEFAULTS = (
+    {k: p.default for k, p in inspect.signature(family).parameters.items()
+     if k not in ("tau", "seed")} for family in (curve_family, field_family))
 
 
 def _family_params(kind, params) -> dict:

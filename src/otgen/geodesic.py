@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transport import check_number
+
 FD_STEP = 1e-5  # central-difference step for metrics without derivatives
 
 
@@ -178,6 +180,7 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    check_number("t_end", t_end)
     x = np.asarray(x0, dtype=np.float64).copy()
     v = np.asarray(v0, dtype=np.float64).copy()
     h = float(t_end) / steps

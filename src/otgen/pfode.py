@@ -82,6 +82,9 @@ class VeSchedule:
     """
 
     def __init__(self, sigma_min=0.01, sigma_max=50.0, t_final=1.0):
+        for name, value in (("sigma_min", sigma_min), ("sigma_max", sigma_max),
+                            ("t_final", t_final)):
+            check_number(name, value)
         if not (0 < sigma_min < sigma_max):
             raise ValueError("need 0 < sigma_min < sigma_max")
         if t_final <= 0:

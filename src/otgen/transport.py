@@ -351,7 +351,6 @@ class TrainConfig:
     def from_dict(cls, doc: dict) -> "TrainConfig":
         """The config of a document written from `asdict` (lists for tuples)."""
         doc = dict(doc)
-        doc.pop("fd_step", None)  # dropped with the finite differences
         for key in ("dnn_hidden", "fnn_hidden"):
             if key in doc:
                 doc[key] = tuple(doc[key])

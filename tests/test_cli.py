@@ -11,8 +11,6 @@ from otgen.fixtures import curve_family, field_family, synth_fixture
 from otgen.svgplot import plot_curves
 from otgen.transport import TrainConfig
 
-from tests_support_rigs import as_text_arrays
-
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -51,6 +49,16 @@ class TestFixtures:
         assert rows.shape == (2, 40)
         np.testing.assert_allclose(rows[1], field_family(0.5, D=40, seed=2),
                                    atol=1e-12)
+
+    def test_default_targets_are_the_family_defaults(self, tmp_path):
+        # the fixture's default params are the families' keyword defaults,
+        # so off-target references from the bare families match its data
+        curves = synth_fixture("curves", tmp_path / "c", seed=4)
+        ref = dataio.ingest_curves(curves["target"])[0]
+        np.testing.assert_array_equal(ref.points, curve_family(1.0))
+        fields = synth_fixture("fields", tmp_path / "f", seed=4)
+        conds, rows = dataio.ingest_fields(fields["target"])
+        np.testing.assert_array_equal(rows, field_family(1.0, seed=4)[None, :])
 
     def test_same_seed_identical_files(self, tmp_path):
         a = synth_fixture("curves", tmp_path / "a", seed=3)
@@ -133,6 +141,24 @@ class TestGeodesicCommand:
         assert run_cli("geodesic", "--metric", "lobachevsky", "--x0", "0,1,2",
                        "--v0", "1,0,0") == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--t-end", "nan", "t_end must be a finite number; got nan"),
+        ("--t-end", "inf", "t_end must be a finite number; got inf"),
+        ("--x0", "1,abc", "--x0 must be comma-separated numbers: could not "
+                          "convert string to float: 'abc'"),
+        ("--v0", "0,", "--v0 must be comma-separated numbers: could not "
+                       "convert string to float: ''"),
+    ], ids=["t-end-nan", "t-end-inf", "x0-not-a-number", "v0-empty-item"])
+    def test_bad_number_is_validation_exit(self, tmp_path, capsys, flag,
+                                           value, message):
+        out = tmp_path / "traj.csv"
+        flags = {"--x0": "0,1", "--v0": "1,0", "--t-end": "1.0", flag: value}
+        code = run_cli("geodesic", "--metric", "lobachevsky", "--steps", "50",
+                       "--out", str(out), *sum(flags.items(), ()))
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBaselineCommand:
     def test_prediction_csv(self, tmp_path, capsys):
@@ -191,6 +217,20 @@ class TestSamplePfodeCommand:
                f"'{std}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--sigma-min", "--sigma-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_sigma_is_validation_exit(self, tmp_path, capsys, flag,
+                                                 value):
+        # named before the schedule runs, so no numpy warning comes first
+        out = tmp_path / "s.csv"
+        code = run_cli("sample-pfode", "--score", "gaussian:1.0", "--n", "3",
+                       "--steps", "5", flag, value, "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        name = flag[2:].replace("-", "_")
+        assert (f"error: {name} must be a finite number; got {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--n", "0", "n_chains"), ("--n", "-2", "n_chains"),
         ("--dim", "0", "dim"), ("--dim", "-1", "dim")])
@@ -205,16 +245,19 @@ class TestSamplePfodeCommand:
         assert not out.exists()
 
     def test_weight_version_1_score_file(self, tmp_path, capsys):
+        # a score network the reader takes samples; the same one stamped
+        # version 1 is refused by name, before anything is written
         net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
         new, old = tmp_path / "score.json", tmp_path / "score_v1.json"
         dataio.save_mlp(net, new)
-        old.write_text(json.dumps(as_text_arrays(dataio.mlp_to_dict(net))))
-        outs = []
-        for path in (new, old):
-            outs.append(tmp_path / f"{path.stem}.csv")
+        dataio.write_json(old, dict(dataio.mlp_to_dict(net), version=1))
+        for path, code in ((new, cli.EXIT_OK), (old, cli.EXIT_VALIDATION)):
+            out = tmp_path / f"{path.stem}.csv"
             assert run_cli("sample-pfode", "--score", str(path), "--n", "50",
-                           "--steps", "20", "--out", str(outs[-1])) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+                           "--steps", "20", "--out", str(out)) == code
+            assert out.exists() == (code == cli.EXIT_OK)
+        assert (f"error: malformed weight document {old}: unsupported weight "
+                "format version 1" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: {"version": doc["version"]},            # no layers
@@ -626,20 +669,30 @@ class TestInputValidation:
         assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
         assert f"{path}: {what} is not JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,text,what", [
+    @pytest.mark.parametrize("argv,text,what,detail", [
         (["generate", "--target", "1.0", "--model"], "[1]",
-         "malformed model document"),
+         "malformed model document", "TypeError"),
         (["generate", "--target", "1.0", "--model"], '{"version": 99}',
-         "malformed model document"),
+         "malformed model document",
+         "unsupported model version 99; this reader reads version 3"),
+        (["generate", "--target", "1.0", "--model"], '{"version": 2}',
+         "malformed model document",
+         "unsupported model version 2; this reader reads version 3"),
         (["sample-pfode", "--n", "10", "--score"], '{"version": 2}',
-         "malformed weight document"),
-    ], ids=["model-not-an-object", "model-version", "score-no-layers"])
+         "malformed weight document", "KeyError: 'layers'"),
+        (["sample-pfode", "--n", "10", "--score"], '{"version": 1}',
+         "malformed weight document",
+         "unsupported weight format version 1; this reader reads version 2"),
+    ], ids=["model-not-an-object", "model-version", "model-version-2",
+            "score-no-layers", "weight-version-1"])
     def test_malformed_document_names_its_file(self, tmp_path, capsys, argv,
-                                               text, what):
+                                               text, what, detail):
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
-        assert f"error: {what} {path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {what} {path}: " in err
+        assert detail in err
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_config_not_an_object_is_validation_exit(self, tmp_path, capsys,

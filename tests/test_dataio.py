@@ -15,8 +15,6 @@ from otgen.transport import (AffineScaler, ConditionNormalizer, Snapshot,
                              SnapshotDataset, TrainConfig, generate_density,
                              generate_mean, init_model)
 
-from tests_support_rigs import legacy_model_document
-
 
 def write(path, text):
     path.write_text(text)
@@ -176,6 +174,34 @@ def assert_generates_like(back, model):
         np.testing.assert_array_equal(a.density_values, b.density_values)
 
 
+def key_paths(doc, prefix=()):
+    """Every key path of `doc` outside `config`; list elements at index 0."""
+    items = (doc.items() if isinstance(doc, dict)
+             else [(0, doc[0])] if isinstance(doc, list) and doc else [])
+    for k, v in items:
+        if isinstance(k, str):
+            yield prefix + (k,)
+        if k != "config":
+            yield from key_paths(v, prefix + (k,))
+
+
+def without(doc, keys):
+    """A deep copy of `doc` without the key at path `keys`."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in keys[:-1]:
+        parent = parent[k]
+    del parent[keys[-1]]
+    return doc
+
+
+def with_list_weight(doc):
+    """`doc` with a weight array as the list of numbers formats 1-2 held."""
+    layer = doc["displacement"]["net"]["layers"][0]
+    layer["weight"] = dataio._arr_in(layer["weight"]).tolist()
+    return doc
+
+
 class TestSavedRunRoundtrip:
     def test_reloaded_model_generates_bit_for_bit(self, trained_run):
         model, path = trained_run
@@ -189,43 +215,41 @@ class TestSavedRunRoundtrip:
         dataio.save_model(dataio.load_model(path), again)
         assert again.read_bytes() == Path(path).read_bytes()
 
-    def test_format_1_document_generates_like_format_2(self, trained_run,
-                                                       tmp_path):
-        model, path = trained_run
-        doc = legacy_model_document(json.loads(Path(path).read_text()), 1)
-        assert isinstance(doc["displacement"]["net"]["layers"][0]["weight"],
-                          list)
-        old = tmp_path / "v1.json"
-        old.write_text(json.dumps(doc))
-        assert_generates_like(dataio.load_model(old), model)
-
-    def test_document_with_legacy_fd_step_generates_alike(self, trained_run,
-                                                          tmp_path):
-        # format-2 documents written before input derivatives became exact
-        # still carry the finite-difference step in their config
-        model, path = trained_run
-        doc = legacy_model_document(json.loads(Path(path).read_text()), 2)
-        doc["config"]["fd_step"] = 0.001
-        old = tmp_path / "fd_step.json"
-        old.write_text(json.dumps(doc))
-        assert_generates_like(dataio.load_model(old), model)
-
-    def test_derived_keys_are_not_read(self, trained_run, tmp_path):
-        # the dims come from the networks, the strain range from the grid
-        # and `trained` from the loss history; writers still emit them
-        model, path = trained_run
+    def test_every_key_outside_config_is_read(self, trained_run, tmp_path):
+        # the writer writes only what the reader needs: dropping any key
+        # fails the load, naming the file
+        _, path = trained_run
         doc = json.loads(Path(path).read_text())
-        del doc["displacement"]["dim"], doc["body_force"]["dim"]
-        del doc["trained"]
-        doc["reference_density"].pop("strain_range", None)
-        slim = tmp_path / "slim.json"
-        slim.write_text(json.dumps(doc))
-        back = dataio.load_model(slim)
-        assert back.trained
-        assert_generates_like(back, model)
-        again = tmp_path / "again.json"
-        dataio.save_model(back, again)
-        assert again.read_bytes() == Path(path).read_bytes()
+        paths = list(key_paths(doc))
+        assert ("displacement", "embedding", "spectral_weights") in paths
+        for keys in paths:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(without(doc, keys)))
+            with pytest.raises(dataio.DataFormatError,
+                               match=f"malformed .*{re.escape(str(bad))}"):
+                dataio.load_model(bad)
+
+    @pytest.mark.parametrize("legacy, message", [
+        (lambda doc: dict(doc, version=2),
+         "unsupported model version 2; this reader reads version 3"),
+        (lambda doc: dict(doc, version=1,
+                          preprocessing={"scaler": doc.pop("scaler")}),
+         "unsupported model version 1; this reader reads version 3"),
+        (lambda doc: dict(doc, config=dict(doc["config"], fd_step=0.001)),
+         "unexpected keyword argument 'fd_step'"),
+        (with_list_weight, "expected base64 array text, got list"),
+    ], ids=["format-2", "format-1-preprocessing", "fd-step", "list-array"])
+    def test_legacy_document_is_rejected(self, trained_run, tmp_path, legacy,
+                                         message):
+        # model formats 1 and 2 held arrays as lists of numbers and their
+        # configs a finite-difference step; the reader takes format 3 only
+        _, path = trained_run
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(legacy(json.loads(Path(path).read_text()))))
+        with pytest.raises(dataio.DataFormatError,
+                           match=f"malformed model document "
+                                 f"{re.escape(str(old))}: .*{message}"):
+            dataio.load_model(old)
 
 
 LAYER0 = ("displacement", "net", "layers", 0)
@@ -274,8 +298,13 @@ def test_default_model_document_stays_binary_sized(tmp_path):
     assert path.stat().st_size < 11 * n_params + 64 * 1024
 
 
-def test_run_config_drops_legacy_fd_step():
-    cfg = RunConfig.from_dict({"task": "curves", "data": "c.csv",
-                               "target_raw": 1.0,
-                               "train": {"epochs": 3, "fd_step": 0.001}})
-    assert cfg.train.epochs == 3
+def test_run_config_with_legacy_fd_step_is_validation_exit(tmp_path, capsys):
+    # the finite-difference step went with the finite differences; like any
+    # unknown key it fails the config before a stage runs
+    cfg = tmp_path / "cfg.json"
+    dataio.write_json(cfg, {"task": "curves", "data": "c.csv",
+                            "target_raw": 1.0, "out_dir": str(tmp_path / "out"),
+                            "train": {"epochs": 3, "fd_step": 0.001}})
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_VALIDATION
+    assert (f"error: malformed run config {cfg}: " in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,4 @@
-"""Shared rigged models for tests: analytic displacement/force stubs, and
-documents in the formats written before float arrays became base64."""
-
-import base64
+"""Shared rigged models for tests: analytic displacement/force stubs."""
 
 import numpy as np
 
@@ -104,39 +101,3 @@ def make_translation_model_and_data(shift=0.3, sigma=0.1):
             t, ReducedGaussianDensity([shift * t], sigma),
             shift * t * np.ones((1, 1))))
     return model, SnapshotDataset(snaps)
-
-
-# keys whose values are float arrays in model and weight documents
-ARRAY_KEYS = frozenset({
-    "weight", "bias", "spectral_weights", "output_scales", "offset", "scale",
-    "strain_grid", "mean_stress", "mean", "data_mean", "components",
-    "singular_values", "explained_variance_ratio"})
-
-
-def as_text_arrays(doc):
-    """`doc` as weight version 1 wrote it: every base64 float array a list
-    of numbers, every nested weight document at version 1."""
-    if isinstance(doc, list):
-        return [as_text_arrays(v) for v in doc]
-    if not isinstance(doc, dict):
-        return doc
-    out = {k: (np.frombuffer(base64.b64decode(v), "<f8").tolist()
-               if k in ARRAY_KEYS and isinstance(v, str) else as_text_arrays(v))
-           for k, v in doc.items()}
-    if {"layers", "spectral_weights", "components"} & out.keys():
-        out["version"] = 1
-    return out
-
-
-def legacy_model_document(doc, version):
-    """A format-3 model document rewritten as format `version` (1 or 2).
-
-    Format 1 also kept the scaler under `preprocessing` and, like format 2
-    before exact input derivatives, the finite-difference step in its config.
-    """
-    old = as_text_arrays(doc)
-    old["version"] = version
-    if version == 1:
-        old["preprocessing"] = {"scaler": old.pop("scaler")}
-        old["config"]["fd_step"] = 0.001
-    return old
