@@ -177,8 +177,6 @@ def cmd_generate(args) -> int:
     from .experiment import task_for_model
     from .transport import generate_density, generate_mean, nrmse
     model = dataio.load_model(args.model)
-    if not model.trained:
-        raise ValueError("model was saved untrained; re-run training")
     task = task_for_model(model)
     t = model.normalizer.normalize(args.target)
     cloud = generate_density(model, t, n=args.samples, seed=model.config.seed)

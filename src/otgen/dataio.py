@@ -6,14 +6,15 @@ file), field files one `condition,v1..vD` row per condition, and discrete
 distributions (`otgen ot-discrete`) `x1,..,xk,mass` rows.
 
 JSON: reports are sorted, one-space-indented (`pretty_json`). A weight
-document holds one network. A model document (format 3) holds everything
+document holds one network. A model document (format 4) holds everything
 generation needs: the networks, the pseudo-time normalizer, the output
 scaler, the reference density, the optional PCA basis and the training
 history, so a reloaded model generates exactly what the in-memory one
 does. Every float array goes through one codec, `_arr_out`/`_arr_in`: the
 base64 of its little-endian float64 bytes, so round trips are bit-exact.
-The reader takes exactly what the writer writes (model format 3, weight
-version 2, every key); anything else raises `DataFormatError`.
+The reader takes exactly what the writer writes (model format 4, weight
+version 2, every key, a non-empty loss history); anything else raises
+`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
                         DisplacementField, TrainConfig, TransportModel)
 
 WEIGHT_FORMAT_VERSION = 2
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 class DataFormatError(ValueError):
@@ -400,7 +401,6 @@ def model_to_dict(model: TransportModel) -> dict:
                    if model.scaler is not None else None),
         "config": asdict(model.config),
         "loss_history": [[float(v) for v in row] for row in model.loss_history],
-        "dropped_fraction": float(model.dropped_fraction),
         "reference_density": density_to_dict(model.reference_density),
         "pca_basis": (basis_to_dict(model.pca_basis)
                       if model.pca_basis is not None else None),
@@ -408,14 +408,16 @@ def model_to_dict(model: TransportModel) -> dict:
 
 
 def model_from_dict(doc: dict, path=None) -> TransportModel:
-    """The model a document of format 3 describes.
+    """The trained model a document of format 4 describes.
 
-    Raises DataFormatError for an unknown version and for a malformed
-    document (see `format_errors`), naming the document's file `path` if
-    given.
+    Raises DataFormatError for an unknown version, an empty loss history
+    and a malformed document (see `format_errors`), naming the document's
+    file `path` if given.
     """
     with format_errors("model document", path):
         _check_version(doc, "model", MODEL_FORMAT_VERSION)
+        if not doc["loss_history"]:
+            raise DataFormatError("empty loss history: model never trained")
         ddoc = doc["displacement"]
         net = _mlp_from_dict(ddoc["net"])
         edoc = ddoc["embedding"]
@@ -434,7 +436,6 @@ def model_from_dict(doc: dict, path=None) -> TransportModel:
             density_from_dict(doc["reference_density"]),
             loss_history=[tuple(float(v) for v in row)
                           for row in doc["loss_history"]],
-            dropped_fraction=float(doc["dropped_fraction"]),
         )
         if doc["pca_basis"] is not None:
             model.pca_basis = basis_from_dict(doc["pca_basis"])

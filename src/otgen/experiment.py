@@ -59,7 +59,8 @@ class RunConfig:
     boundary_anchors  anchor count along the mean curve (curves);
                     2 means endpoints only
     mean_anchor     use snapshot means as anchors (fields)
-    train           TrainConfig for the transport networks; its seed is
+    train           TrainConfig for the transport networks (at least one
+                    epoch; the lowest-loss parameters are kept); its seed is
                     set to the run seed
     baseline        also fit the mode-regression baseline and report it
     gen_samples     particle count for generation
@@ -102,6 +103,9 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
+    """One run's scores, written as `report.json`; the loss fields read the
+    model's loss history, which holds at least one epoch."""
+
     task: str
     seed: int
     target_raw: float
@@ -114,7 +118,6 @@ class ExperimentReport:
     epochs_run: int
     baseline_nrmse: float | None = None
     pca_target_residual: float | None = None
-    untrained: bool = False
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -328,16 +331,6 @@ def run_experiment(config: RunConfig):
 
     artifacts = {"model": str(out / "model.json"),
                  "report": str(out / "report.json")}
-    if not model.trained:
-        # zero-epoch runs persist the initial model but skip generation
-        with _stage("emit"):
-            dataio.save_model(model, out / "model.json")
-            report = _report(config, model, training_nrmse={},
-                             target_nrmse=None, dropped_j_fraction=0.0)
-            _write_report(out, report)
-        _write_meta(out, config, time.perf_counter() - t_start)
-        return report, model, artifacts
-
     n, seed = config.gen_samples, config.seed
     with _stage("generate"):
         t_target = normalizer.normalize(config.target_raw)
@@ -387,12 +380,11 @@ def run_experiment(config: RunConfig):
 
 
 def _report(config, model, **scores) -> ExperimentReport:
-    totals = [h[0] for h in model.loss_history] or [-1.0]
+    totals = [h[0] for h in model.loss_history]
     return ExperimentReport(
         task=config.task, seed=config.seed, target_raw=config.target_raw,
         loss_first=totals[0], loss_best=min(totals), loss_last=totals[-1],
-        epochs_run=len(model.loss_history), untrained=not model.trained,
-        **scores)
+        epochs_run=len(model.loss_history), **scores)
 
 
 def _write_report(out, report: ExperimentReport):

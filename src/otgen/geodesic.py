@@ -170,19 +170,33 @@ class GeodesicTrajectory:
         return out
 
 
+def _in_domain(metric: MetricField, x) -> bool:
+    """Whether `x` lies in the metric's integration domain: x2 > 1e-9 for
+    the Lobachevsky metric, everywhere for any other."""
+    return metric.name != "lobachevsky" or x[1] > 1e-9
+
+
 def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
                        G=0.0, g0=None) -> GeodesicTrajectory:
     """Classic fourth-order Runge-Kutta on (position, velocity).
 
-    Integration stops once the metric turns singular or, for the Lobachevsky
-    metric, once x2 falls to 1e-9; the partial trajectory computed so far is
-    returned with `complete=False`.
+    `x0`, `v0` and `t_end` must be finite and `x0` inside the metric's
+    domain (ValueError otherwise). Integration stops once the metric turns
+    singular or a step leaves the domain (for the Lobachevsky metric, once
+    x2 falls to 1e-9); the partial trajectory computed so far is returned
+    with `complete=False`.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     check_number("t_end", t_end)
     x = np.asarray(x0, dtype=np.float64).copy()
     v = np.asarray(v0, dtype=np.float64).copy()
+    for name, values in (("x0", x), ("v0", v)):
+        for value in values.tolist():
+            check_number(name, value)
+    if not _in_domain(metric, x):
+        raise ValueError(f"x0 {x.tolist()} lies outside the domain of the "
+                         f"{metric.name} metric")
     h = float(t_end) / steps
     times = np.linspace(0.0, float(t_end), steps + 1)
     xs = np.empty((steps + 1, metric.dim))
@@ -203,7 +217,7 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
                                       complete=False)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if metric.name == "lobachevsky" and not x[1] > 1e-9:
+        if not _in_domain(metric, x):
             return GeodesicTrajectory(times[:s + 1], xs[:s + 1], vs[:s + 1],
                                       complete=False)
         xs[s + 1], vs[s + 1] = x, v

@@ -305,7 +305,8 @@ def check_config_numbers(config, least: dict):
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters; architecture knobs default to the large nets."""
+    """Training hyperparameters, at least one epoch; architecture knobs
+    default to the large nets."""
 
     w1: float = 1.0
     w2: float = 1.0
@@ -318,7 +319,6 @@ class TrainConfig:
     shear_modulus: float = 0.0
     seed: int = 0
     auto_rescale_weights: bool = False
-    checkpoint: str = "best"       # "best" training loss or "last" epoch
     dnn_hidden: tuple = (256, 256, 256)
     dnn_fourier_m: int = 32
     dnn_activation: str = "softplus"
@@ -330,14 +330,12 @@ class TrainConfig:
 
     def __post_init__(self):
         check_config_numbers(self, dict(
-            epochs=0, n_samples=1, n_collocation=2, n_samples_pde=1,
+            epochs=1, n_samples=1, n_collocation=2, n_samples_pde=1,
             dnn_fourier_m=0, shear_modulus=0.0))
         if min(self.w1, self.w2, self.w3) < 0 or self.w1 + self.w2 + self.w3 <= 0:
             raise ValueError("loss weights must be nonnegative with positive sum")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.checkpoint not in ("best", "last"):
-            raise ValueError("checkpoint policy must be 'best' or 'last'")
         for key in ("dnn_activation", "fnn_activation"):
             if getattr(self, key) not in nn.ACTIVATIONS:
                 raise ValueError(f"{key} must be one of {nn.ACTIVATIONS}")
@@ -365,13 +363,8 @@ class TransportModel:
     config: TrainConfig
     reference_density: object  # the t = 0 density generation samples
     loss_history: list = field(default_factory=list)
-    dropped_fraction: float = 0.0
     pca_basis: object = None
     scaler: AffineScaler | None = None
-
-    @property
-    def trained(self) -> bool:  # training with epochs > 0 records one or raises
-        return bool(self.loss_history)
 
     def parameters(self) -> list[ad.Tensor]:
         return self.displacement.parameters() + self.body_force.parameters()
@@ -600,7 +593,8 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     A fresh Monte-Carlo batch is drawn each epoch from seeds derived from
     (config.seed, epoch), making runs bit-reproducible. The parameters with
     the lowest recorded training loss are restored at the end; divergence
-    aborts early with the last good checkpoint.
+    aborts early with the last good checkpoint. The loss history holds at
+    least one epoch: a first epoch that diverges raises TrainingDivergence.
     """
     if normalizer is None:
         normalizer = ConditionNormalizer("linear", 0.0, 1.0)
@@ -608,7 +602,7 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     params = model.parameters()
     state = nn.AdamState.for_params(params, lr=config.learning_rate)
     cfg = config
-    best = (np.inf, [p.value.copy() for p in params], 0.0)
+    best = (np.inf, None, 0.0)  # epoch 0 sets it: a non-finite loss raises
     history = []
     for epoch in range(config.epochs):
         for p in params:
@@ -639,21 +633,14 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
             warnings.warn(f"non-finite gradient at epoch {epoch}; "
                           "restoring best checkpoint")
             break
-    else:
-        # loop ran to completion; "last" keeps the final parameters
-        if config.checkpoint == "last" and config.epochs > 0 and history:
-            best = (history[-1][0], [p.value.copy() for p in params],
-                    history[-1][4])
     for p, v in zip(params, best[1]):
         p.value = v
     model.loss_history = history
     model.config = cfg
-    if history:
-        model.dropped_fraction = best[2]
-        if best[2] > 0.01:
-            warnings.warn(
-                f"returned checkpoint degenerated on {best[2]:.1%} of density "
-                "samples (J <= 0); treat the model as suspect")
+    if best[2] > 0.01:
+        warnings.warn(
+            f"returned checkpoint degenerated on {best[2]:.1%} of density "
+            "samples (J <= 0); treat the model as suspect")
     return model
 
 

@@ -148,7 +148,14 @@ class TestGeodesicCommand:
                           "convert string to float: 'abc'"),
         ("--v0", "0,", "--v0 must be comma-separated numbers: could not "
                        "convert string to float: ''"),
-    ], ids=["t-end-nan", "t-end-inf", "x0-not-a-number", "v0-empty-item"])
+        ("--x0", "0,nan", "x0 must be a finite number; got nan"),
+        ("--v0", "inf,0", "v0 must be a finite number; got inf"),
+        ("--x0", "0,-1", "x0 [0.0, -1.0] lies outside the domain of the "
+                         "lobachevsky metric"),
+        ("--x0", "0,0", "x0 [0.0, 0.0] lies outside the domain of the "
+                        "lobachevsky metric"),
+    ], ids=["t-end-nan", "t-end-inf", "x0-not-a-number", "v0-empty-item",
+            "x0-nan", "v0-inf", "x0-below-domain", "x0-on-boundary"])
     def test_bad_number_is_validation_exit(self, tmp_path, capsys, flag,
                                            value, message):
         out = tmp_path / "traj.csv"
@@ -337,28 +344,11 @@ class TestRunAndGenerateCommands:
         assert snaps[0].condition_raw == 0.8
         assert gen_out.with_suffix(".diag.json").exists()
 
-    def test_epochs_zero_flags_untrained(self, tmp_path, capsys):
-        paths = synth_fixture("curves", tmp_path / "fx", seed=0,
-                              taus=[0.0, 0.5])
-        train_cfg = dict(SMALL_TRAIN)
-        train_cfg["epochs"] = 0
-        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
-                                    {"train": train_cfg})
-        assert run_cli("run", "--config", cfg_path) == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["untrained"] is True
-        assert not (tmp_path / "out" / "generated.csv").exists()
-        # generating from an untrained model is a validation error
-        code = run_cli("generate", "--model",
-                       str(tmp_path / "out" / "model.json"),
-                       "--target", "0.5", "--out", str(tmp_path / "g.csv"))
-        assert code == cli.EXIT_VALIDATION
-
     def test_run_meta_records_the_run_seed(self, tmp_path, capsys):
         paths = synth_fixture("curves", tmp_path / "fx", seed=0,
                               taus=[0.0, 0.5])
         cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
-                                    {"train": dict(SMALL_TRAIN, epochs=0)})
+                                    {"train": dict(SMALL_TRAIN, epochs=1)})
         assert run_cli("--seed", "1", "run", "--config", cfg_path) == 0
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
         assert meta["config"]["seed"] == meta["config"]["train"]["seed"] == 1
@@ -618,14 +608,15 @@ class TestInputValidation:
         ({"train": dict(SMALL_TRAIN, dnn_hidden=[0])}, "dnn_hidden"),
         ({"train": dict(SMALL_TRAIN, dnn_fourier_m=-1)}, "dnn_fourier_m"),
         ({"train": dict(SMALL_TRAIN, epochs=2.5)}, "epochs"),
+        ({"train": dict(SMALL_TRAIN, checkpoint="last")}, "checkpoint"),
         ({"pca_d": 0.5}, "pca_d"),
         ({"pca_d": 0}, "pca_d"),
         ({"grid_points": 0}, "grid_points"),
     ], ids=["nan-learning-rate", "zero-learning-rate", "zero-n-samples-pde",
             "zero-gen-samples", "unknown-key", "unknown-dnn-activation",
             "unknown-fnn-activation", "full-dropout", "zero-width-layer",
-            "negative-fourier-m", "fractional-epochs", "fractional-pca-d",
-            "zero-pca-d", "zero-grid-points"])
+            "negative-fourier-m", "fractional-epochs", "checkpoint-key",
+            "fractional-pca-d", "zero-pca-d", "zero-grid-points"])
     def test_bad_config_exits_before_ingest(self, tmp_path, capsys, extra,
                                             message):
         # the data file is missing, so a check made at ingest or later
@@ -634,9 +625,10 @@ class TestInputValidation:
                                     tmp_path / "missing.csv", extra)
         assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("epochs", True), ("seed", 1.5), ("w1", float("nan")),
+        ("epochs", True), ("epochs", 0), ("seed", 1.5), ("w1", float("nan")),
         ("shear_modulus", float("nan")), ("n_samples", 31.5),
         ("n_collocation", 2.5), ("grid_points", 10.5),
         ("boundary_anchors", 2.5), ("sigma_frac", float("nan")),
@@ -674,17 +666,20 @@ class TestInputValidation:
          "malformed model document", "TypeError"),
         (["generate", "--target", "1.0", "--model"], '{"version": 99}',
          "malformed model document",
-         "unsupported model version 99; this reader reads version 3"),
+         "unsupported model version 99; this reader reads version 4"),
         (["generate", "--target", "1.0", "--model"], '{"version": 2}',
          "malformed model document",
-         "unsupported model version 2; this reader reads version 3"),
+         "unsupported model version 2; this reader reads version 4"),
+        (["generate", "--target", "1.0", "--model"],
+         '{"version": 4, "loss_history": []}', "malformed model document",
+         "empty loss history: model never trained"),
         (["sample-pfode", "--n", "10", "--score"], '{"version": 2}',
          "malformed weight document", "KeyError: 'layers'"),
         (["sample-pfode", "--n", "10", "--score"], '{"version": 1}',
          "malformed weight document",
          "unsupported weight format version 1; this reader reads version 2"),
     ], ids=["model-not-an-object", "model-version", "model-version-2",
-            "score-no-layers", "weight-version-1"])
+            "empty-loss-history", "score-no-layers", "weight-version-1"])
     def test_malformed_document_names_its_file(self, tmp_path, capsys, argv,
                                                text, what, detail):
         path = tmp_path / "doc.json"

@@ -83,7 +83,7 @@ class TestModelRoundtrip:
             Snapshot(1.0, ReducedGaussianDensity([0.5, 0.2], 0.1)),
         ])
         cfg = TrainConfig(dnn_hidden=(8, 8), dnn_fourier_m=2, fnn_hidden=(8,),
-                          epochs=0, seed=11)
+                          epochs=1, seed=11)
         model = init_model(ds, ConditionNormalizer("log10", 0.1, 10.0, "1/s"), cfg)
         model.loss_history = [(1.0, 0.5, 0.25, 0.25, 0.0)]
         return model
@@ -115,7 +115,7 @@ class TestModelRoundtrip:
         path = tmp_path / "model.json"
         dataio.save_model(self.make_model(), path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == dataio.MODEL_FORMAT_VERSION == 3
+        assert doc["version"] == dataio.MODEL_FORMAT_VERSION == 4
         assert isinstance(doc["displacement"]["net"]["layers"][0]["weight"],
                           str)
 
@@ -230,19 +230,23 @@ class TestSavedRunRoundtrip:
                 dataio.load_model(bad)
 
     @pytest.mark.parametrize("legacy, message", [
+        (lambda doc: dict(doc, version=3, dropped_fraction=0.0),
+         "unsupported model version 3; this reader reads version 4"),
         (lambda doc: dict(doc, version=2),
-         "unsupported model version 2; this reader reads version 3"),
+         "unsupported model version 2; this reader reads version 4"),
         (lambda doc: dict(doc, version=1,
                           preprocessing={"scaler": doc.pop("scaler")}),
-         "unsupported model version 1; this reader reads version 3"),
+         "unsupported model version 1; this reader reads version 4"),
         (lambda doc: dict(doc, config=dict(doc["config"], fd_step=0.001)),
          "unexpected keyword argument 'fd_step'"),
         (with_list_weight, "expected base64 array text, got list"),
-    ], ids=["format-2", "format-1-preprocessing", "fd-step", "list-array"])
+    ], ids=["format-3", "format-2", "format-1-preprocessing", "fd-step",
+            "list-array"])
     def test_legacy_document_is_rejected(self, trained_run, tmp_path, legacy,
                                          message):
         # model formats 1 and 2 held arrays as lists of numbers and their
-        # configs a finite-difference step; the reader takes format 3 only
+        # configs a finite-difference step, and format 3 a dropped fraction
+        # and a checkpoint policy; the reader takes format 4 only
         _, path = trained_run
         old = tmp_path / "old.json"
         old.write_text(json.dumps(legacy(json.loads(Path(path).read_text()))))
