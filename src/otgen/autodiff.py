@@ -8,9 +8,17 @@ keep a `.grad` afterwards: an interior node's gradient is released as
 soon as its own backward has read it, and each node keeps only the
 arrays its backward reads.
 
-All arithmetic is 64-bit. Recording can be suspended with :func:`no_grad`
-for cheap evaluation-only passes; the forward values are identical either
-way, so replaying a graph reproduces its value bit-exactly.
+A tensor holds float64, or float32 when it is given a float32 array;
+anything else becomes float64. Elementwise primitives follow numpy's
+promotion, so a float32 operand meets a float64 one in float64. The fused
+`dense` and `sincos_features` nodes compute in the dtype of their input
+`h` and cast the weights to it, so a float64 input keeps full 64-bit
+arithmetic while a float32 one runs the layer, its jets and its backward
+in float32. Each tensor sums its gradients in its own dtype: a float64
+parameter collects float64 gradients from float32 layers. Recording can be
+suspended with :func:`no_grad` for cheap evaluation-only passes; the
+forward values are identical either way, so replaying a graph reproduces
+its value bit-exactly.
 
 A primitive is its forward value plus one vector-Jacobian product (VJP)
 per parent, and `_node` builds every such tape node. The fused `dense`
@@ -45,17 +53,20 @@ def no_grad():
         _STATE.grad_enabled = prior
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def as_array(x) -> np.ndarray:
+    """`x` as a float32 array if it is one, else as a float64 array."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 class Tensor:
-    """Node of the expression tape: a float64 array plus backward closure."""
+    """Node of the expression tape: a float64 (or float32) array plus
+    backward closure; its gradient has the dtype of its value."""
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
-        self.value = _as_array(value)
+        self.value = as_array(value)
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = parents
@@ -64,12 +75,14 @@ class Tensor:
     def _accumulate(self, g, owned=False):
         """Add `g`, an array of this tensor's shape, to the gradient.
 
-        `owned` says `g` is a fresh float64 array that no other node can
-        reach; a first gradient then takes it over without a copy. Any `g`
-        that may reach a second parent is copied.
+        `owned` says `g` is a fresh array that no other node can reach; a
+        first gradient of this tensor's dtype then takes it over without a
+        copy. Any other `g` is copied, or cast to this tensor's dtype.
         """
         if self.grad is None:
-            self.grad = g if owned else np.array(g, dtype=np.float64)
+            dtype = self.value.dtype
+            self.grad = (g if owned and g.dtype == dtype
+                         else np.array(g, dtype=dtype))
         else:
             self.grad += g
 
@@ -224,7 +237,15 @@ def det(a):
                  * np.swapaxes(np.linalg.inv(a.value), -1, -2))
 
 
-# -- shape manipulation --------------------------------------------------
+# -- dtype and shape manipulation -------------------------------------------
+
+def cast(a, dtype):
+    """`a` in `dtype`; the gradient returns in `a`'s own dtype."""
+    a = constant(a)
+    if a.value.dtype == dtype:
+        return a
+    return _node(a.value.astype(dtype), (a,), lambda g: g)  # cast on accumulate
+
 
 def concat(parts, axis=-1):
     parts = tuple(constant(p) for p in parts)
@@ -351,7 +372,7 @@ def _selu_derivs(x, order):
     value *= SELU_LAMBDA
     d = [value]
     if order >= 1:
-        slope = (x > 0.0) * (1.0 - SELU_ALPHA)
+        slope = np.multiply(x > 0.0, 1.0 - SELU_ALPHA, dtype=x.dtype)
         slope += ae
         slope *= SELU_LAMBDA
         d.append(slope)
@@ -367,7 +388,7 @@ def _selu_derivs(x, order):
 def _leaky_relu_derivs(x, slope, order):
     d = [np.where(x >= 0.0, x, slope * x)]
     if order >= 1:
-        d.append(np.where(x >= 0.0, 1.0, slope))
+        d.append(np.where(x >= 0.0, x.dtype.type(1.0), x.dtype.type(slope)))
     return d + [0.0] * (order - 1)
 
 
@@ -473,12 +494,17 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
     gradient by it first. The node keeps only what its backward reads: the
     activation derivatives, not its value, and the pre-activation streams
     of a jet only.
+
+    The layer computes in the dtype of `h`, float32 or float64, with the
+    weight and bias cast to it; their gradients are summed in float64 when
+    they are float64 (see `Tensor._accumulate`).
     """
     h, weight, bias = constant(h), constant(weight), constant(bias)
     parents = (h, weight, bias)
     H = _streams(h.value)
-    z = _stream_matmul(H, weight.value.T)
-    z[0] += bias.value
+    W = weight.value.astype(H.dtype, copy=False)
+    z = _stream_matmul(H, W.T)
+    z[0] += bias.value.astype(H.dtype, copy=False)
     recording = _recording(parents)
     d = _activation_derivs(activation, z[0], param,
                            _jet_order(len(z), second, recording))
@@ -497,12 +523,12 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
         gz = _jet_backward(d, tangents, _streams(g), second)
         flat = gz.reshape(-1, gz.shape[-1])
         if h.requires_grad or h._parents:
-            h._accumulate((flat @ weight.value).reshape(h.value.shape),
-                          owned=True)
+            h._accumulate((flat @ W).reshape(h.value.shape), owned=True)
         if weight.requires_grad or weight._parents:
             weight._accumulate(flat.T @ H.reshape(-1, H.shape[-1]), owned=True)
         if bias.requires_grad or bias._parents:
-            bias._accumulate(gz[0].sum(axis=0), owned=True)
+            bias._accumulate(gz[0].sum(axis=0, dtype=bias.value.dtype),
+                             owned=True)
 
     return Tensor(out, parents=parents, backward=backward)
 
@@ -511,13 +537,16 @@ def sincos_features(v, weights, scale, second=0):
     """[sin(s v B^T), cos(s v B^T), v] as a single tape node.
 
     `v` is a batch [n, in] or a jet [S, n, in]; `weights` B is [m, in] and
-    `scale` s a scalar. Output width is 2m + in.
+    `scale` s a scalar. Output width is 2m + in. Like `dense`, the node
+    computes in the dtype of `v`.
     """
     v, weights, scale = constant(v), constant(weights), constant(scale)
     parents = (v, weights, scale)
     V = _streams(v.value)
-    p = _stream_matmul(V, weights.value.T)
-    y = p * scale.value
+    B = weights.value.astype(V.dtype, copy=False)
+    s = scale.value.astype(V.dtype, copy=False)
+    p = _stream_matmul(V, B.T)
+    y = p * s
     recording = _recording(parents)
     order = _jet_order(len(y), second, recording)
     sn, cs = np.sin(y[0]), np.cos(y[0])
@@ -537,14 +566,13 @@ def sincos_features(v, weights, scale, second=0):
         gy = (_jet_backward(d_sin, tangents, g[..., :m], second)
               + _jet_backward(d_cos, tangents, g[..., m:2 * m], second))
         if v.requires_grad or v._parents:
-            gv = g[..., 2 * m:] + _stream_matmul(gy, weights.value) * scale.value
+            gv = g[..., 2 * m:] + _stream_matmul(gy, B) * s
             v._accumulate(gv.reshape(v.value.shape), owned=True)
         if weights.requires_grad or weights._parents:
-            weights._accumulate(scale.value * (gy.reshape(-1, m).T
-                                               @ V.reshape(-1, V.shape[-1])),
-                                owned=True)
+            weights._accumulate(s * (gy.reshape(-1, m).T
+                                     @ V.reshape(-1, V.shape[-1])), owned=True)
         if scale.requires_grad or scale._parents:
-            scale._accumulate(np.sum(gy * p))
+            scale._accumulate(np.sum(gy * p, dtype=scale.value.dtype))
 
     return Tensor(out, parents=parents, backward=backward)
 

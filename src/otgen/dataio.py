@@ -374,7 +374,16 @@ def density_from_dict(doc: dict):
     raise DataFormatError(f"unknown density kind {doc.get('kind')!r}")
 
 
+def _check_trained(loss_history):
+    """DataFormatError unless the loss history has an epoch: the writer
+    refuses exactly the untrained models the reader refuses."""
+    if not loss_history:
+        raise DataFormatError("empty loss history: model never trained")
+
+
 def model_to_dict(model: TransportModel) -> dict:
+    """The format-4 document of a trained model (see `_check_trained`)."""
+    _check_trained(model.loss_history)
     emb = model.displacement.embedding
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -416,8 +425,7 @@ def model_from_dict(doc: dict, path=None) -> TransportModel:
     """
     with format_errors("model document", path):
         _check_version(doc, "model", MODEL_FORMAT_VERSION)
-        if not doc["loss_history"]:
-            raise DataFormatError("empty loss history: model never trained")
+        _check_trained(doc["loss_history"])
         ddoc = doc["displacement"]
         net = _mlp_from_dict(ddoc["net"])
         edoc = ddoc["embedding"]

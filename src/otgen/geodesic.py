@@ -180,11 +180,12 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
                        G=0.0, g0=None) -> GeodesicTrajectory:
     """Classic fourth-order Runge-Kutta on (position, velocity).
 
-    `x0`, `v0` and `t_end` must be finite and `x0` inside the metric's
-    domain (ValueError otherwise). Integration stops once the metric turns
-    singular or a step leaves the domain (for the Lobachevsky metric, once
-    x2 falls to 1e-9); the partial trajectory computed so far is returned
-    with `complete=False`.
+    `x0`, `v0` and `t_end` must be finite and `x0` a regular point inside
+    the metric's domain (ValueError otherwise). Integration stops once the
+    metric turns singular or a step leaves the domain (for the Lobachevsky
+    metric, once x2 falls to 1e-9); the partial trajectory computed so far
+    is returned with `complete=False`. A step whose state or acceleration
+    overflows float64 raises FloatingPointError naming the step.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -197,6 +198,12 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
     if not _in_domain(metric, x):
         raise ValueError(f"x0 {x.tolist()} lies outside the domain of the "
                          f"{metric.name} metric")
+    try:
+        with np.errstate(over="ignore"):  # an overflowing g is singular too
+            metric.g_inv(x)
+    except MetricSingularityError as e:
+        raise ValueError(f"x0 {x.tolist()} is a singular point of the "
+                         f"{metric.name} metric: {e}") from None
     h = float(t_end) / steps
     times = np.linspace(0.0, float(t_end), steps + 1)
     xs = np.empty((steps + 1, metric.dim))
@@ -204,19 +211,27 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
     xs[0], vs[0] = x, v
 
     def rhs(xc, vc):
-        return vc, geodesic_rhs(metric, GeodesicState(xc, vc), G=G, g0=g0)
+        acc = geodesic_rhs(metric, GeodesicState(xc, vc), G=G, g0=g0)
+        if not np.all(np.isfinite(acc)):  # einsum overflows without a flag
+            raise FloatingPointError("overflow encountered in the acceleration")
+        return vc, acc
 
     for s in range(steps):
         try:
-            k1x, k1v = rhs(x, v)
-            k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k4x, k4v = rhs(x + h * k3x, v + h * k3v)
+            with np.errstate(over="raise", invalid="raise"):
+                k1x, k1v = rhs(x, v)
+                k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+                k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+                k4x, k4v = rhs(x + h * k3x, v + h * k3v)
+                x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+                v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         except MetricSingularityError:
             return GeodesicTrajectory(times[:s + 1], xs[:s + 1], vs[:s + 1],
                                       complete=False)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        except FloatingPointError as e:
+            raise FloatingPointError(
+                f"geodesic overflowed float64 in step {s + 1} of {steps} "
+                f"(t = {times[s]:g} to {times[s + 1]:g}): {e}") from None
         if not _in_domain(metric, x):
             return GeodesicTrajectory(times[:s + 1], xs[:s + 1], vs[:s + 1],
                                       complete=False)

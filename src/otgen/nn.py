@@ -91,7 +91,7 @@ class Mlp:
                 rows = (h.value.shape[1:-1] if h.value.ndim == 3
                         else h.value.shape[:-1])
                 u = rng.uniform(gen, rows + (layer.weight.value.shape[0],))
-                mask = (u >= layer.dropout).astype(np.float64)
+                mask = (u >= layer.dropout).astype(h.value.dtype)
                 mask /= 1.0 - layer.dropout
             h = ad.dense(h, layer.weight, layer.bias, layer.activation, param,
                          second, mask)

@@ -156,7 +156,7 @@ class DisplacementField:
         else:
             raise ValueError("wrt must be 'space' or 'time'")
         k = len(dirs)
-        V = np.zeros((1 + k + second, n, dim + 1))
+        V = np.zeros((1 + k + second, n, dim + 1), dtype=inp.dtype)
         V[0] = inp
         for j, col in enumerate(dirs):
             V[1 + j, :, col] = 1.0
@@ -176,10 +176,11 @@ class DisplacementField:
 
 
 def _inputs(X, t) -> np.ndarray:
-    """Network input rows [X, t] for points X [n, dim] (or [dim])."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """Network input rows [X, t] for points X [n, dim] (or [dim]), float32
+    when X is float32 and float64 otherwise; the networks follow suit."""
+    X = np.atleast_2d(ad.as_array(X))
     tcol = np.broadcast_to(_pseudo_time(t).reshape(-1, 1), (X.shape[0], 1))
-    return np.concatenate([X, tcol], axis=1)
+    return np.concatenate([X, tcol], axis=1, dtype=X.dtype)
 
 
 def _pseudo_time(t) -> np.ndarray:
@@ -203,9 +204,10 @@ class BodyForceField:
         return self.net.parameters()
 
     def force(self, x: ad.Tensor, t, dropout_seed=None) -> ad.Tensor:
+        """F_b at points x [n, dim], in the dtype of x."""
         tcol = np.broadcast_to(_pseudo_time(t).reshape(-1, 1),
                                (x.value.shape[0], 1))
-        inp = ad.concat([x, ad.constant(tcol)], axis=-1)
+        inp = ad.concat([x, ad.constant(tcol.astype(x.value.dtype))], axis=-1)
         return self.net.forward(inp, dropout_seed)
 
 
@@ -425,14 +427,18 @@ def deformation_gradient(model: TransportModel, X, t) -> np.ndarray:
 
 
 def eom_residual_t(model: TransportModel, X, t, dropout_seed=None) -> ad.Tensor:
-    """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape.
+
+    Both networks run in the dtype of X (float32 or float64); the residual
+    is float64 either way.
+    """
+    X = np.atleast_2d(ad.as_array(X))
     G = model.config.shear_modulus
     u0, r, *lap = model.displacement.jet(X, t, "time", laplacian=G != 0.0)
     if lap:
         r = ad.sub(r, ad.mul(lap[0], G))
     mapped = ad.add(ad.constant(X), u0)
-    fb = model.body_force.force(mapped, t, dropout_seed)
+    fb = model.body_force.force(ad.cast(mapped, X.dtype), t, dropout_seed)
     return ad.sub(r, fb)
 
 
@@ -476,9 +482,12 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     Batches are drawn from the reference density with streams keyed by
     (config.seed, epoch_seed), so a (config, epoch) pair always sees the
     same batch. Samples where the map degenerates (J <= 0) are excluded
-    from the density term and counted.
+    from the density term and counted. In `train_mode` the dynamics term
+    applies dropout, and both networks take float32 rows for the density
+    and dynamics jets; everything outside the networks stays float64.
     """
     config = config or model.config
+    net_dtype = np.float32 if train_mode else np.float64
     fieldo = model.displacement
     ref = dataset.reference.density
     n_snap = len(dataset)
@@ -492,7 +501,7 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     # single wide jet pass
     Xs = np.tile(X, (n_snap, 1))
     ts = np.repeat([s.t_norm for s in dataset.snapshots], n)
-    u0, jac = fieldo.jet(Xs, ts)
+    u0, jac = fieldo.jet(Xs.astype(net_dtype, copy=False), ts)
     eye = np.eye(dim)
     F_raw = ad.add(jac, eye)
     J = ad.det(F_raw)
@@ -535,7 +544,8 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     t_coll = np.linspace(0.0, 1.0, config.n_collocation + 2)[1:-1]
     X3s = np.tile(X3, (len(t_coll), 1))
     t3s = np.repeat(t_coll, config.n_samples_pde)
-    r = eom_residual_t(model, X3s, t3s, _combine(config.seed, epoch_seed, 3)
+    r = eom_residual_t(model, X3s.astype(net_dtype, copy=False), t3s,
+                       _combine(config.seed, epoch_seed, 3)
                        if train_mode else None)
     L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
     return _weighted_loss((L1, L2, L3), config, dropped, evaluated)

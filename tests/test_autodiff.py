@@ -355,6 +355,25 @@ def test_backward_leaves_gradients_on_leaves_only():
     assert interior > 50
 
 
+def test_train_mode_tape_is_float32_and_leaf_gradients_float64():
+    # train mode runs both networks on float32 rows; every parameter is a
+    # float64 leaf that sums its gradients in float64
+    model, tape = _training_loss()
+    dtypes, seen, stack = set(), {id(tape)}, [tape]
+    while stack:
+        node = stack.pop()
+        dtypes.add(node.value.dtype)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
+    assert tape.value.dtype == np.float64
+    tape.backward()
+    for p in model.parameters():
+        assert p.value.dtype == p.grad.dtype == np.float64
+
+
 def _dense_mask_case(second):
     """Inputs of a dense node: an [n, in] batch, or a jet with tangents."""
     gen = rng.stream(17)

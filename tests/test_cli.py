@@ -167,6 +167,36 @@ class TestGeodesicCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("metric,x0,v0,t_end,message", [
+        ("euclidean", "1e308,0", "1e308,0", "10",
+         "geodesic overflowed float64 in step 1 of 5 (t = 0 to 2): "
+         "overflow encountered in add"),
+        ("lobachevsky", "0,1", "1e200,0", "1",
+         "geodesic overflowed float64 in step 1 of 5 (t = 0 to 0.2): "
+         "overflow encountered in the acceleration"),
+        ("lobachevsky", "0,1e200", "1,0", "1",
+         "x0 [0.0, 1e+200] is a singular point of the lobachevsky metric"),
+    ], ids=["euclidean-state-overflow", "acceleration-overflow",
+            "singular-start"])
+    def test_overflow_is_named_validation_exit(self, tmp_path, capsys,
+                                               metric, x0, v0, t_end,
+                                               message):
+        # an overflow during integration is reported as one, and a start
+        # where the metric is singular is rejected as --x0; numpy's own
+        # warnings stay off stderr
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("geodesic", "--metric", metric, "--x0", x0,
+                           "--v0", v0, "--t-end", t_end, "--steps", "5",
+                           "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {message}" in err
+        assert "Warning" not in err and caught == []
+        assert not out.exists()
+
+
 class TestBaselineCommand:
     def test_prediction_csv(self, tmp_path, capsys):
         paths = synth_fixture("curves", tmp_path, seed=4,

@@ -296,10 +296,22 @@ def test_default_model_document_stays_binary_sized(tmp_path):
         Snapshot(1.0, ReducedGaussianDensity([0.5, 0.2], 0.1))])
     model = init_model(ds, ConditionNormalizer("linear", 0.0, 1.0),
                        TrainConfig())
+    model.loss_history = [(1.0, 0.5, 0.25, 0.25, 0.0)]  # a trained model
     n_params = sum(p.value.size for p in model.parameters())
     path = tmp_path / "model.json"
     dataio.save_model(model, path)
     assert path.stat().st_size < 11 * n_params + 64 * 1024
+
+
+def test_writer_refuses_an_untrained_model(tmp_path):
+    # the reader refuses an empty loss history, so the writer does too
+    model = TestModelRoundtrip().make_model()
+    model.loss_history = []
+    path = tmp_path / "model.json"
+    with pytest.raises(dataio.DataFormatError,
+                       match="^empty loss history: model never trained$"):
+        dataio.save_model(model, path)
+    assert not path.exists()
 
 
 def test_run_config_with_legacy_fd_step_is_validation_exit(tmp_path, capsys):

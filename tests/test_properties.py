@@ -133,3 +133,93 @@ def test_forward_eval_bit_reproducible(seed):
     a = net.forward(x).value
     b = net.forward(x).value
     np.testing.assert_array_equal(a, b)
+
+
+# -- float32 layers against float64 ones ------------------------------------
+#
+# A float32 input runs `dense` and `sincos_features` in float32 (the training
+# passes); a float64 input keeps full precision. Every float32 jet stream and
+# every gradient (into h, W, b, B and the scale) must match the float64
+# result within F32_RTOL of the largest float64 entry of that array, or of 1
+# when every entry is smaller: about 840 float32 roundings. The floor is
+# there because an activation's float32 derivatives are exact to about 1e-7
+# in absolute, not relative, terms; softplus' slope far in its left tail is
+# 1 - s with s rounded near 1.
+
+F32_RTOL = 1e-4
+ACTIVATION_DRAWS = [("softplus", 10.0), ("selu", 0.0), ("leaky_relu", 0.01),
+                    ("linear", 0.0)]
+
+
+def _close_to_float64(a32, a64):
+    scale = max(np.abs(a64).max(), 1.0)
+    np.testing.assert_allclose(a32, a64, rtol=F32_RTOL, atol=F32_RTOL * scale)
+
+
+def _jet_input(gen, k, second, n, width):
+    """A batch [n, width] when k = 0, else a jet of 1 + k + second streams."""
+    if k == 0:
+        return rng.normal(gen, (n, width))
+    return rng.normal(gen, (1 + k + second, n, width))
+
+
+def _gradients_in_both_dtypes(layer, h64, params64, out_weights):
+    """(outputs, gradients) of sum(out_weights * layer(h, *params)) for a
+    float32 and a float64 h; the parameters are float64 leaves each time."""
+    results = []
+    for dtype in (np.float32, np.float64):
+        h = ad.parameter(h64.astype(dtype))
+        params = [ad.parameter(p) for p in params64]
+        out = layer(h, *params)
+        assert out.value.dtype == dtype
+        ad.tsum(ad.mul(out, out_weights)).backward()
+        assert h.grad.dtype == dtype
+        assert all(p.grad.dtype == np.float64 for p in params)
+        results.append((out.value, [h.grad] + [p.grad for p in params]))
+    return results
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(ACTIVATION_DRAWS), st.integers(0, 3), st.data(),
+       st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.booleans(), seeds)
+def test_float32_dense_matches_float64(act, k, data, n, width_in, width_out,
+                                       masked, seed):
+    activation, param = act
+    second = data.draw(st.integers(0, k))
+    gen = rng.stream(seed, 0xA6)
+    h64 = _jet_input(gen, k, second, n, width_in)
+    W, b = rng.normal(gen, (width_out, width_in)), rng.normal(gen, width_out)
+    out_weights = rng.normal(gen, h64.shape[:-1] + (width_out,))
+    keep = rng.uniform(gen, (n, width_out)) >= 0.3 if masked else None
+
+    def layer(h, weight, bias):
+        mask = None if keep is None else (keep / 0.7).astype(h.value.dtype)
+        return ad.dense(h, weight, bias, activation, param, second, mask)
+
+    (o32, g32), (o64, g64) = _gradients_in_both_dtypes(layer, h64, [W, b],
+                                                       out_weights)
+    _close_to_float64(o32, o64)
+    for a, b_ in zip(g32, g64):
+        _close_to_float64(a, b_)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.data(), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 4), seeds)
+def test_float32_sincos_features_match_float64(k, data, n, width_in, m, seed):
+    second = data.draw(st.integers(0, k))
+    gen = rng.stream(seed, 0xA7)
+    v64 = _jet_input(gen, k, second, n, width_in)
+    B = rng.normal(gen, (m, width_in))
+    scale = np.float64(0.5 + rng.uniform(gen, 1)[0])
+    out_weights = rng.normal(gen, v64.shape[:-1] + (2 * m + width_in,))
+
+    def layer(v, weights, s):
+        return ad.sincos_features(v, weights, s, second)
+
+    (o32, g32), (o64, g64) = _gradients_in_both_dtypes(layer, v64, [B, scale],
+                                                       out_weights)
+    _close_to_float64(o32, o64)
+    for a, b_ in zip(g32, g64):
+        _close_to_float64(a, b_)
