@@ -230,6 +230,8 @@ def write_loss_history(path, history):
 
 def write_table(path, header, rows):
     """A CSV of `header` and numeric `rows`, values to 12 significant digits."""
+    # Python floats format faster than numpy scalars, to the same text
+    rows = np.asarray(list(rows), dtype=np.float64).tolist()
     _write_csv(path, header, ([f"{v:.12g}" for v in row] for row in rows))
 
 

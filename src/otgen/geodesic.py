@@ -93,11 +93,17 @@ def _lobachevsky_g(x):
     return np.diag([1.0 / y**2, 1.0 / y**2])
 
 
+# the largest float64 y whose cube y**3 is finite
+_CUBE_FINITE_MAX = 5.643803094122361e+102
+
+
 def _lobachevsky_dg(x):
     y = x[1]
+    # above the edge y**3 overflows, while -2 / y^3 is tiny or zero
+    c = -2.0 / y**3 if y <= _CUBE_FINITE_MAX else -2.0 * (1.0 / y) ** 3
     d = np.zeros((2, 2, 2))
-    d[1, 0, 0] = -2.0 / y**3
-    d[1, 1, 1] = -2.0 / y**3
+    d[1, 0, 0] = c
+    d[1, 1, 1] = c
     return d
 
 

@@ -42,7 +42,9 @@ TIME_TOL = 1e-12  # rounding slack of the pseudo-time range [0, 1]
 J_MIN = 1e-12
 
 # rows per jet evaluation when generating: bounds the working set of the
-# stacked streams (1 + dim of them) for large particle counts
+# stacked streams (1 + dim of them) for large particle counts; the cloud's
+# jet runs in float32, so one block of a 48-wide, d = 6 field net peaks at
+# about 10 MB
 JET_BLOCK_ROWS = 2048
 
 # numpy's overflow warnings are off: the finite checks report a blow-up once
@@ -407,8 +409,10 @@ def spatial_jacobian_t(fieldo: DisplacementField, X, t) -> ad.Tensor:
 
 
 def _jet_values(fieldo: DisplacementField, X, t):
-    """(u, du/dX) as arrays, evaluated in blocks of JET_BLOCK_ROWS rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """(u, du/dX) as float64 arrays, evaluated in blocks of JET_BLOCK_ROWS
+    rows. The networks run in the dtype of X: float32 rows give a float32
+    pass (the output scales return it to float64), anything else float64."""
+    X = np.atleast_2d(ad.as_array(X))
     t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), len(X))
     parts = []
     with ad.no_grad():
@@ -677,11 +681,17 @@ class ParticleCloudDensity:
 @_QUIET
 def generate_density(model: TransportModel, t_target_norm, n=2048,
                      seed=0) -> ParticleCloudDensity:
-    """Transported density at pseudo-time t as a weighted particle cloud."""
+    """Transported density at pseudo-time t as a weighted particle cloud.
+
+    The displacement's space jet takes float32 rows, like training's; the
+    rest is float64: F = I + du/dX, det J, the J > 0 mask, rho0 / J and the
+    points X + u, with X the float64 sample.
+    """
     ref = model.reference_density
     X = ref.sample(n, seed)
     rho0 = ref.pdf(X)
-    u0, jac = _jet_values(model.displacement, X, t_target_norm)
+    u0, jac = _jet_values(model.displacement, X.astype(np.float32),
+                          t_target_norm)
     F = jac + np.eye(X.shape[1])
     J = np.linalg.det(F)
     keep = J > J_MIN

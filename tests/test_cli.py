@@ -196,6 +196,22 @@ class TestGeodesicCommand:
         assert "Warning" not in err and caught == []
         assert not out.exists()
 
+    def test_regular_start_beyond_the_cube_overflow_integrates(self, tmp_path,
+                                                               capsys):
+        # y^3 overflows float64 above about 5.6e102, yet the metric there is
+        # invertible and its derivative -2/y^3 is tiny
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("geodesic", "--metric", "lobachevsky", "--x0",
+                           "0,1e150", "--v0", "1,0", "--steps", "5",
+                           "--out", str(out))
+        assert code == cli.EXIT_OK
+        assert "Warning" not in capsys.readouterr().err and caught == []
+        traj = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert traj.shape == (6, 5) and np.isfinite(traj).all()
+        np.testing.assert_allclose(traj[:, 2], 1e150)
+
 
 class TestBaselineCommand:
     def test_prediction_csv(self, tmp_path, capsys):
@@ -455,10 +471,13 @@ class TestRunAndGenerateCommands:
         dataio.save_model(model, tmp_path / "big.json")
         gen_out = tmp_path / "gen.csv"
         capsys.readouterr()
-        code = run_cli("generate", "--model", str(tmp_path / "big.json"),
-                       "--target", "1.0", "--out", str(gen_out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # no "overflow encountered in cast"
+            code = run_cli("generate", "--model", str(tmp_path / "big.json"),
+                           "--target", "1.0", "--out", str(gen_out))
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == "error: non-finite network output\n"
+        assert caught == []
         assert not gen_out.exists()
 
     def test_nan_target_is_validation_exit(self, tmp_path, capsys):

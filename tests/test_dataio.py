@@ -6,14 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otgen import autodiff as ad
 from otgen import cli, dataio, rng
 from otgen.density import CurveSnapshot, GaussianCurveDensity, ReducedGaussianDensity
 from otgen.experiment import RunConfig, run_experiment
 from otgen.fixtures import synth_fixture
 from otgen.pca import fit_pca
-from otgen.transport import (AffineScaler, ConditionNormalizer, Snapshot,
-                             SnapshotDataset, TrainConfig, generate_density,
-                             generate_mean, init_model)
+from otgen.transport import (J_MIN, AffineScaler, ConditionNormalizer,
+                             Snapshot, SnapshotDataset, TrainConfig,
+                             _jet_values, deformation_gradient,
+                             generate_density, generate_mean, init_model)
 
 
 def write(path, text):
@@ -256,6 +258,51 @@ class TestSavedRunRoundtrip:
             dataio.load_model(old)
 
 
+class TestFloat32Generation:
+    """The cloud's space jet runs in float32; everything after it, and every
+    other caller of the jet, stays float64."""
+
+    def float64_cloud(self, model, t, n, seed):
+        # generate_density with the jet fed float64 rows: the oracle
+        ref = model.reference_density
+        X = ref.sample(n, seed)
+        u0, jac = _jet_values(model.displacement, X, t)
+        J = np.linalg.det(jac + np.eye(X.shape[1]))
+        keep = J > J_MIN
+        return (X + u0)[keep], ref.pdf(X)[keep] / J[keep], keep
+
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_cloud_matches_a_float64_evaluation(self, trained_run, t):
+        model, _ = trained_run
+        cloud = generate_density(model, t, n=3000, seed=5)
+        points, values, keep = self.float64_cloud(model, t, 3000, 5)
+        assert cloud.points.dtype == cloud.density_values.dtype == np.float64
+        assert cloud.dropped_fraction == 1.0 - keep.mean()
+        assert cloud.points.shape == points.shape
+        scale = np.ptp(points, axis=0)
+        assert np.all(np.abs(cloud.points - points) <= 1e-6 * scale)
+        np.testing.assert_allclose(cloud.density_values, values, rtol=1e-5)
+        assert not np.array_equal(cloud.points, points)  # float32 in effect
+
+    def test_other_jet_callers_keep_float64_bits(self, trained_run):
+        model, _ = trained_run
+        X = model.reference_density.sample(500, 2)
+        F = deformation_gradient(model, X, 0.7)
+        with ad.no_grad():
+            jac = model.displacement.jet(X, 0.7)[1].value
+        assert F.dtype == np.float64
+        np.testing.assert_array_equal(F, jac + np.eye(X.shape[1]))
+        ref = model.reference_density
+        if isinstance(ref, GaussianCurveDensity):  # maps the mean curve
+            P = ref.mean_curve()
+            mapped = P + model.displacement.u_values(P, 0.7)
+            mean = model.to_data_units(
+                mapped[np.argsort(mapped[:, 0], kind="stable")])
+            got = generate_mean(model, 0.7)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, mean)
+
+
 LAYER0 = ("displacement", "net", "layers", 0)
 
 
@@ -287,6 +334,18 @@ def test_malformed_document_is_typed_error(trained_run, tmp_path, keys,
         dataio.load_model(bad)
     assert cli.main(["generate", "--model", str(bad), "--target", "1.0",
                      "--out", str(tmp_path / "gen.csv")]) == 2
+
+
+def test_write_table_formats_like_a_per_cell_float_oracle(tmp_path):
+    values = np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308],
+                       [1e308, -1e308, 1.0 / 3.0, -123456.789012345678],
+                       [2.5e-310, 7.0, -1e-5, 0.1 + 0.2]])
+    oracle = "".join(",".join(f"{float(v):.12g}" for v in row) + "\r\n"
+                     for row in values)
+    for rows in (values, zip(*values.T)):  # an array, and zipped columns
+        path = tmp_path / "t.csv"
+        dataio.write_table(path, ["a", "b", "c", "d"], rows)
+        assert path.read_bytes() == ("a,b,c,d\r\n" + oracle).encode()
 
 
 def test_default_model_document_stays_binary_sized(tmp_path):
