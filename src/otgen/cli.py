@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Subcommands: ot-discrete, geodesic, train, generate, baseline, sample-pfode,
-synth, run. Exit codes: 0 success, 2 validation error, 3 training
-divergence, 4 I/O error.
+synth, run. Exit codes: 0 success, 2 validation error (a failed allocation
+included), 3 training divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -213,26 +213,23 @@ def cmd_baseline(args) -> int:
 
 def cmd_sample_pfode(args) -> int:
     from . import dataio
-    from .pfode import VeSchedule, gaussian_score, sample_chains, trained_score
+    from .pfode import VeSchedule, gaussian_score, sample_chains
     schedule = VeSchedule(args.sigma_min, args.sigma_max)
-    if args.score.startswith("gaussian:"):
-        text = args.score.split(":", 1)[1]
-        try:
-            std = float(text)
-        except ValueError:
-            std = float("nan")
-        if not (np.isfinite(std) and std > 0):
-            raise ValueError("--score gaussian:<std> needs a finite positive "
-                             f"std, not {text!r}")
-        score = gaussian_score(std, schedule)
-        dim = args.dim
-    else:
-        net = dataio.load_mlp(args.score)
-        score = trained_score(net)
-        dim = net.in_dim - 1
+    if not args.score.startswith("gaussian:"):
+        raise ValueError(f"--score must be gaussian:<std>, not {args.score!r}")
+    text = args.score.removeprefix("gaussian:")
+    try:
+        std = float(text)
+    except ValueError:
+        std = float("nan")
+    if not (np.isfinite(std) and std > 0):
+        raise ValueError("--score gaussian:<std> needs a finite positive "
+                         f"std, not {text!r}")
+    score = gaussian_score(std, schedule)
     seed = getattr(args, "seed", 0)
-    out = sample_chains(score, schedule, args.n, dim, seed, n_steps=args.steps)
-    dataio.write_table(args.out, [f"x{i+1}" for i in range(dim)], out)
+    out = sample_chains(score, schedule, args.n, args.dim, seed,
+                        n_steps=args.steps)
+    dataio.write_table(args.out, [f"x{i+1}" for i in range(args.dim)], out)
     print(f"{args.n} samples written to {args.out}")
     return EXIT_OK
 
@@ -285,7 +282,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (StageError, TrainingDivergence, ValueError, OSError,
-            FloatingPointError) as e:
+            FloatingPointError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         cause = e.cause if isinstance(e, StageError) else e
         if isinstance(cause, TrainingDivergence):

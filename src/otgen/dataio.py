@@ -5,9 +5,9 @@ CSV: curve files carry `condition,strain,stress` rows (many conditions per
 file), field files one `condition,v1..vD` row per condition, and discrete
 distributions (`otgen ot-discrete`) `x1,..,xk,mass` rows.
 
-JSON: reports are sorted, one-space-indented (`pretty_json`). A weight
-document holds one network. A model document (format 4) holds everything
-generation needs: the networks, the pseudo-time normalizer, the output
+JSON: reports are sorted, one-space-indented (`pretty_json`). A model
+document (format 4) holds everything generation needs: the networks
+(each stamped weight version 2), the pseudo-time normalizer, the output
 scaler, the reference density, the optional PCA basis and the training
 history, so a reloaded model generates exactly what the in-memory one
 does. Every float array goes through one codec, `_arr_out`/`_arr_in`: the
@@ -311,21 +311,6 @@ def _mlp_from_dict(doc: dict) -> Mlp:
             dropout=float(layer_doc["dropout"]),
         ))
     return Mlp(layers)
-
-
-def save_mlp(net: Mlp, path):
-    Path(path).write_text(json.dumps(mlp_to_dict(net)))
-
-
-def load_mlp(path) -> Mlp:
-    """The network of a weight document of version 2.
-
-    Raises DataFormatError for an unknown version and for a malformed
-    document (see `format_errors`).
-    """
-    doc = read_json(path, "weight document")
-    with format_errors("weight document", path):
-        return _mlp_from_dict(doc)
 
 
 def basis_to_dict(basis: PcaBasis) -> dict:

@@ -1,9 +1,8 @@
 """Transport dynamics on Riemannian metrics.
 
-Metric fields supply covariant components g_ij(x) (and optionally their
-analytic derivatives); from these we build Christoffel symbols, integrate
-the geodesic equation with classic RK4, and check the manifold form of
-mass conservation rho0 * sqrt(det g0) = rho_t * sqrt(det g).
+Metric fields supply covariant components g_ij(x) and their analytic
+derivatives; from these we build Christoffel symbols and integrate the
+geodesic equation with classic RK4.
 
 The hyperbolic upper half-plane ("Lobachevsky plane", metric
 (dx1^2 + dx2^2) / x2^2) ships as a built-in with closed-form geodesics for
@@ -19,8 +18,6 @@ import numpy as np
 
 from .transport import check_number
 
-FD_STEP = 1e-5  # central-difference step for metrics without derivatives
-
 
 class MetricSingularityError(RuntimeError):
     """Metric stopped being usable (singular or outside its domain)."""
@@ -30,12 +27,11 @@ class MetricField:
     """Riemannian metric given by a matrix-valued function of position.
 
     `metric_fn(x) -> [N, N]` must return symmetric positive-definite
-    matrices. `deriv_fn(x) -> [N, N, N]`, when provided, returns analytic
-    derivatives with deriv[k][i][j] = d g_ij / d x^k; otherwise central
-    finite differences with step FD_STEP are used.
+    matrices, and `deriv_fn(x) -> [N, N, N]` their analytic derivatives,
+    deriv[k][i][j] = d g_ij / d x^k.
     """
 
-    def __init__(self, dim, metric_fn, deriv_fn=None, name="custom"):
+    def __init__(self, dim, metric_fn, deriv_fn, name="custom"):
         self.dim = int(dim)
         self._metric_fn = metric_fn
         self._deriv_fn = deriv_fn
@@ -60,24 +56,10 @@ class MetricField:
 
     def dg(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self._deriv_fn is not None:
-            d = np.asarray(self._deriv_fn(x), dtype=np.float64)
-            if d.shape != (self.dim,) * 3:
-                raise ValueError("derivative function returned wrong shape")
-            return d
-        h = FD_STEP
-        out = np.empty((self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = h
-            out[k] = (self.g(x + e) - self.g(x - e)) / (2.0 * h)
-        return out
-
-    def sqrt_det(self, x) -> float:
-        d = float(np.linalg.det(self.g(x)))
-        if d <= 0:
-            raise MetricSingularityError(f"non-positive metric determinant at {x}")
-        return float(np.sqrt(d))
+        d = np.asarray(self._deriv_fn(x), dtype=np.float64)
+        if d.shape != (self.dim,) * 3:
+            raise ValueError("derivative function returned wrong shape")
+        return d
 
 
 def euclidean_metric(dim: int) -> MetricField:
@@ -93,18 +75,27 @@ def _lobachevsky_g(x):
     return np.diag([1.0 / y**2, 1.0 / y**2])
 
 
-# the largest float64 y whose cube y**3 is finite
-_CUBE_FINITE_MAX = 5.643803094122361e+102
-
-
 def _lobachevsky_dg(x):
-    y = x[1]
-    # above the edge y**3 overflows, while -2 / y^3 is tiny or zero
-    c = -2.0 / y**3 if y <= _CUBE_FINITE_MAX else -2.0 * (1.0 / y) ** 3
+    c = -2.0 / x[1] ** 3
     d = np.zeros((2, 2, 2))
     d[1, 0, 0] = c
     d[1, 1, 1] = c
     return d
+
+
+# the largest float64 y whose cube y**3 is finite
+_CUBE_FINITE_MAX = 5.643803094122361e+102
+
+
+def _lobachevsky_christoffel(y):
+    """The Lobachevsky metric's Gamma in closed form, for y above
+    _CUBE_FINITE_MAX: there -2/y^3 overflows in the cube or is subnormal,
+    and g^-1 (y^2) times it loses the curvature, while Gamma (1/y) is a
+    normal number."""
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 1] = gamma[0, 1, 0] = gamma[1, 1, 1] = -1.0 / y
+    gamma[1, 0, 0] = 1.0 / y
+    return gamma
 
 
 def lobachevsky_metric() -> MetricField:
@@ -119,6 +110,8 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
     the two lower indices by construction.
     """
     ginv = metric.g_inv(x)
+    if metric.name == "lobachevsky" and x[1] > _CUBE_FINITE_MAX:
+        return _lobachevsky_christoffel(x[1])
     dg = metric.dg(x)
     # term[l, i, j] = d_i g_lj + d_j g_il - d_l g_ij
     term = (np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg)
@@ -273,26 +266,3 @@ def lobachevsky_analytic_velocity(X0, Y0, t):
     a = np.abs(t)
     sech = 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
     return Y0 * sech**2, -Y0 * sech * np.tanh(t)
-
-
-def manifold_mass_check(rho0_vals, rho_t_vals, metric0: MetricField,
-                        metric_t: MetricField, ref_points, cur_points) -> float:
-    """Largest relative violation of metric-weighted mass conservation.
-
-    For paired samples (X, x): compares rho0(X) sqrt(det g0(X)) with
-    rho(x) sqrt(det g(x)) and returns max |difference| / reference.
-    """
-    rho0_vals = np.asarray(rho0_vals, dtype=np.float64)
-    rho_t_vals = np.asarray(rho_t_vals, dtype=np.float64)
-    ref_points = np.atleast_2d(np.asarray(ref_points, dtype=np.float64))
-    cur_points = np.atleast_2d(np.asarray(cur_points, dtype=np.float64))
-    if not (len(rho0_vals) == len(rho_t_vals) == len(ref_points) == len(cur_points)):
-        raise ValueError("sample arrays must be parallel")
-    worst = 0.0
-    for k in range(len(rho0_vals)):
-        lhs = rho0_vals[k] * metric0.sqrt_det(ref_points[k])
-        rhs = rho_t_vals[k] * metric_t.sqrt_det(cur_points[k])
-        if lhs == 0.0:
-            raise ZeroDivisionError("zero reference density at a sample")
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst

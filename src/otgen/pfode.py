@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn import Mlp
 from .transport import check_number
 
 CORRECTOR_SWEEPS = 3  # fixed-point sweeps per reverse step
@@ -53,17 +52,6 @@ def gaussian_score(data_std: float, schedule: "VeSchedule") -> ScoreFunction:
     def ev(x, t):
         s2 = data_std**2 + schedule.sigma(t) ** 2
         return -np.asarray(x, dtype=np.float64) / s2
-
-    return ScoreFunction(ev)
-
-
-def trained_score(net: Mlp) -> ScoreFunction:
-    """Wrap an Mlp taking [x..., t] rows and returning score rows."""
-
-    def ev(x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        tcol = np.full((x.shape[0], 1), float(t))
-        return net.forward(np.concatenate([x, tcol], axis=1)).value
 
     return ScoreFunction(ev)
 
@@ -112,52 +100,9 @@ class VeSchedule:
         return self.sigma_min * np.sqrt(np.expm1(2.0 * self._log_ratio * u))
 
 
-def dsm_loss(score: ScoreFunction, batch_x0, schedule: VeSchedule, seed) -> float:
-    """Monte-Carlo denoising score-matching objective.
-
-    E over t ~ U(0, t_final], x0 from the batch, z ~ N(0, I) of
-    || sigma(t) * s(x0 + sigma(t) z, t) + z ||^2. This is the training
-    objective for learned scores; analytic scores may be passed to measure
-    the irreducible floor.
-    """
-    x0 = np.atleast_2d(np.asarray(batch_x0, dtype=np.float64))
-    n, d = x0.shape
-    gen = rng.stream(seed, 0xF0)
-    t = (1.0 - rng.uniform(gen, n)) * schedule.t_final  # (0, t_final]
-    z = rng.normal(gen, (n, d))
-    total = 0.0
-    for k in range(n):
-        s_t = schedule.sigma(t[k])
-        pred = score(x0[k] + s_t * z[k], t[k])
-        r = s_t * pred + z[k]
-        total += float(r @ r)
-    return total / n
-
-
 def pf_velocity(score: ScoreFunction, x, t, schedule: VeSchedule) -> np.ndarray:
     """Deterministic-flow velocity -1/2 g(t)^2 score(x, t)."""
     return -0.5 * float(schedule.g(t)) ** 2 * score(x, t)
-
-
-def body_force_fd(score: ScoreFunction, x, t, schedule: VeSchedule, dt) -> np.ndarray:
-    """Total time derivative of the flow velocity by finite differences.
-
-    dv/dt = dv/dt|_x + (dv/dx) v, with a central difference in t and a
-    central directional difference along v in x (step scaled by dt).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t - dt < 0.0 or t + dt > schedule.t_final:
-        raise ValueError("t +/- dt outside the schedule range")
-    x = np.asarray(x, dtype=np.float64)
-    v = pf_velocity(score, x, t, schedule)
-    dv_dt = (pf_velocity(score, x, t + dt, schedule)
-             - pf_velocity(score, x, t - dt, schedule)) / (2.0 * dt)
-    vnorm = float(np.linalg.norm(v))
-    eta = dt / (1.0 + vnorm)
-    adv = (pf_velocity(score, x + eta * v, t, schedule)
-           - pf_velocity(score, x - eta * v, t, schedule)) / (2.0 * eta)
-    return dv_dt + adv
 
 
 def sample_euler(score: ScoreFunction, schedule: VeSchedule, x_init,
@@ -227,11 +172,11 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
 
 
 def sample_chains(score: ScoreFunction, schedule: VeSchedule, n_chains, dim,
-                  seed, n_steps=100, eps=None, method="second_order") -> np.ndarray:
+                  seed, n_steps=100, method="second_order") -> np.ndarray:
     """Draw x_init ~ N(0, sigma(t_final)^2 I) and run the reverse pass."""
     check_number("n_chains", n_chains, count=True, least=1)
     check_number("dim", dim, count=True, least=1)
     gen = rng.stream(seed, 0xF1)
     x0 = schedule.sigma(schedule.t_final) * rng.normal(gen, (n_chains, dim))
     sampler = sample_second_order if method == "second_order" else sample_euler
-    return sampler(score, schedule, x0, n_steps=n_steps, eps=eps)
+    return sampler(score, schedule, x0, n_steps=n_steps)

@@ -422,14 +422,6 @@ def _jet_values(fieldo: DisplacementField, X, t):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def deformation_gradient(model: TransportModel, X, t) -> np.ndarray:
-    """F = I + du/dX at X (eval mode); [dim, dim] or [n, dim, dim]."""
-    X = np.asarray(X, dtype=np.float64)
-    _, jac = _jet_values(model.displacement, X, t)
-    F = jac + np.eye(jac.shape[-1])
-    return F[0] if X.ndim == 1 else F
-
-
 def eom_residual_t(model: TransportModel, X, t, dropout_seed=None) -> ad.Tensor:
     """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape.
 
@@ -444,11 +436,6 @@ def eom_residual_t(model: TransportModel, X, t, dropout_seed=None) -> ad.Tensor:
     mapped = ad.add(ad.constant(X), u0)
     fb = model.body_force.force(ad.cast(mapped, X.dtype), t, dropout_seed)
     return ad.sub(r, fb)
-
-
-def eom_residual(model: TransportModel, X, t) -> np.ndarray:
-    with ad.no_grad():
-        return eom_residual_t(model, X, t).value
 
 
 # -- loss -----------------------------------------------------------------------
@@ -662,16 +649,13 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
 
 @dataclass
 class ParticleCloudDensity:
-    """Push-forward of the reference density as a weighted particle cloud.
-
-    `density_values[k]` is rho0(X_k) / J(X_k, t): the transported density
-    at the mapped point `points[k]`. Weights are uniform over the retained
-    particles and sum to one.
+    """Push-forward of the reference density as a weighted particle cloud:
+    the mapped points X + u of the particles with J > J_MIN. Weights are
+    uniform over them and sum to one.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    density_values: np.ndarray
     dropped_fraction: float = 0.0
 
     def mean(self) -> np.ndarray:
@@ -684,12 +668,10 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
     """Transported density at pseudo-time t as a weighted particle cloud.
 
     The displacement's space jet takes float32 rows, like training's; the
-    rest is float64: F = I + du/dX, det J, the J > 0 mask, rho0 / J and the
-    points X + u, with X the float64 sample.
+    rest is float64: F = I + du/dX, det J, the J > 0 mask and the points
+    X + u, with X the float64 sample.
     """
-    ref = model.reference_density
-    X = ref.sample(n, seed)
-    rho0 = ref.pdf(X)
+    X = model.reference_density.sample(n, seed)
     u0, jac = _jet_values(model.displacement, X.astype(np.float32),
                           t_target_norm)
     F = jac + np.eye(X.shape[1])
@@ -703,9 +685,8 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
     if dropped_fraction > 0:
         warnings.warn(f"dropped {dropped_fraction:.2%} of samples with J <= 0")
     pts = (X + u0)[keep]
-    vals = rho0[keep] / J[keep]
     w = np.full(len(pts), 1.0 / len(pts))
-    return ParticleCloudDensity(pts, w, vals, float(dropped_fraction))
+    return ParticleCloudDensity(pts, w, float(dropped_fraction))
 
 
 @_QUIET

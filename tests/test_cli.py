@@ -212,6 +212,22 @@ class TestGeodesicCommand:
         assert traj.shape == (6, 5) and np.isfinite(traj).all()
         np.testing.assert_allclose(traj[:, 2], 1e150)
 
+    def test_scaled_start_beyond_the_cube_overflow_keeps_its_curvature(
+            self, tmp_path, capsys):
+        # scaling is an isometry of the half-plane, so a geodesic from a
+        # start scaled by 1e150 is the unit one scaled by 1e150; there
+        # g^-1 (y^2) times the subnormal derivative -2/y^3 would lose the
+        # Christoffel symbols (1/y), which come from their closed form
+        ends = []
+        for scale in ("1", "1e150"):
+            out = tmp_path / f"traj{scale}.csv"
+            assert run_cli("geodesic", "--metric", "lobachevsky", "--x0",
+                           f"0,{scale}", "--v0", f"0,{scale}", "--steps", "5",
+                           "--out", str(out)) == cli.EXIT_OK
+            ends.append(np.loadtxt(out, delimiter=",", skiprows=1)[-1, 2])
+        assert ends[0] == pytest.approx(2.71825113661, rel=1e-11)
+        assert ends[1] == pytest.approx(1e150 * ends[0], rel=1e-12)
+
 
 class TestBaselineCommand:
     def test_prediction_csv(self, tmp_path, capsys):
@@ -298,19 +314,21 @@ class TestSamplePfodeCommand:
         assert not out.exists()
 
     def test_weight_version_1_score_file(self, tmp_path, capsys):
-        # a score network the reader takes samples; the same one stamped
-        # version 1 is refused by name, before anything is written
+        # a network weight document is not a score, whatever its weight
+        # version: no command writes one, and --score refuses it by name
+        # before anything is written
         net = nn.init_mlp([3, 16, 2], "softplus", seed=5, final_std=0.1)
         new, old = tmp_path / "score.json", tmp_path / "score_v1.json"
-        dataio.save_mlp(net, new)
+        dataio.write_json(new, dataio.mlp_to_dict(net))
         dataio.write_json(old, dict(dataio.mlp_to_dict(net), version=1))
-        for path, code in ((new, cli.EXIT_OK), (old, cli.EXIT_VALIDATION)):
+        for path in (new, old):
             out = tmp_path / f"{path.stem}.csv"
             assert run_cli("sample-pfode", "--score", str(path), "--n", "50",
-                           "--steps", "20", "--out", str(out)) == code
-            assert out.exists() == (code == cli.EXIT_OK)
-        assert (f"error: malformed weight document {old}: unsupported weight "
-                "format version 1" in capsys.readouterr().err)
+                           "--steps", "20", "--out", str(out)) \
+                == cli.EXIT_VALIDATION
+            assert (f"error: --score must be gaussian:<std>, not '{path}'"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: {"version": doc["version"]},            # no layers
@@ -326,7 +344,8 @@ class TestSamplePfodeCommand:
         code = run_cli("sample-pfode", "--score", str(path), "--n", "10",
                        "--steps", "5", "--out", str(tmp_path / "s.csv"))
         assert code == cli.EXIT_VALIDATION
-        assert "error: malformed weight document" in capsys.readouterr().err
+        assert (f"error: --score must be gaussian:<std>, not '{path}'"
+                in capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
 
 
@@ -698,35 +717,38 @@ class TestInputValidation:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv,what", [
-        (["run", "--config"], "run config"),
-        (["generate", "--target", "1.0", "--model"], "model document"),
-        (["sample-pfode", "--n", "10", "--score"], "weight document"),
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--config"], "{path}: run config is not JSON"),
+        (["generate", "--target", "1.0", "--model"],
+         "{path}: model document is not JSON"),
+        (["sample-pfode", "--n", "10", "--score"],
+         "error: --score must be gaussian:<std>, not '{path}'"),
     ], ids=["config", "model", "score"])
     def test_non_json_file_is_validation_exit(self, tmp_path, capsys, argv,
-                                              what):
+                                              message):
         path = tmp_path / "doc.json"
         path.write_text("not json\n")
         assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
-        assert f"{path}: {what} is not JSON" in capsys.readouterr().err
+        assert message.format(path=path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,text,what,detail", [
         (["generate", "--target", "1.0", "--model"], "[1]",
-         "malformed model document", "TypeError"),
+         "malformed model document {path}: ", "TypeError"),
         (["generate", "--target", "1.0", "--model"], '{"version": 99}',
-         "malformed model document",
+         "malformed model document {path}: ",
          "unsupported model version 99; this reader reads version 4"),
         (["generate", "--target", "1.0", "--model"], '{"version": 2}',
-         "malformed model document",
+         "malformed model document {path}: ",
          "unsupported model version 2; this reader reads version 4"),
         (["generate", "--target", "1.0", "--model"],
-         '{"version": 4, "loss_history": []}', "malformed model document",
+         '{"version": 4, "loss_history": []}',
+         "malformed model document {path}: ",
          "empty loss history: model never trained"),
+        # --score takes only gaussian:<std>; a file is refused by its name
         (["sample-pfode", "--n", "10", "--score"], '{"version": 2}',
-         "malformed weight document", "KeyError: 'layers'"),
+         "--score must be gaussian:<std>, not '{path}'", "gaussian:<std>"),
         (["sample-pfode", "--n", "10", "--score"], '{"version": 1}',
-         "malformed weight document",
-         "unsupported weight format version 1; this reader reads version 2"),
+         "--score must be gaussian:<std>, not '{path}'", "gaussian:<std>"),
     ], ids=["model-not-an-object", "model-version", "model-version-2",
             "empty-loss-history", "score-no-layers", "weight-version-1"])
     def test_malformed_document_names_its_file(self, tmp_path, capsys, argv,
@@ -735,8 +757,22 @@ class TestInputValidation:
         path.write_text(text)
         assert run_cli(*argv, str(path)) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"error: {what} {path}: " in err
+        assert "error: " + what.format(path=path) in err
         assert detail in err
+
+    def test_failed_allocation_is_validation_exit(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # as numpy raises it for a --steps or --n too large for memory
+        def allocate(args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                              "shape (1000000000001,) and data type float64")
+
+        monkeypatch.setitem(cli._COMMANDS, "geodesic", allocate)
+        code = run_cli("geodesic", "--x0", "0,1", "--v0", "1,0",
+                       "--steps", "1000000000000")
+        assert code == cli.EXIT_VALIDATION
+        assert ("error: Unable to allocate 7.28 TiB"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_config_not_an_object_is_validation_exit(self, tmp_path, capsys,

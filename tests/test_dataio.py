@@ -14,8 +14,8 @@ from otgen.fixtures import synth_fixture
 from otgen.pca import fit_pca
 from otgen.transport import (J_MIN, AffineScaler, ConditionNormalizer,
                              Snapshot, SnapshotDataset, TrainConfig,
-                             _jet_values, deformation_gradient,
-                             generate_density, generate_mean, init_model)
+                             _jet_values, generate_density, generate_mean,
+                             init_model)
 
 
 def write(path, text):
@@ -173,7 +173,7 @@ def assert_generates_like(back, model):
         a = generate_density(back, t, n=256, seed=3)
         b = generate_density(model, t, n=256, seed=3)
         np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.density_values, b.density_values)
+        assert a.dropped_fraction == b.dropped_fraction
 
 
 def key_paths(doc, prefix=()):
@@ -267,31 +267,29 @@ class TestFloat32Generation:
         ref = model.reference_density
         X = ref.sample(n, seed)
         u0, jac = _jet_values(model.displacement, X, t)
-        J = np.linalg.det(jac + np.eye(X.shape[1]))
-        keep = J > J_MIN
-        return (X + u0)[keep], ref.pdf(X)[keep] / J[keep], keep
+        keep = np.linalg.det(jac + np.eye(X.shape[1])) > J_MIN
+        return (X + u0)[keep], keep
 
     @pytest.mark.parametrize("t", [0.3, 1.0])
     def test_cloud_matches_a_float64_evaluation(self, trained_run, t):
         model, _ = trained_run
         cloud = generate_density(model, t, n=3000, seed=5)
-        points, values, keep = self.float64_cloud(model, t, 3000, 5)
-        assert cloud.points.dtype == cloud.density_values.dtype == np.float64
+        points, keep = self.float64_cloud(model, t, 3000, 5)
+        assert cloud.points.dtype == np.float64
         assert cloud.dropped_fraction == 1.0 - keep.mean()
         assert cloud.points.shape == points.shape
         scale = np.ptp(points, axis=0)
         assert np.all(np.abs(cloud.points - points) <= 1e-6 * scale)
-        np.testing.assert_allclose(cloud.density_values, values, rtol=1e-5)
         assert not np.array_equal(cloud.points, points)  # float32 in effect
 
     def test_other_jet_callers_keep_float64_bits(self, trained_run):
         model, _ = trained_run
         X = model.reference_density.sample(500, 2)
-        F = deformation_gradient(model, X, 0.7)
+        jac = _jet_values(model.displacement, X, 0.7)[1]
         with ad.no_grad():
-            jac = model.displacement.jet(X, 0.7)[1].value
-        assert F.dtype == np.float64
-        np.testing.assert_array_equal(F, jac + np.eye(X.shape[1]))
+            oracle = model.displacement.jet(X, 0.7)[1].value
+        assert jac.dtype == np.float64
+        np.testing.assert_array_equal(jac, oracle)
         ref = model.reference_density
         if isinstance(ref, GaussianCurveDensity):  # maps the mean curve
             P = ref.mean_curve()

@@ -1,12 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from otgen import autodiff as ad
 from otgen import dataio, nn, rng
-from otgen.transport import (DisplacementField, make_displacement_field,
-                             spatial_jacobian_t)
+from otgen.density import ReducedGaussianDensity
+from otgen.transport import (ConditionNormalizer, DisplacementField, Snapshot,
+                             SnapshotDataset, TrainConfig, init_model,
+                             make_displacement_field, spatial_jacobian_t)
 
 
 def make_linear(W, b, activation="linear", activation_param=0.0, dropout=0.0):
@@ -341,37 +344,44 @@ def test_adam_rejects_nonfinite_gradient():
 
 # -- serialization -----------------------------------------------------------
 
-def test_weight_roundtrip_bit_exact(tmp_path):
+def test_weight_roundtrip_bit_exact():
+    # the network codec of the model document
     net = nn.init_mlp([3, 7, 2], "softplus", seed=42, activation_param=10.0,
                       dropout=0.1, final_std=1e-3)
-    path = tmp_path / "weights.json"
-    dataio.save_mlp(net, path)
-    loaded = dataio.load_mlp(path)
+    doc = json.loads(json.dumps(dataio.mlp_to_dict(net)))
+    assert doc["version"] == 2
+    loaded = dataio._mlp_from_dict(doc)
     for a, b in zip(net.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(a.value, b.value)
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 2
-    # re-saving what was read reproduces the document byte for byte
-    again = tmp_path / "again.json"
-    dataio.save_mlp(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
+    for a, b in zip(net.layers, loaded.layers):
+        assert ((a.activation, a.activation_param, a.dropout)
+                == (b.activation, b.activation_param, b.dropout))
+    # re-encoding what was read reproduces the document
+    assert dataio.mlp_to_dict(loaded) == doc
 
 
 def test_weight_version_1_document_is_rejected(tmp_path):
-    # version 1 held arrays as lists of numbers; the reader takes version 2
-    net = nn.init_mlp([3, 7, 2], "softplus", seed=42, activation_param=10.0,
-                      dropout=0.1, final_std=1e-3)
-    doc = dataio.mlp_to_dict(net)
-    for layer in doc["layers"]:
+    # version 1 held arrays as lists of numbers; a model document whose
+    # network is stamped version 1 is refused by name
+    model = init_model(
+        SnapshotDataset([Snapshot(0.0, ReducedGaussianDensity([0.0], 0.1)),
+                         Snapshot(1.0, ReducedGaussianDensity([0.5], 0.1))]),
+        ConditionNormalizer("linear", 0.0, 1.0),
+        TrainConfig(dnn_hidden=(4,), dnn_fourier_m=2, fnn_hidden=(4,)))
+    model.loss_history = [(1.0, 0.5, 0.25, 0.25, 0.0)]
+    doc = dataio.model_to_dict(model)
+    net = doc["displacement"]["net"]
+    for layer in net["layers"]:
         for key in ("weight", "bias"):
             layer[key] = dataio._arr_in(layer[key]).tolist()
-    path = tmp_path / "weights_v1.json"
-    path.write_text(json.dumps(dict(doc, version=1)))
+    net["version"] = 1
+    path = tmp_path / "model_v1_weights.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(dataio.DataFormatError,
-                       match=f"malformed weight document {path}: unsupported "
-                             "weight format version 1; this reader reads "
-                             "version 2"):
-        dataio.load_mlp(path)
+                       match=f"malformed model document {re.escape(str(path))}: "
+                             "unsupported weight format version 1; this "
+                             "reader reads version 2"):
+        dataio.load_model(path)
 
 
 def _bits(a):

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from otgen import rng
-from otgen.nn import init_mlp
-from otgen.pfode import (ScoreFunction, VeSchedule, dsm_loss,
-                         body_force_fd, gaussian_score, pf_velocity,
-                         sample_chains, sample_second_order,
-                         trained_score)
+from otgen.pfode import (ScoreFunction, VeSchedule, gaussian_score,
+                         pf_velocity, sample_chains, sample_second_order)
 
 
 @pytest.fixture
@@ -46,35 +42,6 @@ class TestSchedule:
             VeSchedule(sigma_min=2.0, sigma_max=1.0)
 
 
-class TestDsmLoss:
-    def test_zero_score_gives_dimension(self, schedule):
-        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
-        gen = rng.stream(70)
-        x0 = rng.normal(gen, (4000, 3))
-        loss = dsm_loss(zero, x0, schedule, seed=1)
-        assert loss == pytest.approx(3.0, rel=0.05)
-
-    def test_analytic_score_achieves_irreducible_floor(self, schedule):
-        s_data = 1.0
-        score = gaussian_score(s_data, schedule)
-        gen = rng.stream(71)
-        x0 = rng.normal(gen, (4000, 1)) * s_data
-        loss = dsm_loss(score, x0, schedule, seed=2)
-        # irreducible minimum E_t[s^2/(s^2 + sigma(t)^2)] by quadrature
-        ts = np.linspace(1e-6, 1.0, 40001)
-        floor = np.trapezoid(s_data**2 / (s_data**2 + schedule.sigma(ts) ** 2), ts)
-        zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
-        assert loss == pytest.approx(floor, rel=0.1)
-        assert loss < dsm_loss(zero, x0, schedule, seed=2)
-
-    def test_seed_determinism(self, schedule):
-        score = gaussian_score(1.0, schedule)
-        gen = rng.stream(72)
-        x0 = rng.normal(gen, (100, 2))
-        assert dsm_loss(score, x0, schedule, seed=3) == dsm_loss(
-            score, x0, schedule, seed=3)
-
-
 class TestVelocity:
     def test_zero_score_zero_velocity(self, schedule):
         zero = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
@@ -100,59 +67,9 @@ class TestVelocity:
                                    2 * pf_velocity(base, x, t, schedule))
 
 
-class TestBodyForce:
-    def test_constant_velocity_zero_force(self, schedule):
-        # rig the score so v is constant: s(x,t) = -2c / g(t)^2
-        c = np.array([0.8, -0.4])
-
-        def ev(x, t):
-            g2 = float(schedule.g(t)) ** 2
-            return np.broadcast_to(-2.0 * c / g2, np.shape(x)).copy()
-
-        score = ScoreFunction(ev)
-        f = body_force_fd(score, np.array([0.3, 0.3]), 0.5, schedule, dt=1e-4)
-        np.testing.assert_allclose(f, np.zeros(2), atol=1e-6)
-
-    def test_gaussian_case_matches_symbolic_derivative(self, schedule):
-        # hand-derived: dv/dt = x [L g^2 (s^2+sig^2) - g^4/4] / (s^2+sig^2)^2
-        # with L = ln(sigma_max/sigma_min) (so g^2' = 2 L g^2 and (sig^2)' = g^2)
-        s = 1.0
-        score = gaussian_score(s, schedule)
-        L = np.log(50.0 / 0.01)
-        for t in [0.3, 0.5, 0.7]:
-            for xv in [0.5, -1.2]:
-                x = np.array([xv])
-                g2 = float(schedule.g(t)) ** 2
-                den = s**2 + schedule.sigma(t) ** 2
-                expected = xv * (L * g2 * den - 0.25 * g2**2) / den**2
-                got = body_force_fd(score, x, t, schedule, dt=1e-5)
-                assert got[0] == pytest.approx(expected, rel=1e-4)
-
-    def test_richardson_convergence(self, schedule):
-        s = 1.0
-        score = gaussian_score(s, schedule)
-        t, x = 0.5, np.array([0.9])
-        L = np.log(50.0 / 0.01)
-        g2 = float(schedule.g(t)) ** 2
-        den = s**2 + schedule.sigma(t) ** 2
-        exact = 0.9 * (L * g2 * den - 0.25 * g2**2) / den**2
-        e_coarse = abs(body_force_fd(score, x, t, schedule, dt=4e-3)[0] - exact)
-        e_fine = abs(body_force_fd(score, x, t, schedule, dt=1e-3)[0] - exact)
-        assert e_coarse / e_fine >= 12.0
-
-    def test_range_guard(self, schedule):
-        score = gaussian_score(1.0, schedule)
-        with pytest.raises(ValueError):
-            body_force_fd(score, np.zeros(1), 0.0, schedule, dt=1e-3)
-
-
 class TestSampler:
     def test_zero_score_returns_input(self, schedule):
-        zero_net = init_mlp([2, 4, 1], "selu", seed=0)
-        for layer in zero_net.layers:
-            layer.weight.value = np.zeros_like(layer.weight.value)
-            layer.bias.value = np.zeros_like(layer.bias.value)
-        score = trained_score(zero_net)
+        score = ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x)))
         x0 = np.array([[1.5], [-2.0]])
         out = sample_second_order(score, schedule, x0, n_steps=50)
         np.testing.assert_array_equal(out, x0)

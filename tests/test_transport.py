@@ -9,10 +9,9 @@ from otgen import rng
 from otgen.density import GaussianCurveDensity, ReducedGaussianDensity
 from otgen.transport import (ConditionNormalizer, DegenerateMapError,
                              Snapshot, SnapshotDataset, TrainConfig,
-                             TrainingDivergence, compute_loss,
-                             deformation_gradient, eom_residual,
-                             generate_density, generate_mean, init_model,
-                             loss, nrmse, train)
+                             TrainingDivergence, _jet_values, compute_loss,
+                             eom_residual_t, generate_density, generate_mean,
+                             init_model, loss, nrmse, train)
 from tests_support_rigs import NanDensity, rigged_transport_model
 
 
@@ -43,6 +42,17 @@ class TestConditionNormalizer:
             ConditionNormalizer("log10", 0.0, 1.0)
 
 
+def deformation_gradients(model, X, t):
+    """F = I + du/dX of the jet that generate_density evaluates; [n, d, d]."""
+    jac = _jet_values(model.displacement, X, t)[1]
+    return jac + np.eye(jac.shape[-1])
+
+
+def eom_residuals(model, X, t):
+    with ad.no_grad():
+        return eom_residual_t(model, X, t).value
+
+
 class TestKinematics:
     def test_untrained_field_near_identity(self):
         model = init_model(
@@ -53,18 +63,18 @@ class TestKinematics:
             ConditionNormalizer("linear", 0.0, 1.0),
             TrainConfig(dnn_hidden=(32, 32), dnn_fourier_m=4, fnn_hidden=(16,)),
         )
-        F = deformation_gradient(model, np.array([0.2, -0.1]), 0.5)
+        F = deformation_gradients(model, np.array([0.2, -0.1]), 0.5)[0]
         assert np.linalg.norm(F - np.eye(2)) < 1e-2
 
     def test_linear_rig_gradient(self):
         model = rigged_transport_model(2, lambda X, t: 0.5 * X)
-        F = deformation_gradient(model, np.array([0.3, 0.4]), 0.7)
-        np.testing.assert_allclose(F, 1.5 * np.eye(2), atol=1e-8)
+        F = deformation_gradients(model, np.array([0.3, 0.4]), 0.7)
+        np.testing.assert_allclose(F, [1.5 * np.eye(2)], atol=1e-8)
         # a non-symmetric map pins the orientation F[i, j] = dx_i / dX_j
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         model = rigged_transport_model(2, lambda X, t: X @ A.T)
         X = rng.normal(rng.stream(6), (5, 2))
-        F = deformation_gradient(model, X, 0.2)
+        F = deformation_gradients(model, X, 0.2)
         np.testing.assert_allclose(F, np.tile(np.eye(2) + A, (5, 1, 1)),
                                    atol=1e-8)
 
@@ -82,7 +92,7 @@ class TestKinematics:
             p.value = p.value + 0.05
         X = np.array([0.1, 0.2])
         t = 0.4
-        F = deformation_gradient(model, X, t)
+        F = deformation_gradients(model, X, t)[0]
         h = 1e-5
         fd = np.zeros((2, 2))
         for j in range(2):
@@ -100,13 +110,13 @@ class TestEomResidual:
         model = rigged_transport_model(2, lambda X, t: 0.5 * t**2 * c,
                                        lambda x, t: np.broadcast_to(c, x.shape).copy())
         X = rng.normal(rng.stream(1), (5, 2)) * 0.1
-        r = eom_residual(model, X, 0.5)
+        r = eom_residuals(model, X, 0.5)
         np.testing.assert_allclose(r, 0.0, atol=1e-6)
 
     def test_fnn_matching_d2u_zero_residual(self):
         # u linear in t: d2u/dt2 = 0 and F_b = 0 gives zero residual
         model = rigged_transport_model(1, lambda X, t: 0.2 * t * np.ones_like(X))
-        r = eom_residual(model, np.zeros((3, 1)), 0.5)
+        r = eom_residuals(model, np.zeros((3, 1)), 0.5)
         np.testing.assert_allclose(r, 0.0, atol=1e-9)
 
     def test_matches_five_point_stencil_oracle(self):
@@ -134,7 +144,7 @@ class TestEomResidual:
 
             d2u = second(np.zeros(2), 1.0)
             lap = second(np.eye(2)[0], 0.0) + second(np.eye(2)[1], 0.0)
-            r = eom_residual(model, X, t)
+            r = eom_residuals(model, X, t)
             fb = model.body_force.net.forward(
                 np.concatenate([X + model.displacement.u_values(X, t), [[t]]],
                                axis=1)).value
@@ -399,8 +409,11 @@ class TestGeneration:
         cloud = generate_density(model, 1.0, n=400, seed=2)
         src = ref.sample(400, seed=2)
         np.testing.assert_allclose(cloud.points, src + c, atol=1e-12)
-        # translation has J = 1: transported values equal source values
-        np.testing.assert_allclose(cloud.density_values, ref.pdf(src), atol=1e-9)
+        # translation has J = 1: no particle is dropped
+        np.testing.assert_allclose(
+            np.linalg.det(deformation_gradients(model, src, 1.0)), 1.0,
+            atol=1e-12)
+        assert cloud.dropped_fraction == 0.0
         assert cloud.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_t0_with_pinned_boundary_reproduces_source(self):
