@@ -264,16 +264,15 @@ def stack_last(parts):
 
 
 def getitem(a, idx):
+    """`a[idx]` for ints and slices only (TypeError else): no position repeats."""
     a = constant(a)
-    plain = isinstance(idx, (slice, int)) or (
-        isinstance(idx, tuple) and all(isinstance(i, (slice, int)) for i in idx))
+    if not all(isinstance(i, (slice, int))
+               for i in (idx if isinstance(idx, tuple) else (idx,))):
+        raise TypeError(f"getitem takes ints and slices, not {idx!r}")
 
     def vjp(g):
         full = np.zeros_like(a.value)
-        if plain:  # no duplicate positions possible
-            full[idx] += g
-        else:
-            np.add.at(full, idx, g)
+        full[idx] += g
         return full
 
     return _node(a.value[idx], (a,), vjp)

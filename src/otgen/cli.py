@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = add_parser("sample-pfode",
                    help="reverse probability-flow sampling from a score")
     s.add_argument("--score", required=True,
-                   help="'gaussian:<std>' or a network weight JSON")
+                   help="'gaussian:<std>': exact score of N(0, std^2 I) data")
     s.add_argument("--n", type=int, default=1000, help="chain count")
     s.add_argument("--dim", type=int, default=1)
     s.add_argument("--steps", type=int, default=100)
@@ -102,20 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ot_discrete(args) -> int:
     from .dataio import ingest_distribution
-    from .discrete import solve_monge, solve_monge_time_dependent
+    from .discrete import solve_monge
     src = ingest_distribution(args.src)
     dst = ingest_distribution(args.dst)
     tmap, cost = solve_monge(src, dst)
-    print("source -> target assignment:")
-    for i, j in enumerate(tmap.assignment):
-        print(f"  {src.points[i].tolist()} -> {dst.points[j].tolist()}")
+    # the optimal straight lines' knots are the assignment's endpoints
+    pairs = "\n".join(f"  {src.points[i].tolist()} -> {dst.points[j].tolist()}"
+                      for i, j in enumerate(tmap.assignment))
+    print(f"source -> target assignment:\n{pairs}")
     print(f"total cost: {cost:.12g}")
     if args.time_dependent:
-        traj = solve_monge_time_dependent(src, dst)
-        print("straight-line trajectories (t=0 -> t=1):")
-        for i in range(src.size):
-            print(f"  {traj.knot_positions[i, 0].tolist()} -> "
-                  f"{traj.knot_positions[i, 1].tolist()}")
+        print(f"straight-line trajectories (t=0 -> t=1):\n{pairs}")
     return EXIT_OK
 
 
@@ -179,7 +176,8 @@ def cmd_generate(args) -> int:
     model = dataio.load_model(args.model)
     task = task_for_model(model)
     t = model.normalizer.normalize(args.target)
-    cloud = generate_density(model, t, n=args.samples, seed=model.config.seed)
+    seed = getattr(args, "seed", model.config.seed)
+    cloud = generate_density(model, t, n=args.samples, seed=seed)
     mean = generate_mean(model, t, cloud=cloud)
     task.write(args.out, args.target, mean)
     diag = {"target_raw": args.target, "t_norm": t,
@@ -214,18 +212,18 @@ def cmd_baseline(args) -> int:
 def cmd_sample_pfode(args) -> int:
     from . import dataio
     from .pfode import VeSchedule, gaussian_score, sample_chains
-    schedule = VeSchedule(args.sigma_min, args.sigma_max)
+    try:
+        schedule = VeSchedule(args.sigma_min, args.sigma_max)
+    except ValueError as e:
+        raise ValueError(f"{e} (--sigma-min, --sigma-max)") from None
     if not args.score.startswith("gaussian:"):
         raise ValueError(f"--score must be gaussian:<std>, not {args.score!r}")
     text = args.score.removeprefix("gaussian:")
     try:
-        std = float(text)
-    except ValueError:
-        std = float("nan")
-    if not (np.isfinite(std) and std > 0):
+        score = gaussian_score(float(text), schedule)
+    except ValueError as e:
         raise ValueError("--score gaussian:<std> needs a finite positive "
-                         f"std, not {text!r}")
-    score = gaussian_score(std, schedule)
+                         f"std, not {text!r}: {e}") from None
     seed = getattr(args, "seed", 0)
     out = sample_chains(score, schedule, args.n, args.dim, seed,
                         n_steps=args.steps)

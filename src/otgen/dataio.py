@@ -98,26 +98,18 @@ def ingest_curves(path) -> list[CurveSnapshot]:
     offending line number.
     """
     groups: dict[float, list] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        for name in ("condition", "strain", "stress"):
-            if name not in cols:
-                raise DataFormatError(f"{path}: missing column {name!r}")
-        ic, ia, io = cols.index("condition"), cols.index("strain"), cols.index("stress")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                cond, strain, stress = _finite(float(row[ic]), float(row[ia]),
-                                               float(row[io]))
-            except (ValueError, IndexError) as e:
-                raise DataFormatError(
-                    f"{path}:{lineno}: bad row {row!r}: {e}") from e
-            groups.setdefault(cond, []).append((strain, stress))
+    cols, rows = _csv_rows(path)
+    for name in ("condition", "strain", "stress"):
+        if name not in cols:
+            raise DataFormatError(f"{path}: missing column {name!r}")
+    ic, ia, io = cols.index("condition"), cols.index("strain"), cols.index("stress")
+    for lineno, row in rows:
+        try:
+            cond, strain, stress = _finite(float(row[ic]), float(row[ia]),
+                                           float(row[io]))
+        except (ValueError, IndexError) as e:
+            raise DataFormatError(f"{path}:{lineno}: bad row {row!r}: {e}") from e
+        groups.setdefault(cond, []).append((strain, stress))
     if not groups:
         raise DataFormatError(f"{path}: no data rows")
     snapshots = []
@@ -140,8 +132,8 @@ def ingest_curves(path) -> list[CurveSnapshot]:
 
 def write_curves(path, snapshots: list[CurveSnapshot]):
     _write_csv(path, ["condition", "strain", "stress"],
-               ([_fmt(snap.condition_raw), _fmt(strain), _fmt(stress)]
-                for snap in snapshots for strain, stress in snap.points))
+               ([snap.condition_raw, strain, stress]
+                for snap in snapshots for strain, stress in snap.points), 17)
 
 
 def ingest_fields(path):
@@ -149,31 +141,23 @@ def ingest_fields(path):
 
     Returns (conditions [n], fields [n, D]).
     """
-    conditions = []
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[0] != "condition":
-            raise DataFormatError(f"{path}: first column must be 'condition'")
-        width = len(cols) - 1
-        if width < 1:
-            raise DataFormatError(f"{path}: no value columns")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != width + 1:
-                raise DataFormatError(f"{path}:{lineno}: expected {width + 1} "
-                                      f"columns, got {len(row)}")
-            try:
-                cond, *values = _finite(*(float(v) for v in row))
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: bad row: {e}") from e
-            conditions.append(cond)
-            rows.append(values)
+    conditions, rows = [], []
+    cols, lines = _csv_rows(path)
+    if cols[:1] != ["condition"]:
+        raise DataFormatError(f"{path}: first column must be 'condition'")
+    width = len(cols) - 1
+    if width < 1:
+        raise DataFormatError(f"{path}: no value columns")
+    for lineno, row in lines:
+        if len(row) != width + 1:
+            raise DataFormatError(f"{path}:{lineno}: expected {width + 1} "
+                                  f"columns, got {len(row)}")
+        try:
+            cond, *values = _finite(*(float(v) for v in row))
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: bad row: {e}") from e
+        conditions.append(cond)
+        rows.append(values)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     order = np.argsort(conditions, kind="stable")
@@ -184,8 +168,7 @@ def ingest_fields(path):
 def write_fields(path, conditions, fields):
     fields = np.atleast_2d(np.asarray(fields, dtype=np.float64))
     _write_csv(path, ["condition"] + [f"v{j + 1}" for j in range(fields.shape[1])],
-               ([_fmt(cond)] + [_fmt(v) for v in row]
-                for cond, row in zip(np.atleast_1d(conditions), fields)))
+               np.column_stack([np.atleast_1d(conditions), fields]), 17)
 
 
 def ingest_distribution(path) -> DiscreteDistribution:
@@ -214,7 +197,11 @@ def ingest_distribution(path) -> DiscreteDistribution:
             if width < 2:
                 raise DataFormatError(f"{path}:{lineno}: a row needs at least "
                                       "one coordinate and a mass")
-            rows.append(values)
+            try:
+                rows.append(_finite(*values))
+            except ValueError as e:
+                raise DataFormatError(f"{path}:{lineno}: bad row {row!r}: "
+                                      "points and masses must be finite") from e
     if not rows:
         raise DataFormatError(f"{path}: no numeric rows")
     arr = np.asarray(rows)
@@ -225,21 +212,37 @@ def write_loss_history(path, history):
     """One row per epoch: the total loss, its three terms, the dropped fraction."""
     _write_csv(path, ["epoch", "total", "density", "boundary", "dynamics",
                       "dropped_fraction"],
-               ([i] + [_fmt(v) for v in row] for i, row in enumerate(history)))
+               ([i, *row] for i, row in enumerate(history)), 17)
 
 
 def write_table(path, header, rows):
     """A CSV of `header` and numeric `rows`, values to 12 significant digits."""
+    _write_csv(path, header, rows, 12)
+
+
+def _write_csv(path, header, rows, digits):
+    """A CSV of `header` and numeric `rows`, values to `digits` significant
+    digits (17 round-trips a float64)."""
     # Python floats format faster than numpy scalars, to the same text
     rows = np.asarray(list(rows), dtype=np.float64).tolist()
-    _write_csv(path, header, ([f"{v:.12g}" for v in row] for row in rows))
-
-
-def _write_csv(path, header, rows):
+    fmt = f"{{:.{digits}g}}".format
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([fmt(v) for v in row] for row in rows)
+
+
+def _csv_rows(path):
+    """The stripped, lowercase header cells of CSV file `path` and its
+    non-blank rows as (line number, cells) pairs."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        return ([c.strip().lower() for c in header],
+                [(lineno, row) for lineno, row in enumerate(reader, start=2)
+                 if any(c.strip() for c in row)])
 
 
 def _finite(*values):
@@ -247,10 +250,6 @@ def _finite(*values):
     if not all(math.isfinite(v) for v in values):
         raise ValueError("non-finite value")
     return values
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 # -- JSON documents ---------------------------------------------------------------

@@ -9,7 +9,9 @@ pedagogical sizes it exists to serve (support size is capped at 10).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +43,14 @@ class DiscreteDistribution:
             raise ValueError("masses must be positive")
         if abs(ms.sum() - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.array_equal(pts[i], pts[j]):
-                    raise ValueError("support points must be pairwise distinct")
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        if len(np.unique(pts + 0.0, axis=0)) < len(pts):
+            raise ValueError("support points must be pairwise distinct")
 
     @classmethod
     def uniform(cls, points):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = pts.shape[0]
-        return cls(pts, np.full(n, 1.0 / n))
+        return cls(pts, np.full(len(pts), 1.0 / len(pts)))
 
     @property
     def size(self) -> int:
@@ -88,23 +88,23 @@ class PiecewiseLinearTrajectory:
             raise ValueError("trajectories must span [0, 1]")
 
     def positions_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of every path at time t."""
-        n, _, dim = self.knot_positions.shape
-        out = np.empty((n, dim))
-        for d in range(dim):
-            for i in range(n):
-                out[i, d] = np.interp(t, self.knot_times, self.knot_positions[i, :, d])
-        return out
+        """Linear interpolation of every path at time t, clamped to [0, 1]."""
+        kt, kp = self.knot_times, self.knot_positions
+        s = min(max(int(np.searchsorted(kt, t, side="right")) - 1, 0), len(kt) - 2)
+        w = min(max((t - kt[s]) / (kt[s + 1] - kt[s]), 0.0), 1.0)
+        return (1.0 - w) * kp[:, s] + w * kp[:, s + 1]
 
 
-def quadratic_cost(x, y) -> float:
-    """Squared Euclidean distance |x - y|^2."""
+def quadratic_cost(x, y):
+    """Squared Euclidean distance |x - y|^2 over the last axis; leading axes
+    broadcast, and two points give a float."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape != y.shape:
+    if x.shape[-1] != y.shape[-1]:
         raise ValueError("cost arguments must have the same dimension")
     d = x - y
-    return float(d @ d)
+    cost = np.vecdot(d, d)
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def plan_cost(tmap: TransportMap, src: DiscreteDistribution,
@@ -112,10 +112,13 @@ def plan_cost(tmap: TransportMap, src: DiscreteDistribution,
     """Total cost sum_i c(x_i, T(x_i)) * mass_i of an assignment."""
     if src.size != dst.size or len(tmap.assignment) != src.size:
         raise ValueError("map/support size mismatch")
-    return float(sum(
-        quadratic_cost(src.points[i], dst.points[j]) * src.masses[i]
-        for i, j in enumerate(tmap.assignment)
-    ))
+    costs = quadratic_cost(src.points, dst.points[list(tmap.assignment)])
+    return _left_sum((costs * src.masses).tolist())
+
+
+def _left_sum(values) -> float:
+    """Plain left-to-right float sum (`sum` compensates from Python 3.12)."""
+    return functools.reduce(operator.add, values)
 
 
 def _require_uniform(src: DiscreteDistribution, dst: DiscreteDistribution):
@@ -139,19 +142,15 @@ def solve_monge(src: DiscreteDistribution, dst: DiscreteDistribution):
     deterministic.
     """
     _require_uniform(src, dst)
-    n = src.size
-    cost_matrix = np.array([
-        [quadratic_cost(src.points[i], dst.points[j]) for j in range(n)]
-        for i in range(n)
-    ])
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(n)):
-        c = sum(cost_matrix[i, perm[i]] * src.masses[i] for i in range(n))
-        if c < best_cost:  # strict: keeps the lexicographically first tie
-            best_cost = c
-            best_perm = perm
-    return TransportMap(best_perm), float(best_cost)
+    weighted = (quadratic_cost(src.points[:, None], dst.points[None])
+                * src.masses[:, None]).tolist()  # rows of c(x_i, y_j) m_i
+
+    def cost(perm):
+        return _left_sum(map(operator.getitem, weighted, perm))
+
+    # min keeps the first, so the lexicographically smallest, of equal costs
+    best = min(itertools.permutations(range(src.size)), key=cost)
+    return TransportMap(best), cost(best)
 
 
 def trajectory_cost(traj: PiecewiseLinearTrajectory,
@@ -161,18 +160,12 @@ def trajectory_cost(traj: PiecewiseLinearTrajectory,
     Velocities are piecewise constant, so the integral over a segment is
     |dz|^2 / dt exactly.
     """
-    kt = traj.knot_times
     kp = traj.knot_positions
     if kp.shape[0] != src.size:
         raise ValueError("trajectory/source size mismatch")
-    total = 0.0
-    for i in range(src.size):
-        path = 0.0
-        for s in range(len(kt) - 1):
-            dz = kp[i, s + 1] - kp[i, s]
-            path += float(dz @ dz) / (kt[s + 1] - kt[s])
-        total += path * src.masses[i]
-    return total
+    paths = (quadratic_cost(kp[:, 1:], kp[:, :-1])
+             / np.diff(traj.knot_times)).sum(axis=1)
+    return float(paths @ src.masses)
 
 
 def solve_monge_time_dependent(src: DiscreteDistribution,
@@ -184,11 +177,7 @@ def solve_monge_time_dependent(src: DiscreteDistribution,
     constraints, so this reduces to the static solve plus interpolation.
     """
     tmap, _ = solve_monge(src, dst)
-    n, dim = src.points.shape
-    kp = np.empty((n, 2, dim))
-    for i, j in enumerate(tmap.assignment):
-        kp[i, 0] = src.points[i]
-        kp[i, 1] = dst.points[j]
+    kp = np.stack([src.points, dst.points[list(tmap.assignment)]], axis=1)
     return PiecewiseLinearTrajectory(np.array([0.0, 1.0]), kp)
 
 
@@ -203,6 +192,5 @@ def push_forward(tmap: TransportMap, src: DiscreteDistribution,
     if src.size != dst.size or len(tmap.assignment) != src.size:
         raise ValueError("map/support size mismatch")
     ms = np.empty_like(src.masses)
-    for i, j in enumerate(tmap.assignment):
-        ms[j] = src.masses[i]
+    ms[list(tmap.assignment)] = src.masses
     return DiscreteDistribution(dst.points.copy(), ms)

@@ -58,7 +58,6 @@ class RunConfig:
     grid_points     common strain grid size (curves)
     boundary_anchors  anchor count along the mean curve (curves);
                     2 means endpoints only
-    mean_anchor     use snapshot means as anchors (fields)
     train           TrainConfig for the transport networks (at least one
                     epoch; the lowest-loss parameters are kept); its seed is
                     set to the run seed
@@ -80,7 +79,6 @@ class RunConfig:
     pca_samples: int = 64
     grid_points: int = 50
     boundary_anchors: int = 2
-    mean_anchor: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
     baseline: bool = False
     gen_samples: int = 2048
@@ -205,8 +203,7 @@ def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
         t = normalizer.normalize(cond)
         mu_n = scaler.forward(mu)
         dens = ReducedGaussianDensity(mu_n, config.reduced_sigma)
-        snaps.append(Snapshot(t, dens, mu_n[None, :] if config.mean_anchor
-                              else None))
+        snaps.append(Snapshot(t, dens, mu_n[None, :]))
     return SnapshotDataset(snaps), normalizer, scaler, basis
 
 
@@ -363,7 +360,7 @@ def run_experiment(config: RunConfig):
                          dropped_j_fraction=cloud.dropped_fraction,
                          baseline_nrmse=baseline_nrmse,
                          pca_target_residual=pca_resid)
-        _write_report(out, report)
+        (out / "report.json").write_text(dataio.pretty_json(report.to_dict()))
         artifacts["generated"] = str(out / "generated.csv")
         if config.plots:
             series = [(f"train {c:g}", v)
@@ -385,10 +382,6 @@ def _report(config, model, **scores) -> ExperimentReport:
         task=config.task, seed=config.seed, target_raw=config.target_raw,
         loss_first=totals[0], loss_best=min(totals), loss_last=totals[-1],
         epochs_run=len(model.loss_history), **scores)
-
-
-def _write_report(out, report: ExperimentReport):
-    (out / "report.json").write_text(dataio.pretty_json(report.to_dict()))
 
 
 def _write_meta(out, config, wall_clock):

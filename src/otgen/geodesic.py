@@ -118,20 +118,8 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
     return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
 
-@dataclass
-class GeodesicState:
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.velocity))):
-            raise ValueError("state components must be finite")
-
-
-def geodesic_rhs(metric: MetricField, state: GeodesicState, G=0.0, g0=None) -> np.ndarray:
-    """Acceleration of the transport dynamics at the given state.
+def geodesic_rhs(metric: MetricField, x, v, G=0.0, g0=None) -> np.ndarray:
+    """Acceleration of the transport dynamics at position x, velocity v.
 
     xdd^j = G * (Gamma^i_ik g0^{kj} + Gamma^j_ik g0^{ik}) - Gamma^j_ki xd^k xd^i.
 
@@ -140,8 +128,7 @@ def geodesic_rhs(metric: MetricField, state: GeodesicState, G=0.0, g0=None) -> n
     point; that branch is provided as printed in its source formulation but
     is not exercised by the built-in experiments.
     """
-    gamma = christoffel(metric, state.position)
-    v = state.velocity
+    gamma = christoffel(metric, x)
     acc = -np.einsum("jki,k,i->j", gamma, v, v)
     if G != 0.0:
         if g0 is None:
@@ -161,12 +148,8 @@ class GeodesicTrajectory:
 
     def energies(self, metric: MetricField) -> np.ndarray:
         """Kinetic invariant g_ij xd^i xd^j along the trajectory."""
-        out = np.empty(len(self.times))
-        for s in range(len(self.times)):
-            g = metric.g(self.positions[s])
-            v = self.velocities[s]
-            out[s] = float(v @ g @ v)
-        return out
+        return np.array([v @ metric.g(x) @ v
+                         for x, v in zip(self.positions, self.velocities)])
 
 
 def _in_domain(metric: MetricField, x) -> bool:
@@ -210,7 +193,7 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
     xs[0], vs[0] = x, v
 
     def rhs(xc, vc):
-        acc = geodesic_rhs(metric, GeodesicState(xc, vc), G=G, g0=g0)
+        acc = geodesic_rhs(metric, xc, vc, G=G, g0=g0)
         if not np.all(np.isfinite(acc)):  # einsum overflows without a flag
             raise FloatingPointError("overflow encountered in the acceleration")
         return vc, acc
@@ -250,19 +233,20 @@ def lobachevsky_analytic(X0, Y0, t):
     x1 = X0 - 2 Y0 (e^{-2t}+1) e^{2t} / (1+e^{2t})^2 + Y0,
     x2 = 2 e^t Y0 / (1 + e^{2t}).
     """
-    if Y0 <= 0:
-        raise ValueError("Y0 must be positive")
-    t = np.asarray(t, dtype=np.float64)
-    a = np.abs(t)
-    sech = 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
+    t, sech = _sech(Y0, t)
     return X0 + Y0 * np.tanh(t), Y0 * sech
 
 
 def lobachevsky_analytic_velocity(X0, Y0, t):
     """Time derivative of the closed-form geodesic."""
+    t, sech = _sech(Y0, t)
+    return Y0 * sech**2, -Y0 * sech * np.tanh(t)
+
+
+def _sech(Y0, t):
+    """(t, sech t) as 2 e^-|t| / (1 + e^-2|t|), which cannot overflow; Y0 > 0."""
     if Y0 <= 0:
         raise ValueError("Y0 must be positive")
     t = np.asarray(t, dtype=np.float64)
     a = np.abs(t)
-    sech = 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
-    return Y0 * sech**2, -Y0 * sech * np.tanh(t)
+    return t, 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))

@@ -31,6 +31,7 @@ from . import rng
 from .transport import check_number
 
 CORRECTOR_SWEEPS = 3  # fixed-point sweeps per reverse step
+T_STOP = 1e-3  # the samplers stop at t = T_STOP * t_final
 
 
 @dataclass
@@ -47,10 +48,16 @@ class ScoreFunction:
 
 
 def gaussian_score(data_std: float, schedule: "VeSchedule") -> ScoreFunction:
-    """Exact score for N(0, s^2 I) data under the VE blur: -x/(s^2+sigma^2)."""
+    """Exact score for N(0, s^2 I) data under the VE blur: -x/(s^2+sigma^2);
+    ValueError unless s > 0 and s^2 + sigma(t_final)^2 is finite."""
+    var = data_std * data_std  # inf where data_std**2 would raise
+    if not (data_std > 0 and math.isfinite(
+            var + float(schedule.sigma(schedule.t_final)) ** 2)):
+        raise ValueError("data_std must be > 0 with data_std^2 + "
+                         f"sigma(t_final)^2 finite; got {data_std!r}")
 
     def ev(x, t):
-        s2 = data_std**2 + schedule.sigma(t) ** 2
+        s2 = var + schedule.sigma(t) ** 2
         return -np.asarray(x, dtype=np.float64) / s2
 
     return ScoreFunction(ev)
@@ -67,6 +74,8 @@ class VeSchedule:
     Note sigma(0) = 0 exactly; for t away from 0 this is within a factor
     sqrt(1 - r^{-2t}) of the common shorthand sigma_min (sigma_max/sigma_min)^t,
     which it approaches from below (and which tends to sigma_min at 0+).
+    Both grow with t; a range where g(t_final)^2 or sigma(t_final)^2
+    overflows is refused (ValueError).
     """
 
     def __init__(self, sigma_min=0.01, sigma_max=50.0, t_final=1.0):
@@ -81,22 +90,26 @@ class VeSchedule:
         self.sigma_max = float(sigma_max)
         self.t_final = float(t_final)
         self._log_ratio = math.log(sigma_max / sigma_min)
+        with np.errstate(over="ignore"):
+            peak = np.square([self.g(t_final), self.sigma(t_final)])
+        if not np.all(np.isfinite(peak)):
+            raise ValueError(f"sigma_min {sigma_min:g} to sigma_max {sigma_max:g} "
+                             f"overflows g(t)^2 or sigma(t)^2")
 
-    def _check_t(self, t):
+    def _unit_time(self, t):
+        """t / t_final; ValueError for t outside [0, t_final]."""
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0.0) or np.any(t > self.t_final):
             raise ValueError("t outside [0, t_final]")
-        return t
+        return t / self.t_final
 
     def g(self, t):
-        t = self._check_t(t)
-        u = t / self.t_final
+        u = self._unit_time(t)
         return (self.sigma_min * np.exp(self._log_ratio * u)
                 * math.sqrt(2.0 * self._log_ratio / self.t_final))
 
     def sigma(self, t):
-        t = self._check_t(t)
-        u = t / self.t_final
+        u = self._unit_time(t)
         return self.sigma_min * np.sqrt(np.expm1(2.0 * self._log_ratio * u))
 
 
@@ -106,14 +119,11 @@ def pf_velocity(score: ScoreFunction, x, t, schedule: VeSchedule) -> np.ndarray:
 
 
 def sample_euler(score: ScoreFunction, schedule: VeSchedule, x_init,
-                 n_steps=100, eps=None) -> np.ndarray:
+                 n_steps=100) -> np.ndarray:
     """Reference first-order reverse integration of the flow ODE."""
     x = np.array(x_init, dtype=np.float64, copy=True)
-    t_f = schedule.t_final
-    if eps is None:
-        eps = 1e-3 * t_f
-    dt = (t_f - eps) / n_steps
-    t = t_f
+    t = schedule.t_final
+    dt = (t - T_STOP * t) / n_steps
     for _ in range(n_steps):
         x = x - dt * pf_velocity(score, x, t, schedule)
         t -= dt
@@ -121,8 +131,8 @@ def sample_euler(score: ScoreFunction, schedule: VeSchedule, x_init,
 
 
 def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
-                        n_steps=100, eps=None) -> np.ndarray:
-    """Second-order reverse pass from noise x_init to a sample at t = eps.
+                        n_steps=100) -> np.ndarray:
+    """Second-order reverse pass from noise x_init to t = T_STOP * t_final.
 
     Displacement u(t) = x(t) - x_init obeys du/dt = v; its second
     difference is closed with the central velocity difference (see module
@@ -133,14 +143,10 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
     the second difference unexcited. Deterministic given x_init.
     """
     x_init = np.asarray(x_init, dtype=np.float64)
-    t_f = schedule.t_final
-    if eps is None:
-        eps = 1e-3 * t_f
-    if eps <= 0 or eps >= t_f:
-        raise ValueError("eps must lie strictly inside (0, t_final)")
     if n_steps < 2:
         raise ValueError("need at least two steps")
-    dt = (t_f - eps) / n_steps
+    t_f = schedule.t_final
+    dt = (t_f - T_STOP * t_f) / n_steps
     times = t_f - dt * np.arange(n_steps + 1)
 
     # trapezoidal (Heun) start: two known levels are needed and an Euler
@@ -167,16 +173,19 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
             raise FloatingPointError(f"non-finite state at reverse step {k}")
         u_prev, u_cur = u_cur, u_next
         v_prev = v_cur
-    moved = -u_cur  # total displacement the noise shed to become the sample
-    return x_init - moved
+    return x_init + u_cur  # x = x_init + u at the last level
 
 
 def sample_chains(score: ScoreFunction, schedule: VeSchedule, n_chains, dim,
                   seed, n_steps=100, method="second_order") -> np.ndarray:
-    """Draw x_init ~ N(0, sigma(t_final)^2 I) and run the reverse pass."""
+    """Draw x_init ~ N(0, sigma(t_final)^2 I) and run the reverse pass of
+    `method`, "second_order" or "euler" (ValueError for any other)."""
+    sampler = {"second_order": sample_second_order,
+               "euler": sample_euler}.get(method)
+    if sampler is None:
+        raise ValueError(f"unknown sampler method {method!r}")
     check_number("n_chains", n_chains, count=True, least=1)
     check_number("dim", dim, count=True, least=1)
     gen = rng.stream(seed, 0xF1)
     x0 = schedule.sigma(schedule.t_final) * rng.normal(gen, (n_chains, dim))
-    sampler = sample_second_order if method == "second_order" else sample_euler
     return sampler(score, schedule, x0, n_steps=n_steps)

@@ -228,6 +228,15 @@ def test_getitem_gradient():
     np.testing.assert_array_equal(w.grad, expected)
 
 
+@pytest.mark.parametrize("idx", [[0, 0], (slice(None), np.array([1, 1])),
+                                 np.array([True, False])],
+                         ids=["list", "array-in-tuple", "mask"])
+def test_getitem_refuses_an_index_that_could_repeat(idx):
+    w = ad.parameter(np.arange(6, dtype=float).reshape(2, 3))
+    with pytest.raises(TypeError, match="ints and slices"):
+        ad.getitem(w, idx)
+
+
 # -- fused dense layer and feature embedding ---------------------------------
 
 @pytest.mark.parametrize("activation,param,act", [

@@ -125,6 +125,30 @@ class TestOtDiscreteCommand:
                        "--dst", str(dst)) == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    def test_non_finite_cell_names_its_file_and_line(self, tmp_path, capsys):
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("0,0.5\n3,0.5\n")
+        dst.write_text("x,mass\n# comment\n0,0.5\n3,nan\n")
+        assert run_cli("ot-discrete", "--src", str(src),
+                       "--dst", str(dst)) == cli.EXIT_VALIDATION
+        assert (f"error: {dst}:4: bad row ['3', 'nan']: points and masses "
+                "must be finite\n") == capsys.readouterr().err
+
+    def test_time_dependent_knots_are_the_assignment(self, tmp_path, capsys):
+        # the straight lines run from each source point to its image
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("0,0,0.25\n1,0,0.25\n0,1,0.25\n1,1,0.25\n")
+        dst.write_text("1.2,1.1,0.25\n-0.1,0.9,0.25\n1,-0.2,0.25\n"
+                       "0.1,0.1,0.25\n")
+        assert run_cli("ot-discrete", "--src", str(src), "--dst", str(dst),
+                       "--time-dependent") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "source -> target assignment:"
+        assert lines[5].startswith("total cost: ")
+        assert lines[6] == "straight-line trajectories (t=0 -> t=1):"
+        assert lines[7:] == lines[1:5]
+        assert lines[1] == "  [0.0, 0.0] -> [0.1, 0.1]"
+
 
 class TestGeodesicCommand:
     def test_writes_trajectory(self, tmp_path, capsys):
@@ -298,6 +322,30 @@ class TestSamplePfodeCommand:
         name = flag[2:].replace("-", "_")
         assert (f"error: {name} must be a finite number; got {value}"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--score", "gaussian:1e200"], "--score gaussian:<std>"),
+        (["--score", "gaussian:1.0", "--sigma-max", "1e200"], "--sigma-max"),
+        (["--score", "gaussian:1.0", "--sigma-min", "1e-200",
+          "--sigma-max", "50"], "--sigma-min"),
+        # std^2 and sigma(t)^2 are finite, their sum is not
+        (["--score", "gaussian:1.34e154", "--sigma-min", "1e152",
+          "--sigma-max", "1e153"], "--score gaussian:<std>"),
+    ], ids=["huge-std", "huge-sigma-max", "tiny-sigma-min", "huge-sum"])
+    def test_overflowing_square_is_validation_exit(self, tmp_path, capsys,
+                                                   argv, flag):
+        # each squared a number beyond float64: std^2 and g(t)^2 raised
+        # OverflowError, and sigma(t)^2 turned the sample into NaN
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("sample-pfode", *argv, "--n", "3", "--steps", "5",
+                           "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and flag in err
+        assert "Warning" not in err and caught == []
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,name", [
@@ -594,6 +642,32 @@ class TestRunAndGenerateCommands:
                        "--out", str(tmp_path / "g.csv"), "--samples", "64",
                        "--reference", paths["target"]) == 0
         assert len(calls) == 1
+
+    def test_generate_honours_seed(self, tmp_path, capsys):
+        # the model's seed is the default; --seed draws another cloud
+        from otgen.transport import generate_mean
+        paths = synth_fixture("fields", tmp_path / "fx", seed=1,
+                              taus=[0.0, 0.5], params={"D": 20})
+        doc = {"task": "fields", "data": paths["train"], "target_raw": 1.0,
+               "pca_d": 2, "pca_samples": 16, "train": SMALL_TRAIN,
+               "gen_samples": 64, "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg_path)) == 0
+        model_path = tmp_path / "out" / "model.json"
+        seeded, default = tmp_path / "g1.csv", tmp_path / "g0.csv"
+        for out, extra in ((seeded, ["--seed", "1"]), (default, [])):
+            assert run_cli("generate", "--model", str(model_path),
+                           "--target", "1.0", "--out", str(out),
+                           "--samples", "64", *extra) == 0
+        assert default.read_bytes() == \
+            (tmp_path / "out" / "generated.csv").read_bytes()
+        model = dataio.load_model(model_path)
+        expected = generate_mean(model, model.normalizer.normalize(1.0), n=64,
+                                 seed=1)
+        got = dataio.ingest_fields(seeded)[1][0]
+        np.testing.assert_array_equal(got, expected)
+        assert not np.array_equal(got, dataio.ingest_fields(default)[1][0])
 
     def test_interrupt_during_stage_propagates(self, tmp_path, capsys,
                                                monkeypatch):

@@ -77,6 +77,24 @@ class TestIngestFields:
         with pytest.raises(dataio.DataFormatError, match=":3"):
             dataio.ingest_fields(p)
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        # a blank first line is an empty header, not an IndexError
+        ("\ncondition,v1\n0,1\n", "first column must be 'condition'"),
+        ("x,v1\n0,1\n", "first column must be 'condition'"),
+    ], ids=["empty", "blank-header", "wrong-header"])
+    def test_bad_header_rejected(self, tmp_path, text, message):
+        with pytest.raises(dataio.DataFormatError, match=message):
+            dataio.ingest_fields(write(tmp_path / "f.csv", text))
+
+    def test_blank_rows_skipped_and_lines_counted(self, tmp_path):
+        p = write(tmp_path / "f.csv", "condition,v1\n\n0,1\n , \n1,2\n")
+        conds, rows = dataio.ingest_fields(p)
+        np.testing.assert_array_equal(rows, [[1.0], [2.0]])
+        p = write(tmp_path / "g.csv", "condition,v1\n\n0,1\n\n1,x\n")
+        with pytest.raises(dataio.DataFormatError, match="g.csv:5: bad row"):
+            dataio.ingest_fields(p)
+
 
 class TestModelRoundtrip:
     def make_model(self):

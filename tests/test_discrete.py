@@ -38,6 +38,24 @@ def test_quadratic_cost_dimension_mismatch():
         quadratic_cost([1.0], [1.0, 2.0])
 
 
+def test_quadratic_cost_matrix_is_the_pairwise_dot():
+    # one broadcast call gives c(x_i, y_j) = (x_i - y_j) @ (x_i - y_j) bit
+    # for bit, the costs the solver used to compute pair by pair
+    gen = rng.stream(41)
+    x, y = rng.normal(gen, (5, 3)), rng.normal(gen, (4, 3))
+    expected = np.array([[float((a - b) @ (a - b)) for b in y] for a in x])
+    np.testing.assert_array_equal(quadratic_cost(x[:, None], y[None]),
+                                  expected)
+
+
+def test_repeated_support_point_rejected():
+    # -0.0 and 0.0 are one point; the next float over is another
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        DiscreteDistribution.uniform([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
+    d = DiscreteDistribution.uniform([[0.0, 1.0], [0.0, np.nextafter(1.0, 2)]])
+    assert d.size == 2
+
+
 def test_plan_cost_identity_zero():
     d = DiscreteDistribution.uniform([[0.0], [1.0], [2.0]])
     assert plan_cost(TransportMap((0, 1, 2)), d, d) == 0.0
@@ -141,6 +159,35 @@ def test_time_dependent_reference_instance():
     np.testing.assert_allclose(traj.positions_at(0.0), [[1.0], [2.0], [4.0]])
     np.testing.assert_allclose(traj.positions_at(0.5), [[1.0], [2.5], [4.5]])
     np.testing.assert_allclose(traj.positions_at(1.0), [[1.0], [3.0], [5.0]])
+
+
+def test_positions_at_interpolates_each_path():
+    # oracle: np.interp on every path and coordinate; knots are hit exactly
+    gen = rng.stream(42)
+    kt = np.array([0.0, 0.3, 1.0])
+    traj = PiecewiseLinearTrajectory(kt, rng.normal(gen, (4, 3, 2)))
+    for t in (-0.5, 0.0, 0.2, 0.3, 0.55, 1.0, 1.5):
+        expected = np.array([[np.interp(t, kt, path[:, d]) for d in range(2)]
+                             for path in traj.knot_positions])
+        np.testing.assert_allclose(traj.positions_at(t), expected,
+                                   rtol=1e-14, atol=1e-14)
+    for s, t in enumerate(kt):
+        np.testing.assert_array_equal(traj.positions_at(t),
+                                      traj.knot_positions[:, s])
+
+
+def test_solve_monge_cost_is_the_left_to_right_sum():
+    # the optimum's cost is c(x_i, y_T(i)) m_i summed in source order
+    gen = rng.stream(43)
+    mu = DiscreteDistribution.uniform(rng.normal(gen, (6, 2)))
+    nu = DiscreteDistribution.uniform(rng.normal(gen, (6, 2)))
+    tmap, cost = solve_monge(mu, nu)
+    total = 0.0
+    for i, j in enumerate(tmap.assignment):
+        d = mu.points[i] - nu.points[j]
+        total = total + float(d @ d) * mu.masses[i]
+    assert cost == total
+    assert plan_cost(tmap, mu, nu) == total
 
 
 def test_time_dependent_identity_stationary():

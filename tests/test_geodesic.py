@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otgen import rng
-from otgen.geodesic import (GeodesicState, MetricField, christoffel,
+from otgen.geodesic import (MetricField, christoffel,
                             euclidean_metric, geodesic_rhs, integrate_geodesic,
                             lobachevsky_analytic,
                             lobachevsky_analytic_velocity, lobachevsky_metric)
@@ -63,27 +63,27 @@ def test_fd_metric_derivatives_match_analytic():
 
 def test_geodesic_rhs_euclidean_zero():
     m = euclidean_metric(2)
-    acc = geodesic_rhs(m, GeodesicState([1.0, 2.0], [3.0, -1.0]))
+    acc = geodesic_rhs(m, [1.0, 2.0], [3.0, -1.0])
     np.testing.assert_array_equal(acc, np.zeros(2))
 
 
 def test_geodesic_rhs_lobachevsky_hand_value():
     # at x=(0,1) with velocity (1,0): acc = -Gamma^j_11 = (0, -1)
     m = lobachevsky_metric()
-    acc = geodesic_rhs(m, GeodesicState([0.0, 1.0], [1.0, 0.0]))
+    acc = geodesic_rhs(m, [0.0, 1.0], [1.0, 0.0])
     np.testing.assert_allclose(acc, [0.0, -1.0], atol=1e-12)
 
 
 def test_geodesic_rhs_zero_velocity():
     m = lobachevsky_metric()
-    acc = geodesic_rhs(m, GeodesicState([0.5, 2.0], [0.0, 0.0]))
+    acc = geodesic_rhs(m, [0.5, 2.0], [0.0, 0.0])
     np.testing.assert_array_equal(acc, np.zeros(2))
 
 
 def test_geodesic_rhs_strain_term_requires_g0():
     m = lobachevsky_metric()
     with pytest.raises(ValueError):
-        geodesic_rhs(m, GeodesicState([0.0, 1.0], [1.0, 0.0]), G=1.0)
+        geodesic_rhs(m, [0.0, 1.0], [1.0, 0.0], G=1.0)
 
 
 def test_euclidean_geodesic_is_exact_line():

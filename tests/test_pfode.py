@@ -41,6 +41,22 @@ class TestSchedule:
         with pytest.raises(ValueError):
             VeSchedule(sigma_min=2.0, sigma_max=1.0)
 
+    @pytest.mark.parametrize("sigma_min,sigma_max,t_final", [
+        (0.01, 1e200, 1.0),      # g(t_final)^2 ~ sigma_max^2 overflows
+        (1e-200, 50.0, 1.0),     # (sigma_max / sigma_min)^2 overflows
+        (0.01, 50.0, 1e-310),    # 2 ln(r) / t_final overflows in g
+    ])
+    def test_overflowing_range_is_refused(self, sigma_min, sigma_max,
+                                          t_final):
+        with pytest.raises(ValueError, match="overflows g"):
+            VeSchedule(sigma_min, sigma_max, t_final)
+
+    def test_widest_finite_range_is_kept(self):
+        # r = 1e150 squares to 1e300, inside float64
+        wide = VeSchedule(sigma_min=1e-150, sigma_max=1.0)
+        assert np.isfinite(wide.sigma(1.0) ** 2)
+        assert np.isfinite(wide.g(1.0) ** 2)
+
 
 class TestVelocity:
     def test_zero_score_zero_velocity(self, schedule):
@@ -58,6 +74,12 @@ class TestVelocity:
         g2 = float(schedule.g(t)) ** 2
         expected = 0.5 * g2 * x / (s**2 + schedule.sigma(t) ** 2)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf"),
+                                     1e200])
+    def test_gaussian_score_needs_a_finite_variance(self, schedule, std):
+        with pytest.raises(ValueError, match="data_std must be > 0"):
+            gaussian_score(std, schedule)
 
     def test_linearity_in_score(self, schedule):
         base = gaussian_score(1.0, schedule)
@@ -99,15 +121,17 @@ class TestSampler:
 
     def test_closed_form_flow_tracked(self, schedule):
         # deterministic flow scales x by sqrt((s^2+sig(eps)^2)/(s^2+sig(tf)^2))
+        # from t_final down to the samplers' stop eps = 1e-3 t_final
         score = gaussian_score(1.0, schedule)
         x0 = np.array([[30.0]])
         eps = 1e-3
-        out = sample_second_order(score, schedule, x0, n_steps=200, eps=eps)
+        out = sample_second_order(score, schedule, x0, n_steps=200)
         factor = np.sqrt((1.0 + schedule.sigma(eps) ** 2)
                          / (1.0 + schedule.sigma(1.0) ** 2))
         assert out[0, 0] == pytest.approx(30.0 * factor, rel=0.02)
 
-    def test_eps_validation(self, schedule):
+    def test_unknown_method_is_refused(self, schedule):
+        # a near-miss spelling ran the Euler reference without a word
         score = gaussian_score(1.0, schedule)
-        with pytest.raises(ValueError):
-            sample_second_order(score, schedule, np.zeros((1, 1)), eps=2.0)
+        with pytest.raises(ValueError, match="'second-order'"):
+            sample_chains(score, schedule, 3, 1, seed=0, method="second-order")
