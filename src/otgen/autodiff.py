@@ -25,12 +25,23 @@ per parent, and `_node` builds every such tape node. The fused `dense`
 and `sincos_features` nodes keep their own backward: one inner gradient
 feeds all three parents, and the products made from it are handed over
 without a copy, so per-parent VJPs would compute it three times.
+
+A tape's arrays are freed when the last reference to its nodes goes,
+except in a training loop run under :func:`one_tape_alive`. There, once an
+epoch's backward has run, :func:`release_recorded` queues the nodes that
+epoch's tape recorded, and each fused layer of the next epoch's tape first
+frees the queued nodes up to and including the matching old layer: their
+values and the arrays their backward would have read. Every new layer thus
+takes over blocks of the size its predecessor just gave back. One tape is
+alive at a time, and the heap is not trimmed and faulted in again each
+epoch, as it is when each tape is dropped whole after its backward.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -51,6 +62,51 @@ def no_grad():
         yield
     finally:
         _STATE.grad_enabled = prior
+
+
+@contextmanager
+def one_tape_alive():
+    """Free each tape layer by layer as the next one is recorded.
+
+    Inside the context (current thread only), every recorded node is
+    logged in creation order, in layers that each end at a fused `dense`
+    or `sincos_features` node. Once `release_recorded` has queued a tape's
+    layers, each fused node of the next tape first frees the oldest queued
+    layer. Nothing is logged or freed once the context exits.
+    """
+    _STATE.recorded, _STATE.release = [[]], deque()
+    try:
+        yield
+    finally:
+        del _STATE.recorded, _STATE.release
+
+
+def release_recorded():
+    """Queue the layers recorded since the last call for release by the
+    next tape; layers still queued from before go now. Call it once the
+    tape's backward has run, holding no node of that tape."""
+    _STATE.release = deque(_STATE.recorded)
+    _STATE.recorded = [[]]
+
+
+def _record(node, fused=False):
+    """`node`, logged under `one_tape_alive`; a fused node ends a layer."""
+    layers = getattr(_STATE, "recorded", None)
+    if layers is not None:
+        layers[-1].append(node)
+        if fused:
+            layers.append([])
+    return node
+
+
+def _release_next_layer():
+    """Free the oldest queued layer of the last tape, if any: each node's
+    value, the arrays its backward would have read and its parents."""
+    queue = getattr(_STATE, "release", None)
+    if queue:
+        for node in queue.popleft():
+            node.value = node._backward = None
+            node._parents = ()
 
 
 def as_array(x) -> np.ndarray:
@@ -168,7 +224,7 @@ def _node(out, parents, *vjps):
             if p.requires_grad or p._parents:
                 p._accumulate(_unbroadcast(vjp(g), p.value.shape))
 
-    return Tensor(out, parents=parents, backward=backward)
+    return _record(Tensor(out, parents=parents, backward=backward))
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -498,6 +554,7 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
     weight and bias cast to it; their gradients are summed in float64 when
     they are float64 (see `Tensor._accumulate`).
     """
+    _release_next_layer()
     h, weight, bias = constant(h), constant(weight), constant(bias)
     parents = (h, weight, bias)
     H = _streams(h.value)
@@ -529,7 +586,7 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
             bias._accumulate(gz[0].sum(axis=0, dtype=bias.value.dtype),
                              owned=True)
 
-    return Tensor(out, parents=parents, backward=backward)
+    return _record(Tensor(out, parents=parents, backward=backward), True)
 
 
 def sincos_features(v, weights, scale, second=0):
@@ -539,6 +596,7 @@ def sincos_features(v, weights, scale, second=0):
     `scale` s a scalar. Output width is 2m + in. Like `dense`, the node
     computes in the dtype of `v`.
     """
+    _release_next_layer()
     v, weights, scale = constant(v), constant(weights), constant(scale)
     parents = (v, weights, scale)
     V = _streams(v.value)
@@ -573,7 +631,7 @@ def sincos_features(v, weights, scale, second=0):
         if scale.requires_grad or scale._parents:
             scale._accumulate(np.sum(gy * p, dtype=scale.value.dtype))
 
-    return Tensor(out, parents=parents, backward=backward)
+    return _record(Tensor(out, parents=parents, backward=backward), True)
 
 
 # -- interpolation ---------------------------------------------------------

@@ -23,6 +23,10 @@ class UnsupportedMongeError(ValueError):
     """Instance requires splitting mass, which point-to-point maps cannot do."""
 
 
+class CostOverflowError(ValueError):
+    """Every assignment's total cost overflows float64."""
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution: points [n, dim], masses [n]."""
@@ -139,18 +143,23 @@ def solve_monge(src: DiscreteDistribution, dst: DiscreteDistribution):
 
     Returns (TransportMap, cost). Among equal-cost bijections the
     lexicographically smallest assignment wins, which makes results
-    deterministic.
+    deterministic. CostOverflowError if even the best total is not finite.
     """
     _require_uniform(src, dst)
-    weighted = (quadratic_cost(src.points[:, None], dst.points[None])
-                * src.masses[:, None]).tolist()  # rows of c(x_i, y_j) m_i
+    with np.errstate(over="ignore"):  # an overflowing pair costs inf
+        weighted = (quadratic_cost(src.points[:, None], dst.points[None])
+                    * src.masses[:, None]).tolist()  # rows of c(x_i, y_j) m_i
 
     def cost(perm):
         return _left_sum(map(operator.getitem, weighted, perm))
 
     # min keeps the first, so the lexicographically smallest, of equal costs
     best = min(itertools.permutations(range(src.size)), key=cost)
-    return TransportMap(best), cost(best)
+    total = cost(best)
+    if not np.isfinite(total):
+        raise CostOverflowError(
+            "every assignment's total cost overflows float64")
+    return TransportMap(best), total
 
 
 def trajectory_cost(traj: PiecewiseLinearTrajectory,

@@ -10,6 +10,7 @@ and `otgen generate` picks the same object for a saved model.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from contextlib import contextmanager
@@ -17,6 +18,11 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform: run_meta.json then goes without
+    resource = None
 
 from . import dataio, fpca_gpr, svgplot
 from .density import (CurveSnapshot, GaussianCurveDensity,
@@ -320,7 +326,7 @@ def run_experiment(config: RunConfig):
     """
     if config.reference and not Path(config.reference).exists():
         raise StageError("ingest", FileNotFoundError(config.reference))
-    t_start = time.perf_counter()
+    t_start, usage = time.perf_counter(), _usage()
     task, model = fit_model(config)
     normalizer, basis = model.normalizer, model.pca_basis
     out = Path(config.out_dir)
@@ -372,7 +378,7 @@ def run_experiment(config: RunConfig):
             plot = out / f"{config.task}.svg"
             task.plot(plot, series, "generated vs training data")
             artifacts["plots"] = [str(plot)]
-    _write_meta(out, config, time.perf_counter() - t_start)
+    _write_meta(out, config, time.perf_counter() - t_start, usage)
     return report, model, artifacts
 
 
@@ -384,7 +390,20 @@ def _report(config, model, **scores) -> ExperimentReport:
         epochs_run=len(model.loss_history), **scores)
 
 
-def _write_meta(out, config, wall_clock):
-    # wall-clock lives outside report.json so reports stay bit-reproducible
-    (out / "run_meta.json").write_text(dataio.pretty_json(
-        {"config": asdict(config), "wall_clock_s": wall_clock}))
+def _usage():
+    """This process's resource usage so far, or None without `resource`."""
+    return resource.getrusage(resource.RUSAGE_SELF) if resource else None
+
+
+def _write_meta(out, config, wall_clock, usage_at_start):
+    # wall clock and memory live outside report.json so reports stay
+    # bit-reproducible
+    meta = {"config": asdict(config), "wall_clock_s": wall_clock}
+    if usage_at_start is not None:
+        usage = _usage()
+        # ru_maxrss: the process's high-water mark, in bytes on macOS and
+        # KiB elsewhere
+        meta["peak_rss_mb"] = usage.ru_maxrss / (
+            2**20 if sys.platform == "darwin" else 2**10)
+        meta["minor_faults"] = usage.ru_minflt - usage_at_start.ru_minflt
+    (out / "run_meta.json").write_text(dataio.pretty_json(meta))

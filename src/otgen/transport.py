@@ -596,6 +596,12 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     the lowest recorded training loss are restored at the end; divergence
     aborts early with the last good checkpoint. The loss history holds at
     least one epoch: a first epoch that diverges raises TrainingDivergence.
+
+    One tape is alive at a time (see `autodiff.one_tape_alive`). Once an
+    epoch's backward has run, the loss drops its tape and the tape's nodes
+    are queued. Each layer of the next epoch's tape frees the queued nodes
+    through the matching old layer before it computes; what is left of the
+    old tape goes after the next backward.
     """
     if normalizer is None:
         normalizer = ConditionNormalizer("linear", 0.0, 1.0)
@@ -605,35 +611,38 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     cfg = config
     best = (np.inf, None, 0.0)  # epoch 0 sets it: a non-finite loss raises
     history = []
-    for epoch in range(config.epochs):
-        for p in params:
-            p.zero_grad()
-        try:
-            res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
-                               train_mode=True)
-            if epoch == 0 and config.auto_rescale_weights:
-                cfg, res = _rescale_weights(res, config)
-        except (TrainingDivergence, FloatingPointError) as e:
-            # a network output that overflows is divergence too
-            if not history:
-                raise TrainingDivergence(
-                    f"training diverged at epoch {epoch}, before any "
-                    f"checkpoint: {e}") from e
-            warnings.warn(f"training diverged at epoch {epoch}; "
-                          "restoring best checkpoint")
-            break
-        res.tape.backward()
-        history.append((res.total, res.l1, res.l2, res.l3,
-                        res.dropped_fraction))
-        if res.total < best[0]:
-            best = (res.total, [p.value.copy() for p in params],
-                    res.dropped_fraction)
-        try:
-            nn.adam_step_tensors(params, state)
-        except FloatingPointError:
-            warnings.warn(f"non-finite gradient at epoch {epoch}; "
-                          "restoring best checkpoint")
-            break
+    with ad.one_tape_alive():
+        for epoch in range(config.epochs):
+            for p in params:
+                p.zero_grad()
+            try:
+                res = compute_loss(model, dataset, cfg, epoch_seed=epoch,
+                                   train_mode=True)
+                if epoch == 0 and config.auto_rescale_weights:
+                    cfg, res = _rescale_weights(res, config)
+            except (TrainingDivergence, FloatingPointError) as e:
+                # a network output that overflows is divergence too
+                if not history:
+                    raise TrainingDivergence(
+                        f"training diverged at epoch {epoch}, before any "
+                        f"checkpoint: {e}") from e
+                warnings.warn(f"training diverged at epoch {epoch}; "
+                              "restoring best checkpoint")
+                break
+            res.tape.backward()
+            history.append((res.total, res.l1, res.l2, res.l3,
+                            res.dropped_fraction))
+            if res.total < best[0]:
+                best = (res.total, [p.value.copy() for p in params],
+                        res.dropped_fraction)
+            res.tape, res.terms = None, ()  # the queue holds them now
+            ad.release_recorded()
+            try:
+                nn.adam_step_tensors(params, state)
+            except FloatingPointError:
+                warnings.warn(f"non-finite gradient at epoch {epoch}; "
+                              "restoring best checkpoint")
+                break
     for p, v in zip(params, best[1]):
         p.value = v
     model.loss_history = history

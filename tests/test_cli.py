@@ -1,4 +1,5 @@
 import json
+import resource
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from otgen import autodiff as ad
-from otgen import cli, dataio, nn
+from otgen import cli, dataio, experiment, nn
 from otgen.fixtures import curve_family, field_family, synth_fixture
 from otgen.svgplot import plot_curves
 from otgen.transport import TrainConfig
@@ -148,6 +149,35 @@ class TestOtDiscreteCommand:
         assert lines[6] == "straight-line trajectories (t=0 -> t=1):"
         assert lines[7:] == lines[1:5]
         assert lines[1] == "  [0.0, 0.0] -> [0.1, 0.1]"
+
+    @pytest.mark.parametrize("against_itself", [False, True],
+                             ids=["overflowing-costs", "source-against-itself"])
+    def test_overflowing_pair_costs_warn_nothing(self, tmp_path, capsys,
+                                                 against_itself):
+        # |1e308 - (-1e308)|^2 and every cost to the target overflow
+        # float64: with no finite assignment the solve is refused; against
+        # itself the identity costs 0 and wins
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("1e308,0.5,0.5\n-1e308,0.5,0.5\n")
+        dst.write_text("0,0.5,0.5\n1,0.5,0.5\n")
+        target = src if against_itself else dst
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("ot-discrete", "--src", str(src),
+                           "--dst", str(target))
+        assert caught == []
+        out, err = capsys.readouterr()
+        if against_itself:
+            assert code == cli.EXIT_OK and err == ""
+            assert out.splitlines() == [
+                "source -> target assignment:",
+                "  [1e+308, 0.5] -> [1e+308, 0.5]",
+                "  [-1e+308, 0.5] -> [-1e+308, 0.5]",
+                "total cost: 0"]
+        else:
+            assert code == cli.EXIT_VALIDATION and out == ""
+            assert err == (f"error: {src} to {dst}: every assignment's total "
+                           "cost overflows float64\n")
 
 
 class TestGeodesicCommand:
@@ -457,16 +487,29 @@ class TestRunAndGenerateCommands:
         assert snaps[0].condition_raw == 0.8
         assert gen_out.with_suffix(".diag.json").exists()
 
-    def test_run_meta_records_the_run_seed(self, tmp_path, capsys):
+    def test_run_meta_records_the_run_seed(self, tmp_path, capsys,
+                                           monkeypatch):
         paths = synth_fixture("curves", tmp_path / "fx", seed=0,
                               taus=[0.0, 0.5])
         cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
                                     {"train": dict(SMALL_TRAIN, epochs=1)})
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert run_cli("--seed", "1", "run", "--config", cfg_path) == 0
-        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        meta_path = tmp_path / "out" / "run_meta.json"
+        meta = json.loads(meta_path.read_text())
         assert meta["config"]["seed"] == meta["config"]["train"]["seed"] == 1
         model = dataio.load_model(tmp_path / "out" / "model.json")
         assert model.config.seed == 1
+        # the process's high-water mark so far, and the run's minor faults
+        assert 0 < meta["peak_rss_mb"] <= usage.ru_maxrss / 1024
+        assert 0 <= meta["minor_faults"] <= usage.ru_minflt - faults
+        assert isinstance(meta["minor_faults"], int)
+        # without the `resource` module the two keys are left out
+        monkeypatch.setattr(experiment, "resource", None)
+        assert run_cli("--seed", "1", "run", "--config", cfg_path) == 0
+        meta = json.loads(meta_path.read_text())
+        assert sorted(meta) == ["config", "wall_clock_s"]
 
     def test_train_writes_only_the_model(self, tmp_path, capsys):
         paths = synth_fixture("curves", tmp_path / "fx", seed=0,

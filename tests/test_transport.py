@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from otgen import autodiff as ad
-from otgen import rng
+from otgen import rng, transport
 from otgen.density import GaussianCurveDensity, ReducedGaussianDensity
 from otgen.transport import (ConditionNormalizer, DegenerateMapError,
                              Snapshot, SnapshotDataset, TrainConfig,
@@ -311,6 +311,47 @@ class TestLoss:
             ])
 
 
+def anchored_dataset(kind):
+    """Three anchored snapshots of a 2-D curve or a 3-D field task."""
+    if kind == "curves":
+        grid = np.linspace(0.0, 1.0, 8)
+        return SnapshotDataset([Snapshot(
+            t, GaussianCurveDensity(grid, (1.0 + t) * grid, sigma_stress=0.05),
+            np.array([[0.0, 0.0], [1.0, 1.0 + t]])) for t in (0.0, 0.5, 1.0)])
+    means = {t: [0.3 * t, -0.2 * t, 0.1 * t] for t in (0.0, 0.5, 1.0)}
+    return SnapshotDataset([Snapshot(t, ReducedGaussianDensity(m, 0.1),
+                                     np.array([m])) for t, m in means.items()])
+
+
+def tape_nodes(root):
+    """Every node the tape below `root` reaches, `root` included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+class NanAfter(ReducedGaussianDensity):
+    """A Gaussian whose density turns NaN after its first `calls` batches."""
+
+    def __init__(self, mean, sigma, calls):
+        super().__init__(mean, sigma)
+        self.calls = calls
+
+    def pdf_t(self, x):
+        self.calls -= 1
+        out = super().pdf_t(x)
+        return out if self.calls >= 0 else ad.mul(out, np.nan)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
 class TestTraining:
     def small_dataset(self):
         sigma = 0.05
@@ -330,9 +371,10 @@ class TestTraining:
     def test_default_nets_train_within_memory_bound(self):
         # numpy reports its buffers to tracemalloc, so the peak is a byte
         # count, not a sample of the resident set; the bound is the measured
-        # 48.1 MB plus 10 %. Float64 network passes peaked at 57.0 MB, and a
-        # float64 tape that kept its layers' values, every interior gradient
-        # and a node per dropout mask at 74.9 MB.
+        # 43.6 MB plus 10 %. Keeping the last epoch's tape alive while the
+        # next one was recorded peaked at 48.1 MB, float64 network passes at
+        # 57.0 MB, and a float64 tape that kept its layers' values, every
+        # interior gradient and a node per dropout mask at 74.9 MB.
         cfg = TrainConfig(epochs=2, n_samples=64, n_samples_pde=16,
                           n_collocation=5, auto_rescale_weights=True)
         tracemalloc.start()
@@ -341,7 +383,121 @@ class TestTraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 48.1e6
+        assert peak < 1.1 * 43.6e6
+
+    def release_config(self, **kw):
+        return TrainConfig(
+            epochs=5, n_samples=64, n_samples_pde=16, n_collocation=5,
+            dnn_hidden=(16, 16), dnn_fourier_m=3, fnn_hidden=(16, 16),
+            fnn_dropout=0.2, auto_rescale_weights=True, seed=4, **kw)
+
+    @pytest.mark.parametrize("kind", ["curves", "fields"])
+    def test_layer_release_changes_no_bits(self, kind, monkeypatch):
+        # each layer of a tape frees its predecessor's in the last tape
+        # before it computes; training must equal a run that keeps the
+        # whole last tape until the next backward
+        ds, cfg = anchored_dataset(kind), self.release_config()
+        queued = []
+        release = ad._release_next_layer
+
+        def counted():
+            queued.append(len(getattr(ad._STATE, "release", ())))
+            release()
+
+        monkeypatch.setattr(ad, "_release_next_layer", counted)
+        released = train(ds, cfg)
+        # from the second epoch on, every layer finds the last tape queued
+        layers = len(queued) // cfg.epochs
+        assert queued[:layers] == [0] * layers and min(queued[layers:]) > 0
+        monkeypatch.setattr(ad, "_release_next_layer", lambda: None)
+        kept = train(ds, cfg)
+        assert released.loss_history == kept.loss_history
+        assert released.config == kept.config
+        for a, b in zip(released.parameters(), kept.parameters()):
+            assert same_bits(a.value, b.value)
+
+    @staticmethod
+    def assert_nothing_freed_outside_training(model, ds):
+        assert not hasattr(ad._STATE, "release")
+        assert not hasattr(ad._STATE, "recorded")
+        held = compute_loss(model, ds, train_mode=True)
+        nodes = tape_nodes(held.tape)
+        values = [np.array(n.value) for n in nodes]
+        compute_loss(model, ds, train_mode=True)
+        generate_density(model, 0.5, n=64)
+        assert all(n.value is not None and same_bits(np.asarray(n.value), v)
+                   for n, v in zip(nodes, values))
+        held.tape.backward()
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_no_release_queue_outlives_training(self):
+        ds, cfg = anchored_dataset("fields"), self.release_config()
+        model = train(ds, cfg)
+        self.assert_nothing_freed_outside_training(model, ds)
+        # a run that diverges at epoch 2 returns its best checkpoint
+        late = SnapshotDataset([ds.snapshots[0], Snapshot(
+            1.0, NanAfter(np.zeros(3), 0.1, calls=2))])
+        with pytest.warns(UserWarning, match="diverged at epoch 2"):
+            assert len(train(late, cfg).loss_history) == 2
+        self.assert_nothing_freed_outside_training(model, ds)
+        # a run that raises once its first tape is recorded
+        nan = SnapshotDataset([ds.snapshots[0], Snapshot(
+            1.0, NanDensity(np.zeros(3), 0.1))])
+        with pytest.raises(TrainingDivergence, match="epoch 0"):
+            train(nan, cfg)
+        self.assert_nothing_freed_outside_training(model, ds)
+
+    def test_layer_release_lowers_the_training_peak(self, monkeypatch):
+        # 256-wide nets at 256 samples: the tape dominates the peak, and
+        # the release keeps one tape alive instead of two
+        cfg = TrainConfig(epochs=3, n_samples=256, n_samples_pde=64,
+                          n_collocation=11, dnn_hidden=(256,) * 3,
+                          fnn_hidden=(256,) * 3, auto_rescale_weights=True)
+        peaks = []
+        for release in (True, False):
+            if not release:
+                monkeypatch.setattr(ad, "_release_next_layer", lambda: None)
+            tracemalloc.start()
+            try:
+                train(anchored_dataset("curves"), cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.85 * peaks[1]
+
+    def test_degenerate_checkpoint_warns(self, monkeypatch):
+        # x = X - 2 t X^2 folds where X > 1 / (4 t): at sigma 0.5 about a
+        # sixth of each batch over t = 0, 0.5 and 1, at every epoch
+        rig = rigged_transport_model(1, lambda X, t: -2.0 * t * X**2,
+                                     epochs=3)
+        monkeypatch.setattr(transport, "init_model", lambda *args: rig)
+        with pytest.warns(UserWarning, match="degenerated") as caught:
+            model = train(identity_dataset(sigma=0.5), rig.config)
+        fraction = min(model.loss_history)[4]
+        assert fraction > 0.01
+        assert [str(w.message) for w in caught] == [
+            f"returned checkpoint degenerated on {fraction:.1%} of density "
+            "samples (J <= 0); treat the model as suspect"]
+
+    def test_equal_losses_keep_the_earlier_checkpoint(self, monkeypatch):
+        # epochs 1 and 2 tie on the lowest loss: the checkpoint is the
+        # parameters epoch 1 evaluated, not the ones Adam moved on to
+        totals = iter([3.0, 1.0, 1.0, 2.0])
+        evaluated = []
+        real = transport.compute_loss
+
+        def scripted(model, *args, **kwargs):
+            evaluated.append([p.value.copy() for p in model.parameters()])
+            return replace(real(model, *args, **kwargs), total=next(totals))
+
+        monkeypatch.setattr(transport, "compute_loss", scripted)
+        cfg = replace(self.small_config(4), auto_rescale_weights=False)
+        model = train(self.small_dataset(), cfg)
+        assert [h[0] for h in model.loss_history] == [3.0, 1.0, 1.0, 2.0]
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(evaluated[1], evaluated[2]))
+        for p, v in zip(model.parameters(), evaluated[1]):
+            assert same_bits(p.value, v)
 
     def test_divergence_before_any_checkpoint_raises(self):
         # a non-finite first loss leaves no checkpoint to restore
