@@ -23,8 +23,8 @@ its value bit-exactly.
 A primitive is its forward value plus one vector-Jacobian product (VJP)
 per parent, and `_node` builds every such tape node. The fused `dense`
 and `sincos_features` nodes keep their own backward: one inner gradient
-feeds all three parents, and the products made from it are handed over
-without a copy, so per-parent VJPs would compute it three times.
+feeds each parent that takes one, and the products made from it are handed
+over without a copy; per-parent VJPs would compute it once per parent.
 
 A tape's arrays are freed when the last reference to its nodes goes,
 except in a training loop run under :func:`one_tape_alive`. There, once an
@@ -198,15 +198,13 @@ def _recording(parents) -> bool:
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
+    """Sum `grad` over the leading axes broadcasting added to `shape`; an
+    inner axis broadcast from size 1 is not summed, and reshape raises."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -594,10 +592,13 @@ def sincos_features(v, weights, scale, second=0):
 
     `v` is a batch [n, in] or a jet [S, n, in]; `weights` B is [m, in] and
     `scale` s a scalar. Output width is 2m + in. Like `dense`, the node
-    computes in the dtype of `v`.
+    computes in the dtype of `v`. `v` is input data, never on the tape:
+    no gradient flows into it, and a `v` on the tape raises TypeError.
     """
     _release_next_layer()
     v, weights, scale = constant(v), constant(weights), constant(scale)
+    if v.requires_grad or v._parents:
+        raise TypeError("sincos_features takes no gradient into v")
     parents = (v, weights, scale)
     V = _streams(v.value)
     B = weights.value.astype(V.dtype, copy=False)
@@ -622,9 +623,6 @@ def sincos_features(v, weights, scale, second=0):
         g = _streams(g)
         gy = (_jet_backward(d_sin, tangents, g[..., :m], second)
               + _jet_backward(d_cos, tangents, g[..., m:2 * m], second))
-        if v.requires_grad or v._parents:
-            gv = g[..., 2 * m:] + _stream_matmul(gy, B) * s
-            v._accumulate(gv.reshape(v.value.shape), owned=True)
         if weights.requires_grad or weights._parents:
             weights._accumulate(s * (gy.reshape(-1, m).T
                                      @ V.reshape(-1, V.shape[-1])), owned=True)

@@ -102,12 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ot_discrete(args) -> int:
     from .dataio import ingest_distribution
-    from .discrete import CostOverflowError, solve_monge
+    from .discrete import solve_monge
     src = ingest_distribution(args.src)
     dst = ingest_distribution(args.dst)
     try:
         tmap, cost = solve_monge(src, dst)
-    except CostOverflowError as e:
+    except ValueError as e:
         raise ValueError(f"{args.src} to {args.dst}: {e}") from e
     # the optimal straight lines' knots are the assignment's endpoints
     pairs = "\n".join(f"  {src.points[i].tolist()} -> {dst.points[j].tolist()}"

@@ -48,25 +48,20 @@ class DataFormatError(ValueError):
 
 
 @contextmanager
-def format_errors(what: str, path=None):
-    """Re-raise an error from reading the document `what` as DataFormatError.
+def format_errors(what: str, path):
+    """Re-raise an error from reading the document `what` in the file
+    `path` as a DataFormatError that names the file.
 
     Covers the lookup, type and value errors of a malformed document: a
     missing key, a value of the wrong type, a document that is not an
-    object, invalid base64, or an array whose size does not fit its shape.
-    Given the document's file `path`, every such error names it, a
-    DataFormatError raised inside too.
+    object, invalid base64, or an array whose size does not fit its shape,
+    and a DataFormatError raised inside.
     """
-    where = what if path is None else f"{what} {path}"
     try:
         yield
-    except DataFormatError as e:
-        if path is None:
-            raise
-        raise DataFormatError(f"malformed {where}: {e}") from e
     except (AttributeError, LookupError, TypeError, ValueError) as e:
-        raise DataFormatError(
-            f"malformed {where}: {type(e).__name__}: {e}") from e
+        kind = "" if isinstance(e, DataFormatError) else f"{type(e).__name__}: "
+        raise DataFormatError(f"malformed {what} {path}: {kind}{e}") from e
 
 
 def _arr_out(a) -> str:
@@ -175,7 +170,8 @@ def ingest_distribution(path) -> DiscreteDistribution:
     """Points and masses of a CSV of `x1,..,xk,mass` rows, k >= 1.
 
     The first row may be a header; blank rows and `#` comments are skipped.
-    Every row must have the width of the first numeric row.
+    Every row must have the width of the first numeric row. Each error
+    names the file, one `DiscreteDistribution` raises for a mass or point too.
     """
     rows = []
     first = True
@@ -205,7 +201,10 @@ def ingest_distribution(path) -> DiscreteDistribution:
     if not rows:
         raise DataFormatError(f"{path}: no numeric rows")
     arr = np.asarray(rows)
-    return DiscreteDistribution(arr[:, :-1], arr[:, -1])
+    try:
+        return DiscreteDistribution(arr[:, :-1], arr[:, -1])
+    except ValueError as e:
+        raise DataFormatError(f"{path}: {e}") from e
 
 
 def write_loss_history(path, history):
@@ -402,12 +401,11 @@ def model_to_dict(model: TransportModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict, path=None) -> TransportModel:
-    """The trained model a document of format 4 describes.
+def model_from_dict(doc: dict, path) -> TransportModel:
+    """The trained model a document of format 4, read from `path`, describes.
 
     Raises DataFormatError for an unknown version, an empty loss history
-    and a malformed document (see `format_errors`), naming the document's
-    file `path` if given.
+    and a malformed document (see `format_errors`), naming `path`.
     """
     with format_errors("model document", path):
         _check_version(doc, "model", MODEL_FORMAT_VERSION)

@@ -23,10 +23,6 @@ class UnsupportedMongeError(ValueError):
     """Instance requires splitting mass, which point-to-point maps cannot do."""
 
 
-class CostOverflowError(ValueError):
-    """Every assignment's total cost overflows float64."""
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution: points [n, dim], masses [n]."""
@@ -143,7 +139,7 @@ def solve_monge(src: DiscreteDistribution, dst: DiscreteDistribution):
 
     Returns (TransportMap, cost). Among equal-cost bijections the
     lexicographically smallest assignment wins, which makes results
-    deterministic. CostOverflowError if even the best total is not finite.
+    deterministic. ValueError if even the best total is not finite.
     """
     _require_uniform(src, dst)
     with np.errstate(over="ignore"):  # an overflowing pair costs inf
@@ -157,8 +153,7 @@ def solve_monge(src: DiscreteDistribution, dst: DiscreteDistribution):
     best = min(itertools.permutations(range(src.size)), key=cost)
     total = cost(best)
     if not np.isfinite(total):
-        raise CostOverflowError(
-            "every assignment's total cost overflows float64")
+        raise ValueError("every assignment's total cost overflows float64")
     return TransportMap(best), total
 
 

@@ -199,7 +199,11 @@ def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
         for i in range(len(fields))
     ]
     pooled = np.vstack(sample_blocks)
-    basis = fit_pca(pooled, config.pca_d)
+    try:
+        basis = fit_pca(pooled, config.pca_d)
+    except ValueError as e:
+        raise ValueError(f"pca_d = {config.pca_d} with {len(fields)} conditions"
+                         f" x pca_samples = {config.pca_samples}: {e}") from e
     coeffs = project(basis, fields)          # snapshot means, reduced
     pooled_c = project(basis, pooled)
     scaler = AffineScaler.from_bounds(pooled_c.min(axis=0), pooled_c.max(axis=0))

@@ -41,21 +41,11 @@ class GprModel:
     input_scale: float
     alpha: np.ndarray
     chol: np.ndarray
-    jitter: float
 
 
 def _sq_exp(a, b, length_scale, signal_variance):
     d = a[:, None] - b[None, :]
     return signal_variance * np.exp(-0.5 * (d / length_scale) ** 2)
-
-
-def _chol_with_jitter(K):
-    for jitter in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        try:
-            return np.linalg.cholesky(K + jitter * np.eye(len(K))), jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("kernel matrix not positive definite at max jitter")
 
 
 def _grid_log_marginals(Ts, a, ls_grid, sv_grid, nv_grid):
@@ -124,32 +114,32 @@ def gpr_fit(T, a, hyper=None) -> GprModel:
             raise np.linalg.LinAlgError("no stable hyperparameter choice found")
         ls, sv, nv = ls_grid[i], sv_grid[j], nv_grid[k]
 
-    # on the grid this factors at jitter 0, as the stacked pass did
-    L, jit = _chol_with_jitter(_sq_exp(Ts, Ts, ls, sv) + nv * np.eye(len(Ts)))
+    L = np.linalg.cholesky(_sq_exp(Ts, Ts, ls, sv) + nv * np.eye(len(Ts)))
     z = np.linalg.solve(L, a)
     alpha = np.linalg.solve(L.T, z)
     return GprModel(
         train_inputs=Ts, length_scale=float(ls), signal_variance=float(sv),
         noise_variance=float(nv), input_shift=shift, input_scale=scale,
-        alpha=alpha, chol=L, jitter=jit,
+        alpha=alpha, chol=L,
     )
 
 
-def gpr_predict(model: GprModel, T_star):
-    """Posterior predictive mean and variance (including noise) at T_star."""
-    T_star = np.atleast_1d(np.asarray(T_star, dtype=np.float64))
-    if not np.all(np.isfinite(T_star)):
+def gpr_predict(model: GprModel, T_star) -> tuple[float, float]:
+    """Posterior predictive (mean, variance including noise) at the one
+    condition T_star; a query of any other size raises ValueError."""
+    T_star = np.asarray(T_star, dtype=np.float64).reshape(1)
+    if not np.isfinite(T_star[0]):
         raise ValueError(f"query condition must be finite; got {T_star}")
-    ts = (T_star - model.input_shift) / model.input_scale
-    k_star = _sq_exp(ts, model.train_inputs, model.length_scale,
-                     model.signal_variance)
+    # far from the data the scaled distance overflows and k* is exactly 0
+    with np.errstate(over="ignore"):
+        ts = (T_star - model.input_shift) / model.input_scale
+        k_star = _sq_exp(ts, model.train_inputs, model.length_scale,
+                         model.signal_variance)
     mean = k_star @ model.alpha
     v = np.linalg.solve(model.chol, k_star.T)
     var = model.signal_variance - np.einsum("ij,ij->j", v, v) + model.noise_variance
     var = np.maximum(var, 0.0)
-    if mean.size == 1:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return float(mean[0]), float(var[0])
 
 
 def fit_predict_baseline(values, conditions, target, basis=None):

@@ -446,14 +446,9 @@ class LossResult:
     l1: float
     l2: float
     l3: float
-    dropped: int = 0
-    evaluated: int = 0
+    dropped_fraction: float  # of the density term's samples, J <= 0
     tape: ad.Tensor | None = None
     terms: tuple = ()  # the (L1, L2, L3) tape tensors `tape` sums
-
-    @property
-    def dropped_fraction(self) -> float:
-        return self.dropped / self.evaluated if self.evaluated else 0.0
 
 
 def _masked_mean(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
@@ -498,7 +493,6 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     J = ad.det(F_raw)
     mask = (J.value > J_MIN).astype(np.float64)
     dropped = int(len(mask) - mask.sum())
-    evaluated = len(mask)
     if dropped:
         # swap degenerate rows for the identity so det/inv stay finite;
         # the mask removes their contribution
@@ -539,11 +533,11 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
                        _combine(config.seed, epoch_seed, 3)
                        if train_mode else None)
     L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
-    return _weighted_loss((L1, L2, L3), config, dropped, evaluated)
+    return _weighted_loss((L1, L2, L3), config, dropped / len(mask))
 
 
-def _weighted_loss(terms, config: TrainConfig, dropped: int,
-                   evaluated: int) -> LossResult:
+def _weighted_loss(terms, config: TrainConfig,
+                   dropped_fraction: float) -> LossResult:
     """w1 L1 + w2 L2 + w3 L3 over the term tensors, checked to be finite."""
     L1, L2, L3 = terms
     total = ad.add(ad.add(ad.mul(L1, config.w1), ad.mul(L2, config.w2)),
@@ -552,7 +546,7 @@ def _weighted_loss(terms, config: TrainConfig, dropped: int,
         raise TrainingDivergence("non-finite loss")
     return LossResult(
         total=float(total.value), l1=float(L1.value), l2=float(L2.value),
-        l3=float(L3.value), dropped=dropped, evaluated=evaluated,
+        l3=float(L3.value), dropped_fraction=dropped_fraction,
         tape=total, terms=terms)
 
 
@@ -568,7 +562,7 @@ def _rescale_weights(res: LossResult, config: TrainConfig):
         w2=config.w2 / max(res.l2, 1e-12) if res.l2 > 0 else config.w2,
         w3=config.w3 / max(res.l3, 1e-12),
     )
-    return cfg, _weighted_loss(res.terms, cfg, res.dropped, res.evaluated)
+    return cfg, _weighted_loss(res.terms, cfg, res.dropped_fraction)
 
 
 def loss(model, dataset, config=None, epoch_seed=0) -> LossResult:

@@ -43,9 +43,9 @@ def test_add_mul_chain_matches_fd():
 _FD_CASES = {
     "sub": (ad.sub, [(3, 2), (3, 2)]),
     "div": (ad.div, [(3, 2), (3, 2)]),
-    "mul-row-broadcast": (ad.mul, [(1, 3), (4, 3)]),
-    "sub-row-broadcast": (ad.sub, [(4, 3), (1, 3)]),
-    "div-row-broadcast": (ad.div, [(1, 3), (4, 3)]),
+    "mul-row-broadcast": (ad.mul, [(3,), (4, 3)]),
+    "sub-row-broadcast": (ad.sub, [(4, 3), (3,)]),
+    "div-row-broadcast": (ad.div, [(3,), (4, 3)]),
     "concat-axis0": (lambda *p: ad.concat(p, axis=0), [(2, 3), (1, 3), (3, 3)]),
     "concat-last": (lambda *p: ad.concat(p, axis=-1), [(2, 1), (2, 3), (2, 2)]),
     "stack_last": (lambda *p: ad.stack_last(p), [(2, 3), (2, 3), (2, 3)]),
@@ -100,6 +100,17 @@ def test_broadcast_add_unbroadcasts():
     x = ad.constant(np.zeros((5, 2)))
     ad.tsum(ad.add(x, b)).backward()
     np.testing.assert_array_equal(b.grad, np.full(2, 5.0))
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_inner_axis_broadcast_raises_on_backward(op):
+    # only leading axes are summed back; a (4, 1) parent broadcast against
+    # (4, 3) is refused rather than summed
+    col = ad.parameter(np.ones((4, 1)))
+    out = op(col, ad.constant(np.ones((4, 3))))
+    assert out.value.shape == (4, 3)
+    with pytest.raises(ValueError):
+        ad.tsum(out).backward()
 
 
 def test_det_gradient_matches_fd():
@@ -278,6 +289,16 @@ def test_sincos_features_one_stream_is_composition():
     ad.tsum(ad.mul(composed, r)).backward()
     np.testing.assert_allclose(b1.grad, b2.grad.T, rtol=1e-13)
     np.testing.assert_allclose(s1.grad, s2.grad, rtol=1e-13)
+
+
+@pytest.mark.parametrize("on_tape", [ad.parameter, lambda x: ad.mul(
+    ad.parameter(np.ones_like(x)), x)], ids=["leaf", "interior"])
+def test_sincos_features_refuses_an_input_on_the_tape(on_tape):
+    # no gradient flows into v, so a v that would need one is refused
+    x = np.ones((2, 3))
+    with pytest.raises(TypeError, match="no gradient into v"):
+        ad.sincos_features(on_tape(x), ad.parameter(np.ones((4, 3))),
+                           ad.parameter(np.float64(1.0)))
 
 
 def test_dense_jet_skips_tape_under_no_grad():

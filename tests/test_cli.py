@@ -179,6 +179,29 @@ class TestOtDiscreteCommand:
             assert err == (f"error: {src} to {dst}: every assignment's total "
                            "cost overflows float64\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("0,0.5\n1,0.6\n", "masses must sum to 1"),
+        ("0,0.5\n0,0.5\n", "support points must be pairwise distinct"),
+        ("0,-0.5\n1,1.5\n", "masses must be positive"),
+    ], ids=["mass-sum", "repeated-point", "negative-mass"])
+    def test_bad_distribution_names_its_file(self, tmp_path, capsys, text,
+                                             message):
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text(text)
+        dst.write_text("0,0.5\n3,0.5\n")
+        assert run_cli("ot-discrete", "--src", str(src),
+                       "--dst", str(dst)) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+    def test_unequal_supports_name_both_files(self, tmp_path, capsys):
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("0,0.5\n1,0.5\n")
+        dst.write_text("0,0.25\n1,0.25\n2,0.5\n")
+        assert run_cli("ot-discrete", "--src", str(src),
+                       "--dst", str(dst)) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {src} to {dst}: supports must have equal size\n")
+
 
 class TestGeodesicCommand:
     def test_writes_trajectory(self, tmp_path, capsys):
@@ -318,6 +341,25 @@ class TestBaselineCommand:
         assert code == cli.EXIT_VALIDATION
         assert "query condition must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_far_target_is_the_prior_without_a_warning(self, tmp_path,
+                                                       capsys):
+        # 1e200 standardized is a squared distance that overflows: the
+        # kernel to every training condition is 0 and the GP its prior
+        paths = synth_fixture("curves", tmp_path, seed=4,
+                              taus=[0.0, 0.25, 0.5, 0.75])
+        out = tmp_path / "pred.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("baseline", "--data", paths["train"],
+                           "--target", "1e200", "--out", str(out),
+                           "--grid-points", "10")
+        assert code == cli.EXIT_OK and caught == []
+        _, curves = experiment.common_grid(
+            dataio.ingest_curves(paths["train"]), 10)
+        mean = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        np.testing.assert_allclose(mean, curves.mean(axis=0), rtol=0,
+                                   atol=1e-9)
 
 
 class TestSamplePfodeCommand:
@@ -777,6 +819,23 @@ class TestInputValidation:
         assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("pca_d,message", [
+        (10, "d must satisfy 1 <= d <= min(n, D) = 8"),
+        (8, "need more samples than retained dimensions"),
+    ], ids=["above-sample-count", "at-sample-count"])
+    def test_too_large_pca_d_names_the_config_keys(self, tmp_path, capsys,
+                                                   pca_d, message):
+        # 2 conditions x 4 pca_samples pool 8 samples of width 40
+        paths = synth_fixture("fields", tmp_path / "fx", seed=0,
+                              taus=[0.0, 0.5], params={"D": 40})
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
+                                    {"task": "fields", "pca_d": pca_d,
+                                     "pca_samples": 4})
+        assert run_cli("run", "--config", cfg_path) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: stage 'prepare' failed: pca_d = {pca_d} with 2 "
+            f"conditions x pca_samples = 4: {message}\n")
 
     @pytest.mark.parametrize("extra,message", [
         ({"train": dict(SMALL_TRAIN, learning_rate=float("nan"))},

@@ -119,9 +119,17 @@ class TestGpr:
         T = np.array([0.0, 1.0, 2.0])
         a = np.array([5.0, 6.0, 7.0])
         g = gpr_fit(T, a, hyper=(1.0, 2.0, 0.1))
-        mean, var = gpr_predict(g, 100.0)
-        assert abs(mean) < 1e-6
-        assert var == pytest.approx(2.0 + 0.1, rel=1e-6)
+        # at 1e200 the squared distance overflows, silently: k* is 0
+        for query in (100.0, 1e200):
+            mean, var = gpr_predict(g, query)
+            assert abs(mean) < 1e-6
+            assert var == pytest.approx(2.0 + 0.1, rel=1e-6)
+
+    def test_query_is_one_condition(self):
+        g = gpr_fit([0.0, 1.0], [1.0, 2.0], hyper=(1.0, 1.0, 0.1))
+        assert gpr_predict(g, [0.5]) == gpr_predict(g, 0.5)
+        with pytest.raises(ValueError):
+            gpr_predict(g, [0.5, 1.5])
 
     def test_shrinkage_at_noisy_training_point(self):
         g = gpr_fit([0.0, 2.0], [4.0, -4.0], hyper=(0.7, 1.0, 1.0))
@@ -289,7 +297,6 @@ class TestGridSearch:
         np.testing.assert_array_equal(g.chol, L)
         z = np.linalg.solve(L, a)
         np.testing.assert_array_equal(g.alpha, np.linalg.solve(L.T, z))
-        assert g.jitter == 0.0
 
     def test_nan_candidate_scores_minus_inf(self):
         # a NaN score must never win the argmax

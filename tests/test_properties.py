@@ -139,7 +139,8 @@ def test_forward_eval_bit_reproducible(seed):
 #
 # A float32 input runs `dense` and `sincos_features` in float32 (the training
 # passes); a float64 input keeps full precision. Every float32 jet stream and
-# every gradient (into h, W, b, B and the scale) must match the float64
+# every gradient (into h, W and b; into B and the scale, as `sincos_features`
+# takes no gradient into its input) must match the float64
 # result within F32_RTOL of the largest float64 entry of that array, or of 1
 # when every entry is smaller: about 840 float32 roundings. The floor is
 # there because an activation's float32 derivatives are exact to about 1e-7
@@ -163,19 +164,26 @@ def _jet_input(gen, k, second, n, width):
     return rng.normal(gen, (1 + k + second, n, width))
 
 
-def _gradients_in_both_dtypes(layer, h64, params64, out_weights):
+def _gradients_in_both_dtypes(layer, h64, params64, out_weights,
+                              h_on_tape=True):
     """(outputs, gradients) of sum(out_weights * layer(h, *params)) for a
-    float32 and a float64 h; the parameters are float64 leaves each time."""
+    float32 and a float64 h; the parameters are float64 leaves each time.
+    The gradients start with h's when `h_on_tape`, else h is a constant."""
     results = []
     for dtype in (np.float32, np.float64):
-        h = ad.parameter(h64.astype(dtype))
+        h = (ad.parameter if h_on_tape else ad.constant)(h64.astype(dtype))
         params = [ad.parameter(p) for p in params64]
         out = layer(h, *params)
         assert out.value.dtype == dtype
         ad.tsum(ad.mul(out, out_weights)).backward()
-        assert h.grad.dtype == dtype
         assert all(p.grad.dtype == np.float64 for p in params)
-        results.append((out.value, [h.grad] + [p.grad for p in params]))
+        grads = [p.grad for p in params]
+        if h_on_tape:
+            assert h.grad.dtype == dtype
+            grads.insert(0, h.grad)
+        else:
+            assert h.grad is None
+        results.append((out.value, grads))
     return results
 
 
@@ -218,8 +226,8 @@ def test_float32_sincos_features_match_float64(k, data, n, width_in, m, seed):
     def layer(v, weights, s):
         return ad.sincos_features(v, weights, s, second)
 
-    (o32, g32), (o64, g64) = _gradients_in_both_dtypes(layer, v64, [B, scale],
-                                                       out_weights)
+    (o32, g32), (o64, g64) = _gradients_in_both_dtypes(
+        layer, v64, [B, scale], out_weights, h_on_tape=False)
     _close_to_float64(o32, o64)
     for a, b_ in zip(g32, g64):
         _close_to_float64(a, b_)
