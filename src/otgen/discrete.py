@@ -19,10 +19,6 @@ import numpy as np
 MAX_ENUMERATION = 10
 
 
-class UnsupportedMongeError(ValueError):
-    """Instance requires splitting mass, which point-to-point maps cannot do."""
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution: points [n, dim], masses [n]."""
@@ -127,7 +123,7 @@ def _require_uniform(src: DiscreteDistribution, dst: DiscreteDistribution):
     ref = 1.0 / src.size
     if (np.any(np.abs(src.masses - ref) > 1e-12)
             or np.any(np.abs(dst.masses - ref) > 1e-12)):
-        raise UnsupportedMongeError(
+        raise ValueError(
             "point masses differ; a point-to-point map cannot split mass")
     if src.size > MAX_ENUMERATION:
         raise ValueError(

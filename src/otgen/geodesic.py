@@ -1,13 +1,15 @@
 """Transport dynamics on Riemannian metrics.
 
 Metric fields supply covariant components g_ij(x) and their analytic
-derivatives; from these we build Christoffel symbols and integrate the
-geodesic equation with classic RK4.
+derivatives; from these `MetricField.christoffel` builds the Christoffel
+symbols, and the geodesic equation is integrated with classic RK4.
 
 The hyperbolic upper half-plane ("Lobachevsky plane", metric
 (dx1^2 + dx2^2) / x2^2) ships as a built-in with closed-form geodesics for
 regression testing: semicircles centered on the x1 axis, traversed at unit
-hyperbolic speed.
+hyperbolic speed. Its Christoffel symbols are closed-form too, and live on
+its metric: `lobachevsky_metric()` returns a MetricField whose
+`christoffel` and `in_domain` override the generic ones.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ class MetricField:
 
     `metric_fn(x) -> [N, N]` must return symmetric positive-definite
     matrices, and `deriv_fn(x) -> [N, N, N]` their analytic derivatives,
-    deriv[k][i][j] = d g_ij / d x^k.
+    deriv[k][i][j] = d g_ij / d x^k. The base class builds the Christoffel
+    symbols from g and dg and integrates everywhere; a metric with a closed
+    form (Lobachevsky's, from `lobachevsky_metric`) overrides `christoffel`
+    and `in_domain` and passes no `deriv_fn`.
     """
 
     def __init__(self, dim, metric_fn, deriv_fn, name="custom"):
@@ -61,6 +66,22 @@ class MetricField:
             raise ValueError("derivative function returned wrong shape")
         return d
 
+    def in_domain(self, x) -> bool:
+        """Whether `x` lies in the integration domain: everywhere."""
+        return True
+
+    def christoffel(self, x) -> np.ndarray:
+        """Connection coefficients Gamma[k][i][j] of the metric at x.
+
+        Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_il - d_l g_ij); symmetric
+        in the two lower indices by construction.
+        """
+        ginv = self.g_inv(x)
+        dg = self.dg(x)
+        # term[l, i, j] = d_i g_lj + d_j g_il - d_l g_ij
+        term = (np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg)
+        return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+
 
 def euclidean_metric(dim: int) -> MetricField:
     eye = np.eye(dim)
@@ -75,47 +96,33 @@ def _lobachevsky_g(x):
     return np.diag([1.0 / y**2, 1.0 / y**2])
 
 
-def _lobachevsky_dg(x):
-    c = -2.0 / x[1] ** 3
-    d = np.zeros((2, 2, 2))
-    d[1, 0, 0] = c
-    d[1, 1, 1] = c
-    return d
+class _LobachevskyMetric(MetricField):
+    """Upper half-plane metric diag(1, 1) / x2^2 on x2 > 1e-9.
 
+    Its Christoffel symbols (about +-1/x2) come in closed form at every x2:
+    the generic formula multiplies g^-1 (x2^2) by dg (-2/x2^3), whose cube
+    overflows or turns subnormal above x2 of about 1e102 and loses the
+    curvature there.
+    """
 
-# the largest float64 y whose cube y**3 is finite
-_CUBE_FINITE_MAX = 5.643803094122361e+102
+    def __init__(self):
+        super().__init__(2, _lobachevsky_g, None, name="lobachevsky")
 
+    def in_domain(self, x) -> bool:
+        return x[1] > 1e-9
 
-def _lobachevsky_christoffel(y):
-    """The Lobachevsky metric's Gamma in closed form, for y above
-    _CUBE_FINITE_MAX: there -2/y^3 overflows in the cube or is subnormal,
-    and g^-1 (y^2) times it loses the curvature, while Gamma (1/y) is a
-    normal number."""
-    gamma = np.zeros((2, 2, 2))
-    gamma[0, 0, 1] = gamma[0, 1, 0] = gamma[1, 1, 1] = -1.0 / y
-    gamma[1, 0, 0] = 1.0 / y
-    return gamma
+    def christoffel(self, x) -> np.ndarray:
+        self.g_inv(x)  # the same singularity check as the generic formula
+        y = x[1]
+        gamma = np.zeros((2, 2, 2))
+        gamma[0, 0, 1] = gamma[0, 1, 0] = gamma[1, 1, 1] = -1.0 / y
+        gamma[1, 0, 0] = 1.0 / y
+        return gamma
 
 
 def lobachevsky_metric() -> MetricField:
-    """Upper half-plane metric diag(1, 1) / x2^2 with analytic derivatives."""
-    return MetricField(2, _lobachevsky_g, _lobachevsky_dg, name="lobachevsky")
-
-
-def christoffel(metric: MetricField, x) -> np.ndarray:
-    """Connection coefficients Gamma[k][i][j] of the metric at x.
-
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_il - d_l g_ij); symmetric in
-    the two lower indices by construction.
-    """
-    ginv = metric.g_inv(x)
-    if metric.name == "lobachevsky" and x[1] > _CUBE_FINITE_MAX:
-        return _lobachevsky_christoffel(x[1])
-    dg = metric.dg(x)
-    # term[l, i, j] = d_i g_lj + d_j g_il - d_l g_ij
-    term = (np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+    """The upper half-plane metric diag(1, 1) / x2^2."""
+    return _LobachevskyMetric()
 
 
 def geodesic_rhs(metric: MetricField, x, v, G=0.0, g0=None) -> np.ndarray:
@@ -128,7 +135,7 @@ def geodesic_rhs(metric: MetricField, x, v, G=0.0, g0=None) -> np.ndarray:
     point; that branch is provided as printed in its source formulation but
     is not exercised by the built-in experiments.
     """
-    gamma = christoffel(metric, x)
+    gamma = metric.christoffel(x)
     acc = -np.einsum("jki,k,i->j", gamma, v, v)
     if G != 0.0:
         if g0 is None:
@@ -152,12 +159,6 @@ class GeodesicTrajectory:
                          for x, v in zip(self.positions, self.velocities)])
 
 
-def _in_domain(metric: MetricField, x) -> bool:
-    """Whether `x` lies in the metric's integration domain: x2 > 1e-9 for
-    the Lobachevsky metric, everywhere for any other."""
-    return metric.name != "lobachevsky" or x[1] > 1e-9
-
-
 def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
                        G=0.0, g0=None) -> GeodesicTrajectory:
     """Classic fourth-order Runge-Kutta on (position, velocity).
@@ -177,7 +178,7 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
     for name, values in (("x0", x), ("v0", v)):
         for value in values.tolist():
             check_number(name, value)
-    if not _in_domain(metric, x):
+    if not metric.in_domain(x):
         raise ValueError(f"x0 {x.tolist()} lies outside the domain of the "
                          f"{metric.name} metric")
     try:
@@ -214,7 +215,7 @@ def integrate_geodesic(metric: MetricField, x0, v0, t_end, steps,
             raise FloatingPointError(
                 f"geodesic overflowed float64 in step {s + 1} of {steps} "
                 f"(t = {times[s]:g} to {times[s + 1]:g}): {e}") from None
-        if not _in_domain(metric, x):
+        if not metric.in_domain(x):
             return GeodesicTrajectory(times[:s + 1], xs[:s + 1], vs[:s + 1],
                                       complete=False)
         xs[s + 1], vs[s + 1] = x, v

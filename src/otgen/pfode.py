@@ -13,11 +13,14 @@ the central-difference recursion
     u(t - dt) = 2 u(t) - u(t + dt) + dt/2 * (v(t + dt) - v(t - dt)),
 
 resolving the implicit velocity at t - dt with an Euler predictor plus
-CORRECTOR_SWEEPS fixed-point sweeps of the corrector, and starting from a
-trapezoidal first step (the recursion needs two known levels, and a
-lower-order start would feed a spurious drift mode). The displacement
-accumulated over the pass is the amount the noise moved to become the
-sample: the output is x_init minus it.
+CORRECTOR_SWEEPS fixed-point sweeps of the corrector. The recursion needs
+two known levels, and a lower-order start would feed a spurious drift mode,
+so the first step starts from a ghost level above t_final: u(t_final + dt)
+= dt v(t_final) with velocity v(t_final), the level a constant velocity
+would have come from. With it the recursion's first step is exactly the
+trapezoid step u(t_final - dt) = -dt/2 (v(t_final) + v(t_final - dt)).
+The displacement accumulated over the pass is the amount the noise moved to
+become the sample: the output is x_init minus it.
 """
 
 from __future__ import annotations
@@ -140,7 +143,11 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
     Euler predictor followed by CORRECTOR_SWEEPS fixed-point sweeps of the
     corrector: the two-level recursion telescopes into trapezoid steps once
     the velocities are self-consistent, which keeps the parasitic mode of
-    the second difference unexcited. Deterministic given x_init.
+    the second difference unexcited. The first step runs the same recursion
+    from the ghost level u(t_final + dt) = dt v(t_final), which turns it
+    into the trapezoid step. Each level's velocity is evaluated once, the
+    last level's included, so a pass makes 5 n_steps + 1 `pf_velocity`
+    calls. Deterministic given x_init.
     """
     x_init = np.asarray(x_init, dtype=np.float64)
     if n_steps < 2:
@@ -149,30 +156,20 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
     dt = (t_f - T_STOP * t_f) / n_steps
     times = t_f - dt * np.arange(n_steps + 1)
 
-    # trapezoidal (Heun) start: two known levels are needed and an Euler
-    # start would inject a constant drift into the recursion
-    u_prev = np.zeros_like(x_init)              # u at times[0] = t_final
-    v_prev = pf_velocity(score, x_init, times[0], schedule)
-    v_next = pf_velocity(score, x_init - dt * v_prev, times[1], schedule)
-    u_cur = u_prev
-    for _ in range(CORRECTOR_SWEEPS):
-        u_cur = u_prev - 0.5 * dt * (v_prev + v_next)
-        v_next = pf_velocity(score, x_init + u_cur, times[1], schedule)
-    u_cur = u_prev - 0.5 * dt * (v_prev + v_next)
-
-    for k in range(1, n_steps):
-        x_cur = x_init + u_cur
-        v_cur = pf_velocity(score, x_cur, times[k], schedule)
-        v_next = pf_velocity(score, x_cur - dt * v_cur, times[k + 1], schedule)
-        u_next = u_cur
+    u_cur = np.zeros_like(x_init)                # u at times[0] = t_final
+    v_cur = pf_velocity(score, x_init, times[0], schedule)
+    u_prev, v_prev = dt * v_cur, v_cur           # the ghost level
+    for k in range(n_steps):
+        v_next = pf_velocity(score, x_init + u_cur - dt * v_cur, times[k + 1],
+                             schedule)
         for _ in range(CORRECTOR_SWEEPS):
             u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
             v_next = pf_velocity(score, x_init + u_next, times[k + 1], schedule)
         u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
         if not np.all(np.isfinite(u_next)):
             raise FloatingPointError(f"non-finite state at reverse step {k}")
-        u_prev, u_cur = u_cur, u_next
-        v_prev = v_cur
+        u_prev, u_cur, v_prev = u_cur, u_next, v_cur
+        v_cur = pf_velocity(score, x_init + u_cur, times[k + 1], schedule)
     return x_init + u_cur  # x = x_init + u at the last level
 
 

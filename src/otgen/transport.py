@@ -55,10 +55,6 @@ class TrainingDivergence(RuntimeError):
     """Loss became non-finite during training."""
 
 
-class DegenerateMapError(ValueError):
-    """The map folds (J <= 0) at every generated particle."""
-
-
 # -- pseudo-time ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -672,7 +668,8 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
 
     The displacement's space jet takes float32 rows, like training's; the
     rest is float64: F = I + du/dX, det J, the J > 0 mask and the points
-    X + u, with X the float64 sample.
+    X + u, with X the float64 sample. ValueError if the map folds (J <= 0)
+    at every particle.
     """
     X = model.reference_density.sample(n, seed)
     u0, jac = _jet_values(model.displacement, X.astype(np.float32),
@@ -681,7 +678,7 @@ def generate_density(model: TransportModel, t_target_norm, n=2048,
     J = np.linalg.det(F)
     keep = J > J_MIN
     if not keep.any():
-        raise DegenerateMapError(
+        raise ValueError(
             f"the map folds (J <= 0) at all {n} particles at t = "
             f"{t_target_norm}")
     dropped_fraction = 1.0 - keep.mean()

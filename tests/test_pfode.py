@@ -130,6 +130,18 @@ class TestSampler:
                          / (1.0 + schedule.sigma(1.0) ** 2))
         assert out[0, 0] == pytest.approx(30.0 * factor, rel=0.02)
 
+    def test_second_order_convergence(self, schedule):
+        # the max error against the closed-form flow falls about 4x per
+        # halving of dt, as a second-order pass must; a first-order start
+        # or predictor would give about 2x
+        score = gaussian_score(1.0, schedule)
+        x0 = np.array([[30.0], [-5.0], [1.0]])
+        factor = np.sqrt((1.0 + schedule.sigma(1e-3) ** 2)
+                         / (1.0 + schedule.sigma(1.0) ** 2))
+        errs = [np.max(np.abs(sample_second_order(score, schedule, x0, n)
+                              - factor * x0)) for n in (200, 400, 800)]
+        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
     def test_unknown_method_is_refused(self, schedule):
         # a near-miss spelling ran the Euler reference without a word
         score = gaussian_score(1.0, schedule)
