@@ -6,7 +6,10 @@ walks the tape in reverse topological order and accumulates gradients
 into every tensor created with ``requires_grad=True``. Only those leaves
 keep a `.grad` afterwards: an interior node's gradient is released as
 soon as its own backward has read it, and each node keeps only the
-arrays its backward reads.
+arrays its backward reads. A node owns the gradient its backward is
+handed, since `Tensor._accumulate` copies every gradient it does not own,
+so a backward may consume that gradient in place; it never writes into
+what its node keeps, and a tape's backward can run again.
 
 A tensor holds float64, or float32 when it is given a float32 array;
 anything else becomes float64. Elementwise primitives follow numpy's
@@ -22,9 +25,12 @@ its value bit-exactly.
 
 A primitive is its forward value plus one vector-Jacobian product (VJP)
 per parent, and `_node` builds every such tape node. The fused `dense`
-and `sincos_features` nodes keep their own backward: one inner gradient
-feeds each parent that takes one, and the products made from it are handed
-over without a copy; per-parent VJPs would compute it once per parent.
+and `sincos_features` nodes keep their own backward: one inner gradient,
+formed inside the node's own gradient, feeds each parent that takes one,
+and the products made from it are handed over without a copy; per-parent
+VJPs would compute it once per parent. Of a jet's pre-activation streams
+such a node keeps the tangents, and its value stream, which no backward
+reads, holds the last activation derivative in place of a separate array.
 
 A tape's arrays are freed when the last reference to its nodes goes,
 except in a training loop run under :func:`one_tape_alive`. There, once an
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import deque
 from contextlib import contextmanager
 
@@ -149,7 +156,9 @@ class Tensor:
         """Reverse-accumulate d(self)/d(leaf) for every recorded leaf.
 
         Leaves keep their `.grad`; every interior node, this one included,
-        has its `.grad` set to None once its backward has run.
+        has its `.grad` set to None once its backward has run. That
+        gradient is the node's own (see `_accumulate`), so its backward may
+        overwrite it.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar tensor")
@@ -508,20 +517,44 @@ def _jet_forward(d, z, second):
 
 
 def _jet_backward(d, z, g, second):
-    """Gradient of sum(g * _jet_forward(d, z, second)) with respect to z.
+    """Gradient of sum(g * _jet_forward(d, z, second)) with respect to z,
+    formed inside `g`, which it overwrites and returns.
 
     Reads d[1:] only, and `z` only for a jet: one stream may pass None.
+    The terms that read the tangent and second-order streams of `g` are
+    formed before `g` is multiplied by f'.
     """
     k = g.shape[0] - 1 - second
-    gz = g * d[1]
+    g0 = []  # the terms added to the value stream, in order
     if k:
-        gz[0] += d[2] * np.einsum("snm,snm->nm", g[1:1 + k], z[1:1 + k])
+        g0.append(d[2] * np.einsum("snm,snm->nm", g[1:1 + k], z[1:1 + k]))
     if second:
         zk, g2 = z[1:1 + second], g[1 + k:]
-        gz[0] += np.einsum("snm,snm->nm", g2, d[3] * np.square(zk)
-                           + d[2] * z[1 + k:])
-        gz[1:1 + second] += 2.0 * d[2] * g2 * zk
-    return gz
+        g0.append(np.einsum("snm,snm->nm", g2, d[3] * np.square(zk)
+                            + d[2] * z[1 + k:]))
+        gk = 2.0 * d[2] * g2 * zk
+    g *= d[1]
+    for term in g0:
+        g[0] += term
+    if second:
+        g[1:1 + second] += gk
+    return g
+
+
+def _hold_in_value_stream(d, z):
+    """Move the last derivative array in `d` of `z`'s dtype into the value
+    stream z[0], which a backward never reads, and return `z`.
+
+    Every entry of `d` that is that array becomes the view z[0], so the
+    array itself is freed. Scalar derivatives stay as they are, and so does
+    an array of another dtype (a numpy float64 softplus beta on a float32
+    jet), which z[0] would round.
+    """
+    held = [x for x in d if isinstance(x, np.ndarray) and x.dtype == z.dtype]
+    if held:
+        z[0] = last = held[-1]
+        d[:] = [z[0] if x is last else x for x in d]
+    return z
 
 
 def _streams(x):
@@ -536,17 +569,25 @@ def _stream_matmul(h, w_t):
 
 
 def dense(h, weight, bias, activation="linear", param=0.0, second=0,
-          mask=None):
+          keep=None, scale=1.0):
     """One dense layer activation(h W^T + b) as a single tape node.
 
     `h` is a batch [n, in] or [in], or a jet [S, n, in] (layout above) whose
     last `second` streams are second-order; the bias enters the value
     stream only. `param` is the softplus beta or the leaky-ReLU slope.
-    `mask` ([n, out] or [out]), when given, multiplies every stream of the
-    output in place, as dropout does; backward multiplies the incoming
-    gradient by it first. The node keeps only what its backward reads: the
-    activation derivatives, not its value, and the pre-activation streams
-    of a jet only.
+    `keep` (bools [n, out] or [out]), when given, multiplies every stream
+    of the output in place, and then `scale` does: inverted dropout with
+    the float mask keep / (1 - p), bit for bit, from 1-byte bits.
+
+    The node keeps only what its backward reads: the activation
+    derivatives, not its value; the input; and for a jet the pre-activation
+    streams, whose value stream, unread by the backward, holds the last
+    derivative array. It keeps no cast of the weight: the backward casts
+    the weight's array again, and raises RuntimeError if that array was
+    replaced since the forward (Adam replaces a parameter's array once the
+    backward has run, and never writes into it). The backward works inside
+    the gradient it is handed, which the node owns (see `Tensor.backward`):
+    the keep bits, the scale and f' multiply it in place.
 
     The layer computes in the dtype of `h`, float32 or float64, with the
     weight and bias cast to it; their gradients are summed in float64 when
@@ -556,28 +597,33 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
     h, weight, bias = constant(h), constant(weight), constant(bias)
     parents = (h, weight, bias)
     H = _streams(h.value)
-    W = weight.value.astype(H.dtype, copy=False)
-    z = _stream_matmul(H, W.T)
+    z = _stream_matmul(H, weight.value.astype(H.dtype, copy=False).T)
     z[0] += bias.value.astype(H.dtype, copy=False)
     recording = _recording(parents)
     d = _activation_derivs(activation, z[0], param,
                            _jet_order(len(z), second, recording))
     out = _jet_forward(d, z, second).reshape(h.value.shape[:-1]
                                              + (z.shape[-1],))
-    if mask is not None:
-        out *= mask
+    if keep is not None:
+        out *= keep
+        out *= scale
     if not recording:
         return Tensor(out)
     d[0] = None
-    tangents = z if len(z) > 1 else None
+    tangents = _hold_in_value_stream(d, z) if len(z) > 1 else None
+    weight_ref = weakref.ref(weight.value)  # the array the forward read
 
     def backward(g):
-        if mask is not None:
-            g = g * mask
+        if weight.value is not weight_ref():
+            raise RuntimeError("a dense weight was replaced after its forward")
+        if keep is not None:
+            g *= keep
+            g *= scale
         gz = _jet_backward(d, tangents, _streams(g), second)
         flat = gz.reshape(-1, gz.shape[-1])
         if h.requires_grad or h._parents:
-            h._accumulate((flat @ W).reshape(h.value.shape), owned=True)
+            h._accumulate((flat @ weight.value.astype(H.dtype, copy=False))
+                          .reshape(h.value.shape), owned=True)
         if weight.requires_grad or weight._parents:
             weight._accumulate(flat.T @ H.reshape(-1, H.shape[-1]), owned=True)
         if bias.requires_grad or bias._parents:
@@ -617,7 +663,7 @@ def sincos_features(v, weights, scale, second=0):
     if not recording:
         return Tensor(out)
     d_sin[0] = d_cos[0] = None
-    tangents = y if len(y) > 1 else None
+    tangents = _hold_in_value_stream(d_sin, y) if len(y) > 1 else None
 
     def backward(g):
         g = _streams(g)

@@ -73,7 +73,10 @@ class Mlp:
 
         A jet [S, n, in] carries tangent and `second` second-order streams
         through every layer (layout in `autodiff`). With `dropout_seed`, the
-        dropout masks are drawn per value and shared by all streams. Raises
+        dropout masks are drawn per value and shared by all streams: each
+        layer gets the keep bits u >= p and the scale 1 / (1 - p) in the
+        dtype of its input, which give the bits of the float mask
+        keep / (1 - p) at one byte per entry. Raises
         if the result stops being finite, which signals exploded weights
         rather than a recoverable condition.
         """
@@ -85,16 +88,17 @@ class Mlp:
         for i, layer in enumerate(self.layers):
             param = (layer.activation_param
                      or _DEFAULT_PARAM.get(layer.activation, 0.0))
-            mask = None
+            keep, scale = None, 1.0
             if layer.dropout > 0.0 and dropout_seed is not None:
                 gen = rng.stream(dropout_seed, i, 0xD0)
                 rows = (h.value.shape[1:-1] if h.value.ndim == 3
                         else h.value.shape[:-1])
                 u = rng.uniform(gen, rows + (layer.weight.value.shape[0],))
-                mask = (u >= layer.dropout).astype(h.value.dtype)
-                mask /= 1.0 - layer.dropout
+                keep = u >= layer.dropout
+                dtype = h.value.dtype.type
+                scale = dtype(1) / dtype(1.0 - layer.dropout)
             h = ad.dense(h, layer.weight, layer.bias, layer.activation, param,
-                         second, mask)
+                         second, keep, scale)
         if not np.all(np.isfinite(h.value)):
             raise FloatingPointError("non-finite network output")
         return h

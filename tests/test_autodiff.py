@@ -410,9 +410,9 @@ def _dense_mask_case(second):
     streams = 1 if second is None else 3 + second
     x = rng.normal(gen, (5, 4) if second is None else (streams, 5, 4))
     W, b = rng.normal(gen, (6, 4)), rng.normal(gen, 6)
-    mask = (rng.uniform(gen, (5, 6)) >= 0.3) / 0.7
+    keep = rng.uniform(gen, (5, 6)) >= 0.3
     r = rng.normal(gen, x.shape[:-1] + (6,))
-    return x, W, b, mask, r, second or 0
+    return x, W, b, keep, r, second or 0
 
 
 @pytest.mark.parametrize("second", [None, 0, 2], ids=["batch", "jet",
@@ -420,19 +420,55 @@ def _dense_mask_case(second):
 @pytest.mark.parametrize("activation,param", [("softplus", 10.0),
                                               ("selu", 0.0)])
 def test_dense_mask_is_the_mul_node_it_replaced(second, activation, param):
-    x, W, b, mask, r, second = _dense_mask_case(second)
+    x, W, b, keep, r, second = _dense_mask_case(second)
     runs = []
     for fold in (True, False):
         h, w, bias = ad.parameter(x), ad.parameter(W), ad.parameter(b)
         if fold:
-            out = ad.dense(h, w, bias, activation, param, second, mask=mask)
+            out = ad.dense(h, w, bias, activation, param, second, keep,
+                           1.0 / 0.7)
         else:
             out = ad.mul(ad.dense(h, w, bias, activation, param, second),
-                         ad.Tensor(mask))
+                         ad.Tensor(keep / 0.7))
         ad.tsum(ad.mul(out, r)).backward()
         runs.append([out.value, h.grad, w.grad, bias.grad])
     for folded, composed in zip(*runs):
         assert _same_bytes(folded, composed)
+
+
+def test_dense_output_read_twice_matches_central_differences():
+    # y feeds a second layer and the sum y + z: its gradient sums the two,
+    # and every layer's backward then works inside its own gradient, the
+    # keep bits and the second-order streams included
+    gen = rng.stream(23)
+    args = [rng.normal(gen, (4, 3, 4)),  # value, 2 tangents, 1 second-order
+            rng.normal(gen, (4, 4)), rng.normal(gen, 4),
+            rng.normal(gen, (4, 4)), rng.normal(gen, 4)]
+    keep = rng.uniform(gen, (3, 4)) >= 0.3
+    r = rng.normal(gen, (4, 3, 4))
+
+    def loss(x, w1, b1, w2, b2):
+        y = ad.dense(x, w1, b1, "softplus", 2.0, second=1)
+        z = ad.dense(y, w2, b2, "selu", 0.0, 1, keep, 1.0 / 0.7)
+        return ad.tsum(ad.mul(ad.add(y, z), r))
+
+    params = [ad.parameter(a) for a in args]
+    loss(*params).backward()
+    for i, p in enumerate(params):
+        def at(v, i=i):
+            with ad.no_grad():
+                return float(loss(*args[:i], v, *args[i + 1:]).value)
+        np.testing.assert_allclose(p.grad, fd_grad(at, args[i].copy()),
+                                   rtol=1e-6, atol=1e-8)
+
+
+def test_dense_backward_refuses_a_weight_replaced_after_its_forward():
+    # the node reads its weight's array again in the backward
+    w = ad.parameter(np.ones((2, 3)))
+    out = ad.dense(ad.parameter(np.ones((4, 3))), w, np.zeros(2), "selu")
+    w.value = w.value + 1.0
+    with pytest.raises(RuntimeError, match="replaced after its forward"):
+        ad.tsum(out).backward()
 
 
 # -- activation helpers against their branchwise forms -----------------------

@@ -1,5 +1,7 @@
 """Cross-module randomized property checks."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,8 +204,9 @@ def test_float32_dense_matches_float64(act, k, data, n, width_in, width_out,
     keep = rng.uniform(gen, (n, width_out)) >= 0.3 if masked else None
 
     def layer(h, weight, bias):
-        mask = None if keep is None else (keep / 0.7).astype(h.value.dtype)
-        return ad.dense(h, weight, bias, activation, param, second, mask)
+        dtype = h.value.dtype.type
+        return ad.dense(h, weight, bias, activation, param, second, keep,
+                        dtype(1) / dtype(0.7))
 
     (o32, g32), (o64, g64) = _gradients_in_both_dtypes(layer, h64, [W, b],
                                                        out_weights)
@@ -231,3 +234,39 @@ def test_float32_sincos_features_match_float64(k, data, n, width_in, m, seed):
     _close_to_float64(o32, o64)
     for a, b_ in zip(g32, g64):
         _close_to_float64(a, b_)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(ACTIVATION_DRAWS), st.sampled_from([np.float32,
+                                                           np.float64]),
+       st.integers(0, 2), st.data(), st.booleans(), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 4), st.floats(0.01, 0.99), seeds)
+def test_dense_keep_bits_are_the_float_mask(act, dtype, k, data, recording,
+                                            n, width_in, width_out, p, seed):
+    # inverted dropout from keep bits and one scale equals a `mul` node by
+    # the float mask keep / (1 - p) bit for bit: the value, and the
+    # gradients into h, W and b
+    activation, param = act
+    second = data.draw(st.integers(0, min(k, 1)))
+    gen = rng.stream(seed, 0xA8)
+    h0 = _jet_input(gen, k, second, n, width_in).astype(dtype)
+    W, b = rng.normal(gen, (width_out, width_in)), rng.normal(gen, width_out)
+    keep = rng.uniform(gen, (n, width_out)) >= p
+    out_weights = rng.normal(gen, h0.shape[:-1] + (width_out,))
+    runs = []
+    for folded in (True, False):
+        h, w, bias = ad.parameter(h0), ad.parameter(W), ad.parameter(b)
+        with nullcontext() if recording else ad.no_grad():
+            if folded:
+                out = ad.dense(h, w, bias, activation, param, second, keep,
+                               dtype(1) / dtype(1 - p))
+            else:
+                out = ad.mul(ad.dense(h, w, bias, activation, param, second),
+                             ad.Tensor(keep.astype(dtype) / (1 - p)))
+        assert out.value.dtype == dtype
+        if recording:
+            ad.tsum(ad.mul(out, out_weights)).backward()
+        runs.append([out.value] + ([h.grad, w.grad, bias.grad]
+                                   if recording else []))
+    for a, b_ in zip(*runs):
+        assert a.dtype == b_.dtype and a.tobytes() == b_.tobytes()

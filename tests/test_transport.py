@@ -249,6 +249,42 @@ class TestLoss:
         assert 0 < res.dropped_fraction < 1
         assert np.isfinite(res.total)
 
+    def test_folded_rows_leave_the_density_term(self, monkeypatch):
+        # x_1 = X_1 - 2 t X_1^2 (x_2 = X_2) has J = 1 - 4 t X_1: at sigma
+        # 0.5 the rows with X_1 > 1 / (4 t) fold, none at t = 0, about a
+        # sixth at t = 0.5 and a third at t = 1. A folded row's F is
+        # swapped for the 2 x 2 identity, and each snapshot's mean runs over
+        # its kept rows alone.
+        fold = np.array([1.0, 0.0])
+        ds = identity_dataset(dim=2, sigma=0.5)
+        model = rigged_transport_model(
+            2, lambda X, t: -2.0 * t * X[:, :1]**2 * fold)
+        dets, det = [], ad.det
+
+        def recorded(a):
+            dets.append(det(a))
+            return dets[-1]
+
+        monkeypatch.setattr(ad, "det", recorded)
+        res = loss(model, ds, model.config)
+        assert len(dets) == 2  # the map's J, then J of the swapped rows
+        n, ref = model.config.n_samples, ds.reference.density
+        X = ref.sample(n, seed=transport._combine(model.config.seed, 0, 1))
+        terms, dropped = [], 0
+        for i, snap in enumerate(ds.snapshots):
+            J = 1.0 - 4.0 * snap.t_norm * X[:, 0]
+            kept = J > transport.J_MIN
+            swapped = dets[-1].value[i * n:(i + 1) * n]
+            np.testing.assert_allclose(swapped[kept], J[kept], atol=1e-12)
+            assert np.all(swapped[~kept] == 1.0)
+            x = X - 2.0 * snap.t_norm * X[:, :1]**2 * fold
+            sq = (ref.pdf(X) / J - snap.density.pdf(x))**2
+            terms.append(sq[kept].mean())
+            dropped += n - kept.sum()
+        assert 0 < dropped < n
+        assert res.dropped_fraction == dropped / (3 * n)
+        assert res.l1 == pytest.approx(np.mean(terms), rel=1e-9)
+
     def test_all_samples_degenerate_is_divergence(self):
         ds = identity_dataset()
         # J = 1 - 2t <= 0 at t = 1
@@ -369,10 +405,14 @@ class TestTraining:
     def test_default_nets_train_within_memory_bound(self):
         # numpy reports its buffers to tracemalloc, so the peak is a byte
         # count, not a sample of the resident set; the bound is the measured
-        # 43.6 MB plus 10 %. Keeping the last epoch's tape alive while the
-        # next one was recorded peaked at 48.1 MB, float64 network passes at
-        # 57.0 MB, and a float64 tape that kept its layers' values, every
-        # interior gradient and a node per dropout mask at 74.9 MB.
+        # 37.7 MB plus 10 %. Layers that kept float32 casts of their
+        # weights (alive through Adam's step), float32 dropout masks and
+        # their jets' value streams, and built a second gradient in their
+        # backward, peaked at 43.6 MB. Keeping the last epoch's tape alive
+        # while the next one was recorded peaked at 48.1 MB, float64 network
+        # passes at 57.0 MB, and a float64 tape that kept its layers'
+        # values, every interior gradient and a node per dropout mask at
+        # 74.9 MB.
         cfg = TrainConfig(epochs=2, n_samples=64, n_samples_pde=16,
                           n_collocation=5, auto_rescale_weights=True)
         tracemalloc.start()
@@ -381,7 +421,7 @@ class TestTraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 43.6e6
+        assert peak < 1.1 * 37.7e6
 
     def release_config(self, **kw):
         return TrainConfig(
@@ -413,6 +453,23 @@ class TestTraining:
         assert released.config == kept.config
         for a, b in zip(released.parameters(), kept.parameters()):
             assert same_bits(a.value, b.value)
+
+    @pytest.mark.parametrize("kind", ["curves", "fields"])
+    def test_backward_twice_gives_the_same_gradients(self, kind):
+        # each backward works inside the gradient its node owns; one that
+        # wrote into what its node saved for the backward (derivatives,
+        # pre-activation streams, input) would change the second run
+        ds, cfg = anchored_dataset(kind), self.release_config()
+        model = init_model(ds, ConditionNormalizer("linear", 0.0, 1.0), cfg)
+        tape = compute_loss(model, ds, train_mode=True).tape
+        runs = []
+        for _ in range(2):
+            for p in model.parameters():
+                p.zero_grad()
+            tape.backward()
+            runs.append([p.grad for p in model.parameters()])
+        for a, b in zip(*runs):
+            assert same_bits(a, b)
 
     @staticmethod
     def assert_nothing_freed_outside_training(model, ds):
