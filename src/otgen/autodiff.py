@@ -363,13 +363,6 @@ def stable_mean(a):
                  lambda g: np.full_like(a.value, g / n))
 
 
-def stable_sum_scalars(tensors):
-    """Order-independent sum of scalar tensors (exact rounding)."""
-    tensors = tuple(constant(t) for t in tensors)
-    return _node(np.float64(math.fsum(float(t.value) for t in tensors)),
-                 tensors, *(np.asarray for _ in tensors))
-
-
 # -- activations ----------------------------------------------------------
 
 SELU_ALPHA = 1.6732632423543772

@@ -264,6 +264,8 @@ class SnapshotDataset:
             if np.shape(s.anchors) != shape0 or shape0[1:] != (dim,):
                 raise ValueError(f"anchors at t = {s.t_norm} must be [m, {dim}] like "
                                  f"the reference's {shape0}; got {np.shape(s.anchors)}")
+            if not shape0[0]:
+                raise ValueError(f"anchors at t = {s.t_norm} have no rows")
             if not np.all(np.isfinite(s.anchors)):
                 raise ValueError(f"non-finite anchors at t = {s.t_norm}")
         self.snapshots = snaps
@@ -447,15 +449,6 @@ class LossResult:
     terms: tuple = ()  # the (L1, L2, L3) tape tensors `tape` sums
 
 
-def _masked_mean(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    """Stable mean over unmasked entries; mask is a constant 0/1 array."""
-    kept = float(mask.sum())
-    if kept == 0:
-        raise TrainingDivergence("every sample was dropped from the density term")
-    scaled = ad.mul(values, ad.Tensor(mask * (len(mask) / kept)))
-    return ad.stable_mean(scaled)
-
-
 def compute_loss(model: TransportModel, dataset: SnapshotDataset,
                  config: TrainConfig | None = None, epoch_seed: int = 0,
                  train_mode: bool = False) -> LossResult:
@@ -467,6 +460,10 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     from the density term and counted. In `train_mode` the dynamics term
     applies dropout, and both networks take float32 rows for the density
     and dynamics jets; everything outside the networks stays float64.
+
+    Each term is one mean over rows stacked across snapshots or collocation
+    times; only the snapshot densities run per snapshot, and the anchors of
+    every anchored snapshot take one float64 displacement pass.
     """
     config = config or model.config
     net_dtype = np.float32 if train_mode else np.float64
@@ -498,24 +495,31 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     mapped = ad.add(ad.constant(Xs), u0)
     ratio = ad.div(ad.Tensor(np.tile(rho0, n_snap)), J)
 
-    src_b = dataset.reference.anchors
-    l1_terms = []
-    l2_terms = []
-    for i, snap in enumerate(dataset.snapshots):
-        sl = slice(i * n, (i + 1) * n)
-        rho_i = snap.density.pdf_t(ad.getitem(mapped, sl))
-        diff = ad.sub(ad.getitem(ratio, sl), rho_i)
-        l1_terms.append(_masked_mean(ad.square(diff), mask[sl]))
+    # L1 is the mean over snapshots of each snapshot's mean over its kept
+    # rows: one mean over all rows, each kept row of snapshot i weighing
+    # n / kept_i and each dropped row 0
+    kept = mask.reshape(n_snap, n).sum(axis=1)
+    if not kept.all():
+        raise TrainingDivergence("every sample was dropped from the density term")
+    rho = ad.concat(
+        [s.density.pdf_t(ad.getitem(mapped, slice(i * n, (i + 1) * n)))
+         for i, s in enumerate(dataset.snapshots)], axis=0)
+    L1 = ad.stable_mean(ad.mul(ad.square(ad.sub(ratio, rho)),
+                               ad.Tensor(mask * np.repeat(n / kept, n))))
 
-        if snap.anchors is not None:
-            ub = fieldo.u(src_b, snap.t_norm)
-            bdiff = ad.sub(ad.add(ad.constant(src_b), ub),
-                           ad.Tensor(snap.anchors))
-            l2_terms.append(ad.stable_mean(ad.tsum(ad.square(bdiff), axis=-1)))
-
-    L1 = ad.mul(ad.stable_sum_scalars(l1_terms), 1.0 / n_snap)
-    if l2_terms:
-        L2 = ad.mul(ad.stable_sum_scalars(l2_terms), 1.0 / n_snap)
+    # L2 is the sum over anchored snapshots of their mean over anchors,
+    # divided by all n_snap: every anchored snapshot has the reference's
+    # anchor count, so that is one mean over the reference anchors tiled
+    # over the anchored times, scaled by the anchored share
+    anchored = [s for s in dataset.snapshots if s.anchors is not None]
+    if anchored:
+        src_b = dataset.reference.anchors
+        bX = np.tile(src_b, (len(anchored), 1))
+        ub = fieldo.u(bX, np.repeat([s.t_norm for s in anchored], len(src_b)))
+        bdiff = ad.sub(ad.add(ad.constant(bX), ub),
+                       ad.Tensor(np.concatenate([s.anchors for s in anchored])))
+        L2 = ad.mul(ad.stable_mean(ad.tsum(ad.square(bdiff), axis=-1)),
+                    len(anchored) / n_snap)
     else:
         L2 = ad.constant(0.0)
 
@@ -599,7 +603,10 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
     params = model.parameters()
     state = nn.AdamState.for_params(params, lr=config.learning_rate)
     cfg = config
-    best = (np.inf, None, 0.0)  # epoch 0 sets it: a non-finite loss raises
+    # the best checkpoint's (loss, dropped fraction) and parameter values;
+    # epoch 0 sets them: a non-finite loss raises
+    best = (np.inf, 0.0)
+    best_values = [np.empty_like(p.value) for p in params]
     history = []
     with ad.one_tape_alive():
         for epoch in range(config.epochs):
@@ -623,8 +630,9 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
             history.append((res.total, res.l1, res.l2, res.l3,
                             res.dropped_fraction))
             if res.total < best[0]:
-                best = (res.total, [p.value.copy() for p in params],
-                        res.dropped_fraction)
+                best = (res.total, res.dropped_fraction)
+                for b, p in zip(best_values, params):
+                    np.copyto(b, p.value)
             res.tape, res.terms = None, ()  # the queue holds them now
             ad.release_recorded()
             try:
@@ -633,13 +641,13 @@ def train(dataset: SnapshotDataset, config: TrainConfig,
                 warnings.warn(f"non-finite gradient at epoch {epoch}; "
                               "restoring best checkpoint")
                 break
-    for p, v in zip(params, best[1]):
+    for p, v in zip(params, best_values):
         p.value = v
     model.loss_history = history
     model.config = cfg
-    if best[2] > 0.01:
+    if best[1] > 0.01:
         warnings.warn(
-            f"returned checkpoint degenerated on {best[2]:.1%} of density "
+            f"returned checkpoint degenerated on {best[1]:.1%} of density "
             "samples (J <= 0); treat the model as suspect")
     return model
 

@@ -248,7 +248,7 @@ def test_criterion_7_baseline_head_to_head(curve_runs):
 
 def test_criterion_8_pfode_sampler():
     t0 = time.perf_counter()
-    schedule = VeSchedule(0.01, 50.0, 1.0)
+    schedule = VeSchedule(0.01, 50.0)
     score = gaussian_score(1.0, schedule)
     out = sample_chains(score, schedule, 10_000, 1, seed=10, n_steps=100)
     ref = sample_chains(score, schedule, 10_000, 1, seed=10, method="euler",

@@ -51,7 +51,6 @@ _FD_CASES = {
     "stack_last": (lambda *p: ad.stack_last(p), [(2, 3), (2, 3), (2, 3)]),
     "tsum-axis1": (lambda a: ad.tsum(a, axis=1), [(3, 4)]),
     "stable_mean": (ad.stable_mean, [(5,)]),
-    "stable_sum_scalars": (lambda *p: ad.stable_sum_scalars(p), [(), (), ()]),
 }
 
 

@@ -220,7 +220,7 @@ def test_push_forward_recovers_target(seed):
     np.testing.assert_allclose(pushed.masses, nu.masses, atol=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_plan_cost_invariant_under_source_relabeling(seed):
     gen = rng.stream(seed)
@@ -236,7 +236,7 @@ def test_plan_cost_invariant_under_source_relabeling(seed):
     assert plan_cost(tmap2, mu2, nu) == pytest.approx(base, rel=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_quadratic_cost_symmetry_positivity(seed):
     gen = rng.stream(seed, 7)

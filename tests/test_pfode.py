@@ -7,7 +7,7 @@ from otgen.pfode import (ScoreFunction, VeSchedule, gaussian_score,
 
 @pytest.fixture
 def schedule():
-    return VeSchedule(sigma_min=0.01, sigma_max=50.0, t_final=1.0)
+    return VeSchedule(sigma_min=0.01, sigma_max=50.0)
 
 
 class TestSchedule:
@@ -41,15 +41,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             VeSchedule(sigma_min=2.0, sigma_max=1.0)
 
-    @pytest.mark.parametrize("sigma_min,sigma_max,t_final", [
-        (0.01, 1e200, 1.0),      # g(t_final)^2 ~ sigma_max^2 overflows
-        (1e-200, 50.0, 1.0),     # (sigma_max / sigma_min)^2 overflows
-        (0.01, 50.0, 1e-310),    # 2 ln(r) / t_final overflows in g
+    @pytest.mark.parametrize("sigma_min,sigma_max", [
+        (0.01, 1e200),      # g(1)^2 ~ sigma_max^2 overflows
+        (1e-200, 50.0),     # (sigma_max / sigma_min)^2 overflows
     ])
-    def test_overflowing_range_is_refused(self, sigma_min, sigma_max,
-                                          t_final):
+    def test_overflowing_range_is_refused(self, sigma_min, sigma_max):
         with pytest.raises(ValueError, match="overflows g"):
-            VeSchedule(sigma_min, sigma_max, t_final)
+            VeSchedule(sigma_min, sigma_max)
 
     def test_widest_finite_range_is_kept(self):
         # r = 1e150 squares to 1e300, inside float64
@@ -120,8 +118,8 @@ class TestSampler:
         np.testing.assert_array_equal(out1, out2)
 
     def test_closed_form_flow_tracked(self, schedule):
-        # deterministic flow scales x by sqrt((s^2+sig(eps)^2)/(s^2+sig(tf)^2))
-        # from t_final down to the samplers' stop eps = 1e-3 t_final
+        # deterministic flow scales x by sqrt((s^2+sig(eps)^2)/(s^2+sig(1)^2))
+        # from t = 1 down to the samplers' stop eps = 1e-3
         score = gaussian_score(1.0, schedule)
         x0 = np.array([[30.0]])
         eps = 1e-3

@@ -18,7 +18,7 @@ from otgen.transport import Snapshot, SnapshotDataset, loss
 seeds = st.integers(min_value=0, max_value=10**9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(seeds)
 def test_pushforward_equals_target_for_solved_maps(seed):
     gen = rng.stream(seed, 0xA1)
@@ -32,7 +32,7 @@ def test_pushforward_equals_target_for_solved_maps(seed):
     assert pushed.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(seeds)
 def test_trajectory_cost_equals_static_cost(seed):
     gen = rng.stream(seed, 0xA2)
@@ -45,7 +45,7 @@ def test_trajectory_cost_equals_static_cost(seed):
     assert trajectory_cost(traj, mu) == pytest.approx(static_cost, abs=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(seeds)
 def test_gpr_posterior_variance_bounded_by_prior(seed):
     gen = rng.stream(seed, 0xA3)
@@ -113,7 +113,7 @@ def test_zero_dynamics_iff_affine_in_time():
     assert res_curved.l3 > 1e-4
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(seeds)
 def test_stable_mean_order_free(seed):
     gen = rng.stream(seed, 0xA4)
@@ -125,7 +125,7 @@ def test_stable_mean_order_free(seed):
     assert a == b
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(seeds)
 def test_forward_eval_bit_reproducible(seed):
     from otgen.nn import init_mlp

@@ -210,6 +210,7 @@ class TestLoss:
             w2=0.0, w3=0.0, n_samples=512)
         res = loss(model, ds, model.config)
         assert res.l1 < 1e-6
+        assert res.l2 == 0.0  # no snapshot has anchors
         assert res.total == pytest.approx(res.l1)
 
     def test_total_is_weighted_sum(self):
@@ -285,6 +286,52 @@ class TestLoss:
         assert res.dropped_fraction == dropped / (3 * n)
         assert res.l1 == pytest.approx(np.mean(terms), rel=1e-9)
 
+    @pytest.mark.parametrize("times", [(0.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_l1_is_the_mean_of_per_snapshot_kept_means(self, times):
+        # x = X - 2 t X^2 folds where X > 1 / (4 t): none at t = 0, about 5 %
+        # of the N(0, 0.3^2) batch at t = 0.5 and 20 % at t = 1, so each
+        # snapshot's mean runs over its own count of kept rows
+        model = rigged_transport_model(1, lambda X, t: -2.0 * t * X**2)
+        ref = model.reference_density
+        ds = SnapshotDataset([Snapshot(t, ReducedGaussianDensity([0.1 * t], 0.3))
+                              for t in times])
+        res = loss(model, ds, model.config)
+        n = model.config.n_samples
+        X = ref.sample(n, seed=transport._combine(model.config.seed, 0, 1))
+        terms, kept_counts = [], []
+        for snap in ds.snapshots:
+            J = 1.0 - 4.0 * snap.t_norm * X[:, 0]
+            kept = J > transport.J_MIN
+            x = X - 2.0 * snap.t_norm * X**2
+            sq = (ref.pdf(X) / J - snap.density.pdf(x))**2
+            terms.append(sq[kept].mean())
+            kept_counts.append(kept.sum())
+        assert len(set(kept_counts)) == len(times)
+        assert res.l1 == pytest.approx(np.mean(terms), rel=1e-12)
+
+    def test_l2_averages_over_every_snapshot(self, monkeypatch):
+        # only the reference and t = 0.5 carry anchors: L2 is their anchor
+        # means summed over all three snapshots, (0 + 0.05 / 3) / 3, from
+        # one pass of the displacement over both anchor sets
+        bX = np.array([[-0.5], [0.0], [0.5]])
+        dens = ReducedGaussianDensity([0.0], 0.1)
+        ds = SnapshotDataset([
+            Snapshot(0.0, dens, bX),
+            Snapshot(0.5, dens, bX + 0.15 + np.array([[0.1], [0.2], [0.0]])),
+            Snapshot(1.0, dens)])
+        model = rigged_transport_model(1, lambda X, t: 0.3 * t * np.ones_like(X))
+        calls, u = [], model.displacement.u
+
+        def recorded(X, t):
+            calls.append(np.broadcast_to(t, len(X)).copy())
+            return u(X, t)
+
+        monkeypatch.setattr(model.displacement, "u", recorded)
+        res = loss(model, ds, model.config)
+        assert res.l2 == pytest.approx(0.05 / 9, rel=1e-12)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], [0.0] * 3 + [0.5] * 3)
+
     def test_all_samples_degenerate_is_divergence(self):
         ds = identity_dataset()
         # J = 1 - 2t <= 0 at t = 1
@@ -324,6 +371,12 @@ class TestLoss:
         with pytest.raises(ValueError, match=r"anchors at t = .* must be \[m, 1\]"):
             SnapshotDataset([Snapshot(0.0, dens, ref_anchors),
                              Snapshot(0.5, dens, anchors)])
+
+    def test_anchors_without_rows_rejected(self):
+        dens = ReducedGaussianDensity([0.0], 0.1)
+        with pytest.raises(ValueError, match=r"anchors at t = 0.0 have no rows"):
+            SnapshotDataset([Snapshot(0.0, dens, np.zeros((0, 1))),
+                             Snapshot(0.5, dens, np.zeros((0, 1)))])
 
     def test_boundary_term_moves_reference_anchors(self):
         # u = 0.3 t moves the reference anchors bX onto bx_i = bX + 0.3 t_i
