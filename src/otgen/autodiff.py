@@ -495,17 +495,27 @@ def _jet_order(streams, second, recording):
     return order + 1 if recording else order
 
 
-def _jet_forward(d, z, second):
+def _jet_forward(d, z, second, out=None):
+    """The jet of f at the pre-activation jet `z` (streams as above), from
+    d = [f, f', f'', ...] taken at z[0].
+
+    A jet goes into a new array, or into `out` when given, which may be `z`
+    itself: the second-order streams are formed first, then the tangent
+    streams they read, then the value stream, so each stream of `z` is read
+    before it is overwritten, with the same arithmetic either way. The
+    value stream alone returns d[0] without a copy.
+    """
     if z.shape[0] == 1:  # the value stream alone: no copy
         return d[0][None]
     k = z.shape[0] - 1 - second
-    out = np.empty_like(z)
-    out[0] = d[0]
-    if k:
-        np.multiply(d[1], z[1:1 + k], out=out[1:1 + k])
+    if out is None:
+        out = np.empty_like(z)
     if second:
         np.multiply(d[1], z[1 + k:], out=out[1 + k:])
         out[1 + k:] += d[2] * np.square(z[1:1 + second])
+    if k:
+        np.multiply(d[1], z[1:1 + k], out=out[1:1 + k])
+    out[0] = d[0]
     return out
 
 
@@ -582,6 +592,11 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
     the gradient it is handed, which the node owns (see `Tensor.backward`):
     the keep bits, the scale and f' multiply it in place.
 
+    A node that is not recorded keeps nothing, and its jet output is the
+    matmul's buffer: `_jet_forward` writes the jet over the pre-activation
+    streams, with the recorded node's arithmetic, so its value is the
+    same bit for bit and no second jet-sized array is made.
+
     The layer computes in the dtype of `h`, float32 or float64, with the
     weight and bias cast to it; their gradients are summed in float64 when
     they are float64 (see `Tensor._accumulate`).
@@ -595,8 +610,8 @@ def dense(h, weight, bias, activation="linear", param=0.0, second=0,
     recording = _recording(parents)
     d = _activation_derivs(activation, z[0], param,
                            _jet_order(len(z), second, recording))
-    out = _jet_forward(d, z, second).reshape(h.value.shape[:-1]
-                                             + (z.shape[-1],))
+    out = _jet_forward(d, z, second, None if recording else z).reshape(
+        h.value.shape[:-1] + (z.shape[-1],))
     if keep is not None:
         out *= keep
         out *= scale

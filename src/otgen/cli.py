@@ -8,6 +8,7 @@ included), 3 training divergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,11 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first `main` call, not at
+    import. Parsing keeps no state in it: each call gets a fresh
+    namespace, and a value given to one call never reaches the next."""
     # accepted before or after the subcommand; SUPPRESS keeps a late
     # subparser default from clobbering a value parsed globally
     common = argparse.ArgumentParser(add_help=False)

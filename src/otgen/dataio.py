@@ -41,6 +41,7 @@ from .transport import (AffineScaler, BodyForceField, ConditionNormalizer,
 
 WEIGHT_FORMAT_VERSION = 2
 MODEL_FORMAT_VERSION = 4
+CSV_BLOCK_CELLS = 1 << 16  # cells formatted per write of `_write_csv`
 
 
 class DataFormatError(ValueError):
@@ -221,14 +222,27 @@ def write_table(path, header, rows):
 
 def _write_csv(path, header, rows, digits):
     """A CSV of `header` and numeric `rows`, values to `digits` significant
-    digits (17 round-trips a float64)."""
-    # Python floats format faster than numpy scalars, to the same text
-    rows = np.asarray(list(rows), dtype=np.float64).tolist()
-    fmt = f"{{:.{digits}g}}".format
+    digits (17 round-trips a float64).
+
+    `rows` is a 2-D array or an iterable of equal-length rows. The header
+    goes through `csv.writer`; the data lines are formatted straight from
+    the float64 array, CSV_BLOCK_CELLS cells per `str.format` call, into
+    the bytes `csv.writer` gives: a numeric cell never needs quoting, and
+    each line ends in CRLF.
+    """
+    values = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                        dtype=np.float64)
+    if values.ndim == 1 and values.size == 0:  # no rows at all
+        values = values.reshape(0, 0)
+    n_rows, n_cols = values.shape
+    line = ",".join([f"{{:.{digits}g}}"] * n_cols) + "\r\n"
+    step = max(1, CSV_BLOCK_CELLS // max(n_cols, 1))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows([fmt(v) for v in row] for row in rows)
+        csv.writer(f).writerow(header)
+        for lo in range(0, n_rows, step):
+            block = values[lo:lo + step]
+            # Python floats format faster than numpy scalars, to the same text
+            f.write((line * len(block)).format(*block.ravel().tolist()))
 
 
 def _csv_rows(path):

@@ -61,7 +61,8 @@ class RunConfig:
                     used to synthesize PCA fitting samples (fields)
     pca_d           retained reduced dimensions (fields)
     pca_samples     noisy samples per snapshot for the PCA fit (fields)
-    grid_points     common strain grid size (curves)
+    grid_points     common strain grid size (curves); at least 4, the
+                    fewest points a curve density takes
     boundary_anchors  anchor count along the mean curve (curves);
                     2 means endpoints only
     train           TrainConfig for the transport networks (at least one
@@ -96,7 +97,7 @@ class RunConfig:
         if self.task not in ("curves", "fields"):
             raise ValueError("task must be 'curves' or 'fields'")
         check_config_numbers(self, dict(
-            pca_d=1, pca_samples=1, grid_points=2, boundary_anchors=2,
+            pca_d=1, pca_samples=1, grid_points=4, boundary_anchors=2,
             gen_samples=1))
         self.train = replace(self.train, seed=self.seed)
 

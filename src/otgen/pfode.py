@@ -52,15 +52,27 @@ class ScoreFunction:
 
 def gaussian_score(data_std: float, schedule: "VeSchedule") -> ScoreFunction:
     """Exact score for N(0, s^2 I) data under the VE blur: -x/(s^2+sigma^2);
-    ValueError unless s > 0 and s^2 + sigma(1)^2 is finite."""
+    ValueError unless s > 0 and s^2 + sigma(1)^2 is finite.
+
+    The samplers evaluate several velocities at each level, so the score
+    keeps the last scalar level's s^2 + sigma(t)^2 as one (t, s2) entry and
+    computes it again only when t changes; an array t is never cached.
+    """
     var = data_std * data_std  # inf where data_std**2 would raise
     if not (data_std > 0 and math.isfinite(
             var + float(schedule.sigma(1.0)) ** 2)):
         raise ValueError("data_std must be > 0 with data_std^2 + "
                          f"sigma(1)^2 finite; got {data_std!r}")
+    last = (None, None)
 
     def ev(x, t):
-        s2 = var + schedule.sigma(t) ** 2
+        nonlocal last
+        if np.ndim(t) != 0:  # a time per row
+            s2 = var + schedule.sigma(t) ** 2
+        else:
+            if t != last[0]:
+                last = (float(t), var + schedule.sigma(t) ** 2)
+            s2 = last[1]
         return -np.asarray(x, dtype=np.float64) / s2
 
     return ScoreFunction(ev)
@@ -96,9 +108,10 @@ class VeSchedule:
                              f"overflows g(t)^2 or sigma(t)^2")
 
     def _time(self, t):
-        """t as an array; ValueError for t outside [0, 1]."""
+        """t as an array; ValueError for t outside [0, 1] (NaN passes)."""
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if (t < 0.0 or t > 1.0) if t.ndim == 0 else (
+                np.any(t < 0.0) or np.any(t > 1.0)):
             raise ValueError("t outside [0, 1]")
         return t
 
@@ -142,7 +155,9 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
     from the ghost level u(1 + dt) = dt v(1), which turns it
     into the trapezoid step. Each level's velocity is evaluated once, the
     last level's included, so a pass makes 5 n_steps + 1 `pf_velocity`
-    calls. Deterministic given x_init.
+    calls. The term 2 u(t) - u(t + dt), which the predictor's sweeps and
+    the final corrector share, is formed once per step. Deterministic
+    given x_init.
     """
     x_init = np.asarray(x_init, dtype=np.float64)
     if n_steps < 2:
@@ -156,10 +171,11 @@ def sample_second_order(score: ScoreFunction, schedule: VeSchedule, x_init,
     for k in range(n_steps):
         v_next = pf_velocity(score, x_init + u_cur - dt * v_cur, times[k + 1],
                              schedule)
+        lead = 2.0 * u_cur - u_prev              # shared by every sweep
         for _ in range(CORRECTOR_SWEEPS):
-            u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
+            u_next = lead + 0.5 * dt * (v_prev - v_next)
             v_next = pf_velocity(score, x_init + u_next, times[k + 1], schedule)
-        u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
+        u_next = lead + 0.5 * dt * (v_prev - v_next)
         if not np.all(np.isfinite(u_next)):
             raise FloatingPointError(f"non-finite state at reverse step {k}")
         u_prev, u_cur, v_prev = u_cur, u_next, v_cur

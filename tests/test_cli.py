@@ -1,5 +1,8 @@
 import json
+import os
 import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -469,6 +472,51 @@ class TestSamplePfodeCommand:
         assert not (tmp_path / "s.csv").exists()
 
 
+class TestParserReuse:
+    PFODE = ["sample-pfode", "--score", "gaussian:1.0", "--n", "40",
+             "--steps", "5"]
+
+    def test_parser_is_built_at_the_first_call_not_at_import(self, tmp_path):
+        argv = self.PFODE + ["--out", str(tmp_path / "s.csv")]
+        probe = ("import otgen.cli as c; "
+                 "print(c.build_parser.cache_info().currsize); "
+                 f"c.main({argv!r}); c.main({argv!r}); "
+                 "i = c.build_parser.cache_info(); print(i.misses, i.hits)")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        lines = done.stdout.splitlines()
+        assert lines[0] == "0" and lines[-1] == "1 1"  # built once, reused
+
+    def test_a_global_seed_does_not_reach_the_next_call(self, tmp_path,
+                                                        capsys):
+        out = {name: tmp_path / f"{name}.csv"
+               for name in ("seeded", "bare", "zero", "late")}
+        assert run_cli("--seed", "7", *self.PFODE, "--out",
+                       str(out["seeded"])) == 0
+        assert run_cli(*self.PFODE, "--out", str(out["bare"])) == 0
+        assert run_cli(*self.PFODE, "--seed", "0", "--out",
+                       str(out["zero"])) == 0
+        assert run_cli(*self.PFODE, "--seed", "7", "--out",
+                       str(out["late"])) == 0
+        assert out["bare"].read_bytes() == out["zero"].read_bytes()
+        assert out["seeded"].read_bytes() == out["late"].read_bytes()
+        assert out["seeded"].read_bytes() != out["bare"].read_bytes()
+
+    def test_a_call_after_an_argparse_error_still_parses(self, tmp_path,
+                                                         capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(*self.PFODE, "--out", str(first)) == 0
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*self.PFODE, "--n", "many", "--out", str(second))
+        assert exited.value.code == cli.EXIT_VALIDATION
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        assert not second.exists()
+        assert run_cli(*self.PFODE, "--out", str(second)) == 0
+        assert first.read_bytes() == second.read_bytes()
+
 class TestSynthCommand:
     def test_writes_fixture(self, tmp_path, capsys):
         code = run_cli("--out-dir", str(tmp_path / "fx"), "synth",
@@ -874,7 +922,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("key,value", [
         ("epochs", True), ("epochs", 0), ("seed", 1.5), ("w1", float("nan")),
         ("shear_modulus", float("nan")), ("n_samples", 31.5),
-        ("n_collocation", 2.5), ("grid_points", 10.5),
+        ("n_collocation", 2.5), ("grid_points", 10.5), ("grid_points", 3),
         ("boundary_anchors", 2.5), ("sigma_frac", float("nan")),
         ("gen_samples", 100.5), ("target_raw", float("nan")),
     ])

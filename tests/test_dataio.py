@@ -1,4 +1,6 @@
 import base64
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -399,3 +401,37 @@ def test_run_config_with_legacy_fd_step_is_validation_exit(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_VALIDATION
     assert (f"error: malformed run config {cfg}: " in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def _csv_writer_bytes(header, rows, digits):
+    """The bytes `csv.writer` gives for `header` and numeric `rows`, each
+    cell formatted from a Python float."""
+    f = io.StringIO(newline="")
+    w = csv.writer(f)
+    w.writerow(header)
+    w.writerows([f"{float(v):.{digits}g}" for v in row] for row in rows)
+    return f.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", ["10000x1", "1x500", "tuples", "zip"])
+@pytest.mark.parametrize("digits", [12, 17])
+@pytest.mark.parametrize("block_cells", [None, 5])
+def test_write_csv_gives_the_csv_writer_bytes(tmp_path, monkeypatch, case,
+                                              digits, block_cells):
+    if block_cells:  # lines written in many blocks, one row or more each
+        monkeypatch.setattr(dataio, "CSV_BLOCK_CELLS", block_cells)
+    gen = rng.stream(11, 0xC5)
+    scale = 10.0 ** (rng.uniform(gen, (10000, 1)) * 600 - 300)  # 1e-300..1e300
+    arrays = {"10000x1": rng.normal(gen, (10000, 1)) * scale,
+              "1x500": rng.normal(gen, (1, 500)) * 1e-300}
+    cols = [rng.normal(gen, 37), np.arange(37.0), np.full(37, -0.0)]
+    rows = {"tuples": lambda: [tuple(r) for r in zip(*cols)],
+            "zip": lambda: zip(*cols)}
+    table = arrays.get(case)
+    header = ["a", "b,c", 'd"e']
+    path = tmp_path / "t.csv"
+    dataio._write_csv(path, header, table if table is not None
+                      else rows[case](), digits)
+    want = _csv_writer_bytes(header, table if table is not None
+                             else rows[case](), digits)
+    assert path.read_bytes() == want

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otgen import pfode
 from otgen.pfode import (ScoreFunction, VeSchedule, gaussian_score,
                          pf_velocity, sample_chains, sample_second_order)
 
@@ -145,3 +146,83 @@ class TestSampler:
         score = gaussian_score(1.0, schedule)
         with pytest.raises(ValueError, match="'second-order'"):
             sample_chains(score, schedule, 3, 1, seed=0, method="second-order")
+
+
+def _reference_second_order(schedule, data_std, x_init, n_steps):
+    """The reverse pass as written before the per-level reuse: every sweep
+    forms 2 u_cur - u_prev again, and the score computes s^2 + sigma(t)^2
+    at every call."""
+    var = data_std * data_std
+    score = ScoreFunction(lambda x, t: -np.asarray(x, dtype=np.float64)
+                          / (var + schedule.sigma(t) ** 2))
+    dt = (1.0 - 1e-3) / n_steps
+    times = 1.0 - dt * np.arange(n_steps + 1)
+    u_cur = np.zeros_like(x_init)
+    v_cur = pf_velocity(score, x_init, times[0], schedule)
+    u_prev, v_prev = dt * v_cur, v_cur
+    for k in range(n_steps):
+        v_next = pf_velocity(score, x_init + u_cur - dt * v_cur, times[k + 1],
+                             schedule)
+        for _ in range(3):
+            u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
+            v_next = pf_velocity(score, x_init + u_next, times[k + 1], schedule)
+        u_next = 2.0 * u_cur - u_prev + 0.5 * dt * (v_prev - v_next)
+        u_prev, u_cur, v_prev = u_cur, u_next, v_cur
+        v_cur = pf_velocity(score, x_init + u_cur, times[k + 1], schedule)
+    return x_init + u_cur
+
+
+class TestPerLevelReuse:
+    @pytest.mark.parametrize("n_chains,dim,n_steps,sigmas,data_std", [
+        (1, 1, 2, (0.01, 50.0), 1.0),
+        (257, 3, 17, (0.01, 50.0), 0.7),
+        (64, 2, 100, (1e-3, 5.0), 2.5),
+        (500, 1, 40, (0.5, 80.0), 0.1),
+    ])
+    def test_second_order_matches_the_reference_bit_for_bit(
+            self, n_chains, dim, n_steps, sigmas, data_std):
+        schedule = VeSchedule(*sigmas)
+        x0 = (schedule.sigma(1.0)
+              * np.random.default_rng(n_chains).normal(size=(n_chains, dim)))
+        got = sample_second_order(gaussian_score(data_std, schedule), schedule,
+                                  x0, n_steps=n_steps)
+        want = _reference_second_order(schedule, data_std, x0, n_steps)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [2, 7, 100])
+    def test_every_velocity_goes_through_pf_velocity(self, schedule,
+                                                     monkeypatch, n_steps):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return pf_velocity(*args)
+
+        monkeypatch.setattr(pfode, "pf_velocity", counted)
+        pfode.sample_chains(gaussian_score(1.0, schedule), schedule, 5, 2,
+                            seed=1, n_steps=n_steps)
+        assert len(calls) == 5 * n_steps + 1
+
+    def test_score_level_cache_follows_t(self, schedule):
+        score = gaussian_score(1.5, schedule)
+        x = np.array([[0.3, -2.0]])
+        for t in (0.4, 0.4, 0.9, 0.4, np.float64(0.9), 0.0):
+            want = -x / (1.5 * 1.5 + schedule.sigma(t) ** 2)
+            assert score(x, t).tobytes() == want.tobytes()
+        ts = np.array([[0.4], [0.9]])  # one time per row: never cached
+        want = -x / (1.5 * 1.5 + schedule.sigma(ts) ** 2)
+        assert score(x, ts).tobytes() == want.tobytes()
+        assert score(x, 0.4).tobytes() == (
+            -x / (1.5 * 1.5 + schedule.sigma(0.4) ** 2)).tobytes()
+
+    @pytest.mark.parametrize("t", [-0.1, 1.1, np.float64(-0.1),
+                                   np.array(1.1), np.array([0.5, -0.1]),
+                                   np.array([[1.1], [0.2]])])
+    def test_time_outside_the_unit_interval_raises(self, schedule, t):
+        for f in (schedule.sigma, schedule.g):
+            with pytest.raises(ValueError, match="outside"):
+                f(t)
+
+    @pytest.mark.parametrize("t", [float("nan"), np.array([np.nan, 0.5])])
+    def test_nan_time_passes_the_range_check(self, schedule, t):
+        assert np.all(np.isnan(schedule.sigma(t)) == np.isnan(t))

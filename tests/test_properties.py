@@ -270,3 +270,32 @@ def test_dense_keep_bits_are_the_float_mask(act, dtype, k, data, recording,
                                    if recording else []))
     for a, b_ in zip(*runs):
         assert a.dtype == b_.dtype and a.tobytes() == b_.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(ACTIVATION_DRAWS), st.sampled_from([np.float32,
+                                                           np.float64]),
+       st.integers(0, 3), st.data(), st.booleans(), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 4), seeds)
+def test_no_grad_dense_equals_the_recorded_dense(act, dtype, k, data, masked,
+                                                 n, width_in, width_out, seed):
+    # an unrecorded layer writes its jet over the matmul's buffer; its
+    # output must be the recorded layer's bit for bit
+    activation, param = act
+    second = data.draw(st.integers(0, k))
+    gen = rng.stream(seed, 0xA9)
+    h0 = _jet_input(gen, k, second, n, width_in).astype(dtype)
+    W, b = rng.normal(gen, (width_out, width_in)), rng.normal(gen, width_out)
+    keep = rng.uniform(gen, (n, width_out)) >= 0.25 if masked else None
+    scale = dtype(1) / dtype(0.75)
+    outs = []
+    for recording in (True, False):
+        h, w, bias = ad.parameter(h0), ad.parameter(W), ad.parameter(b)
+        with nullcontext() if recording else ad.no_grad():
+            out = ad.dense(h, w, bias, activation, param, second, keep, scale)
+        assert bool(out._parents) == recording
+        outs.append(out.value)
+    recorded, unrecorded = outs
+    assert unrecorded.dtype == recorded.dtype == dtype
+    assert unrecorded.shape == recorded.shape
+    assert unrecorded.tobytes() == recorded.tobytes()
