@@ -24,13 +24,23 @@ forward values are identical either way, so replaying a graph reproduces
 its value bit-exactly.
 
 A primitive is its forward value plus one vector-Jacobian product (VJP)
-per parent, and `_node` builds every such tape node. The fused `dense`
+per parent, and `node` builds every such tape node. The fused `dense`
 and `sincos_features` nodes keep their own backward: one inner gradient,
 formed inside the node's own gradient, feeds each parent that takes one,
 and the products made from it are handed over without a copy; per-parent
 VJPs would compute it once per parent. Of a jet's pre-activation streams
 such a node keeps the tangents, and its value stream, which no backward
 reads, holds the last activation derivative in place of a separate array.
+
+Other modules build their fused nodes with `node` too, each with a
+closed-form VJP over what it keeps. `density` makes a density's values
+one node over the query points (`pdf_t`), keeping the x-gradient.
+`transport` makes each loss term one node after the networks: the
+density term over the space jet's u and du/dX keeps the deformation
+gradients, their determinants, the density gradients and per-row weights;
+the equation-of-motion residual over d2u/dt2, lap u and F_b keeps nothing;
+the boundary and dynamics terms, mean squares, keep their residuals; and
+the weighted total keeps its weights (see `transport.compute_loss`).
 
 A tape's arrays are freed when the last reference to its nodes goes,
 except in a training loop run under :func:`one_tape_alive`. There, once an
@@ -217,7 +227,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _node(out, parents, *vjps):
+def node(out, parents, *vjps):
     """A tensor of value `out`, on the tape when `_recording(parents)`.
 
     `vjps[i]` maps the output gradient to the gradient of `parents[i]`
@@ -238,54 +248,54 @@ def _node(out, parents, *vjps):
 
 def add(a, b):
     a, b = constant(a), constant(b)
-    return _node(a.value + b.value, (a, b), lambda g: g, lambda g: g)
+    return node(a.value + b.value, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = constant(a), constant(b)
-    return _node(a.value - b.value, (a, b), lambda g: g, lambda g: -g)
+    return node(a.value - b.value, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = constant(a), constant(b)
-    return _node(a.value * b.value, (a, b),
-                 lambda g: g * b.value, lambda g: g * a.value)
+    return node(a.value * b.value, (a, b),
+                lambda g: g * b.value, lambda g: g * a.value)
 
 
 def div(a, b):
     a, b = constant(a), constant(b)
-    return _node(a.value / b.value, (a, b), lambda g: g / b.value,
-                 lambda g: -g * a.value / b.value**2)
+    return node(a.value / b.value, (a, b), lambda g: g / b.value,
+                lambda g: -g * a.value / b.value**2)
 
 
 def square(a):
     a = constant(a)
-    return _node(a.value * a.value, (a,), lambda g: g * 2.0 * a.value)
+    return node(a.value * a.value, (a,), lambda g: g * 2.0 * a.value)
 
 
 def exp(a):
     a = constant(a)
     out = np.exp(a.value)
-    return _node(out, (a,), lambda g: g * out)
+    return node(out, (a,), lambda g: g * out)
 
 
 def sin(a):
     a = constant(a)
-    return _node(np.sin(a.value), (a,), lambda g: g * np.cos(a.value))
+    return node(np.sin(a.value), (a,), lambda g: g * np.cos(a.value))
 
 
 def cos(a):
     a = constant(a)
-    return _node(np.cos(a.value), (a,), lambda g: -g * np.sin(a.value))
+    return node(np.cos(a.value), (a,), lambda g: -g * np.sin(a.value))
 
 
 # -- linear algebra -----------------------------------------------------
 
 def matmul(a, b):
     a, b = constant(a), constant(b)
-    return _node(a.value @ b.value, (a, b),
-                 lambda g: g @ np.swapaxes(b.value, -1, -2),
-                 lambda g: np.swapaxes(a.value, -1, -2) @ g)
+    return node(a.value @ b.value, (a, b),
+                lambda g: g @ np.swapaxes(b.value, -1, -2),
+                lambda g: np.swapaxes(a.value, -1, -2) @ g)
 
 
 def det(a):
@@ -296,34 +306,26 @@ def det(a):
     """
     a = constant(a)
     out = np.linalg.det(a.value)
-    return _node(out, (a,), lambda g: g[..., None, None] * out[..., None, None]
-                 * np.swapaxes(np.linalg.inv(a.value), -1, -2))
+    return node(out, (a,), lambda g: g[..., None, None] * out[..., None, None]
+                * np.swapaxes(np.linalg.inv(a.value), -1, -2))
 
 
 # -- dtype and shape manipulation -------------------------------------------
-
-def cast(a, dtype):
-    """`a` in `dtype`; the gradient returns in `a`'s own dtype."""
-    a = constant(a)
-    if a.value.dtype == dtype:
-        return a
-    return _node(a.value.astype(dtype), (a,), lambda g: g)  # cast on accumulate
-
 
 def concat(parts, axis=-1):
     parts = tuple(constant(p) for p in parts)
     out = np.concatenate([p.value for p in parts], axis=axis)
     edges = np.cumsum([0] + [p.value.shape[axis] for p in parts])
     lead = (slice(None),) * (axis % out.ndim)
-    return _node(out, parts, *(lambda g, s=lead + (slice(lo, hi),): g[s]
-                               for lo, hi in zip(edges[:-1], edges[1:])))
+    return node(out, parts, *(lambda g, s=lead + (slice(lo, hi),): g[s]
+                              for lo, hi in zip(edges[:-1], edges[1:])))
 
 
 def stack_last(parts):
     """Stack equal-shaped tensors along a new trailing axis."""
     parts = tuple(constant(p) for p in parts)
-    return _node(np.stack([p.value for p in parts], axis=-1), parts,
-                 *(lambda g, j=j: g[..., j] for j in range(len(parts))))
+    return node(np.stack([p.value for p in parts], axis=-1), parts,
+                *(lambda g, j=j: g[..., j] for j in range(len(parts))))
 
 
 def getitem(a, idx):
@@ -338,14 +340,14 @@ def getitem(a, idx):
         full[idx] += g
         return full
 
-    return _node(a.value[idx], (a,), vjp)
+    return node(a.value[idx], (a,), vjp)
 
 
 # -- reductions -----------------------------------------------------------
 
 def tsum(a, axis=None):
     a = constant(a)
-    return _node(a.value.sum(axis=axis), (a,), lambda g: np.broadcast_to(
+    return node(a.value.sum(axis=axis), (a,), lambda g: np.broadcast_to(
         g if axis is None else np.expand_dims(g, axis), a.value.shape).copy())
 
 
@@ -359,8 +361,8 @@ def stable_mean(a):
     if a.value.ndim != 1:
         raise ValueError("stable_mean expects a 1-D tensor")
     n = a.value.shape[0]
-    return _node(np.float64(math.fsum(a.value.tolist()) / n), (a,),
-                 lambda g: np.full_like(a.value, g / n))
+    return node(np.float64(math.fsum(a.value.tolist()) / n), (a,),
+                lambda g: np.full_like(a.value, g / n))
 
 
 # -- activations ----------------------------------------------------------
@@ -467,14 +469,14 @@ def _activation_derivs(activation, x, param, order):
 def selu(a):
     a = constant(a)
     out, deriv = _selu_derivs(a.value, 1)
-    return _node(out, (a,), lambda g: g * deriv)
+    return node(out, (a,), lambda g: g * deriv)
 
 
 def softplus(a, beta=1.0):
     """Overflow-safe softplus log(1 + exp(beta*x)) / beta."""
     a = constant(a)
     out, sig = _softplus_derivs(a.value, beta, 1)
-    return _node(out, (a,), lambda g: g * sig)
+    return node(out, (a,), lambda g: g * sig)
 
 
 # -- Taylor-mode jets -------------------------------------------------------
@@ -684,23 +686,3 @@ def sincos_features(v, weights, scale, second=0):
             scale._accumulate(np.sum(gy * p, dtype=scale.value.dtype))
 
     return _record(Tensor(out, parents=parents, backward=backward), True)
-
-
-# -- interpolation ---------------------------------------------------------
-
-def interp_query(grid, values, q):
-    """Piecewise-linear interpolation, differentiable in the query points.
-
-    `grid` (increasing) and `values` are fixed arrays; `q` may be a tensor.
-    Queries are clamped to the grid ends (zero slope outside), matching
-    np.interp.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    q = constant(q)
-    out = np.interp(q.value, grid, values)
-    seg = np.clip(np.searchsorted(grid, q.value, side="right") - 1, 0, len(grid) - 2)
-    slopes = (values[seg + 1] - values[seg]) / (grid[seg + 1] - grid[seg])
-    inside = (q.value >= grid[0]) & (q.value <= grid[-1])
-    dq = np.where(inside, slopes, 0.0)
-    return _node(out, (q,), lambda g: g * dq)

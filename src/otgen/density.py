@@ -3,9 +3,10 @@
 Two families cover the workloads here: a 2-D density around a mean
 stress-strain curve (uniform in strain over the observed range, Gaussian
 in stress about the interpolated mean) and an isotropic Gaussian in a
-reduced coordinate space. Both evaluate pointwise, sample reproducibly
-from explicit seeds, and can be queried with tape tensors so training
-losses can differentiate through them.
+reduced coordinate space. Both sample reproducibly from explicit seeds.
+Each writes its formula once, in `pdf_and_grad`, which returns the value
+and its gradient in x: `pdf` reads the value, `pdf_t` makes a tape node of
+both, and the training loss's density term calls it directly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ from . import autodiff as ad
 from . import rng
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _points(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
+def _pdf_node(density, x) -> ad.Tensor:
+    """A density's values at tape points x [n, dim] as one tape node, with
+    the gradient of `density.pdf_and_grad` as its backward."""
+    x = ad.constant(x)
+    rho, grad = density.pdf_and_grad(x.value)
+    return ad.node(rho, (x,), lambda g: g[:, None] * grad)
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,7 @@ class GaussianCurveDensity:
             raise ValueError("sigma_stress must be positive and finite")
         self.sigma_stress = float(sigma_stress)
         self.strain_range = (float(self.strain_grid[0]), float(self.strain_grid[-1]))
+        self._slopes = np.diff(self.mean_stress) / np.diff(self.strain_grid)
 
     @property
     def dim(self) -> int:
@@ -78,25 +92,31 @@ class GaussianCurveDensity:
     def mean_at(self, strain):
         return np.interp(strain, self.strain_grid, self.mean_stress)
 
-    def pdf_t(self, x: ad.Tensor) -> ad.Tensor:
-        """Density at tape points x [n, 2]; differentiable in x.
+    def pdf_and_grad(self, x):
+        """(rho [n], d rho / dx [n, 2]) at points x [n, 2], as float64 arrays.
 
-        Outside the strain range the value (and its gradient) is zero.
+        Outside the strain range both are zero.
         """
+        x = _points(x)
         lo, hi = self.strain_range
-        strain = ad.getitem(x, (slice(None), 0))
-        stress = ad.getitem(x, (slice(None), 1))
-        mean = ad.interp_query(self.strain_grid, self.mean_stress, strain)
-        z = ad.mul(ad.sub(stress, mean), 1.0 / self.sigma_stress)
-        gauss = ad.mul(ad.exp(ad.mul(ad.square(z), -0.5)),
-                       _INV_SQRT_2PI / self.sigma_stress)
-        inside = ((strain.value >= lo) & (strain.value <= hi)).astype(np.float64)
-        return ad.mul(gauss, ad.Tensor(inside / (hi - lo)))
+        strain, stress = x[:, 0], x[:, 1]
+        grid = self.strain_grid
+        # segment j holds strain in [grid[j], grid[j + 1]), the ends clamped
+        seg = np.searchsorted(grid[1:-1], strain, side="right")
+        z = (stress - np.interp(strain, grid, self.mean_stress)) \
+            * (1.0 / self.sigma_stress)
+        inside = ((strain >= lo) & (strain <= hi)).astype(np.float64)
+        rho = np.exp(z * z * -0.5) * (_INV_SQRT_2PI / self.sigma_stress)
+        rho *= inside / (hi - lo)
+        # dz/dstress = 1 / sigma and dz/dstrain = -slope / sigma
+        dz = rho * z * (-1.0 / self.sigma_stress)
+        return rho, np.column_stack([-dz * self._slopes[seg], dz])
 
     def pdf(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        with ad.no_grad():
-            return self.pdf_t(ad.constant(x)).value
+        return self.pdf_and_grad(x)[0]
+
+    def pdf_t(self, x: ad.Tensor) -> ad.Tensor:
+        return _pdf_node(self, x)
 
     def sample(self, n, seed) -> np.ndarray:
         """n points: strain uniform on the range, stress about the mean."""
@@ -129,17 +149,19 @@ class ReducedGaussianDensity:
     def dim(self) -> int:
         return self.mean.size
 
-    def pdf_t(self, x: ad.Tensor) -> ad.Tensor:
-        d = self.dim
-        norm = (_INV_SQRT_2PI / self.sigma) ** d
-        z = ad.mul(ad.sub(x, ad.Tensor(self.mean)), 1.0 / self.sigma)
-        q = ad.tsum(ad.square(z), axis=-1)
-        return ad.mul(ad.exp(ad.mul(q, -0.5)), norm)
+    def pdf_and_grad(self, x):
+        """(rho [n], d rho / dx [n, dim]) at points x [n, dim], as float64
+        arrays."""
+        z = (_points(x) - self.mean) * (1.0 / self.sigma)
+        rho = np.exp((z * z).sum(axis=-1) * -0.5) \
+            * (_INV_SQRT_2PI / self.sigma) ** self.dim
+        return rho, z * (rho * (-1.0 / self.sigma))[:, None]
 
     def pdf(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        with ad.no_grad():
-            return self.pdf_t(ad.constant(x)).value
+        return self.pdf_and_grad(x)[0]
+
+    def pdf_t(self, x: ad.Tensor) -> ad.Tensor:
+        return _pdf_node(self, x)
 
     def sample(self, n, seed) -> np.ndarray:
         if n < 1:

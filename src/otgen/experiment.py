@@ -169,6 +169,28 @@ def common_grid(snapshots, points):
                            for s in snapshots])
 
 
+# the networks take training samples in float32: within 8 standard
+# deviations of its mean, a density's samples must stay finite there
+_MAX_DENSITY_SCALE = float(np.finfo(np.float32).max) / 8
+
+
+def _check_density_scale(key, value, density, sigma, mode):
+    """ValueError naming the config `key` (set to `value`) unless `density`,
+    of scale `sigma` in training coordinates and highest at `mode`, can be
+    trained on: its samples stay finite in float32, and the density term,
+    which squares density values, finds its peak's square positive and
+    finite in float64."""
+    with np.errstate(all="ignore"):
+        peak = float(density.pdf(mode)[0])
+        square = peak * peak
+    if not (sigma <= _MAX_DENSITY_SCALE and 0.0 < square < np.inf):
+        raise ValueError(
+            f"{key} = {value!r} gives a density of scale {sigma:.3g} and peak "
+            f"{peak:.3g} in training coordinates; training needs a scale of "
+            f"at most {_MAX_DENSITY_SCALE:.3g} and a peak whose square is "
+            f"positive and finite")
+
+
 def prepare_curve_dataset(config: RunConfig, snapshots):
     """Resample curves to a common grid, normalize, build densities."""
     grid, means = common_grid(snapshots, config.grid_points)
@@ -185,6 +207,8 @@ def prepare_curve_dataset(config: RunConfig, snapshots):
         span = float(mean_n.max() - mean_n.min())
         sigma = max(config.sigma_frac * span, 1e-4)
         dens = GaussianCurveDensity(grid_n, mean_n, sigma)
+        _check_density_scale("sigma_frac", config.sigma_frac, dens, sigma,
+                             curve_n[:1])
         t = normalizer.normalize(snap.condition_raw)
         snaps.append(Snapshot(t, dens, curve_n[anchors]))
     return SnapshotDataset(snaps), normalizer, scaler, grid, means
@@ -201,12 +225,18 @@ def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
     ]
     pooled = np.vstack(sample_blocks)
     try:
-        basis = fit_pca(pooled, config.pca_d)
+        with np.errstate(over="raise", invalid="raise"):
+            basis = fit_pca(pooled, config.pca_d)
+            pooled_c = project(basis, pooled)
+    except FloatingPointError as e:
+        raise ValueError(
+            f"field_sigma_frac = {config.field_sigma_frac!r} adds noise of "
+            f"scale {sigma_f:.3g} to fields of range {value_range:.3g}, and "
+            f"the PCA of the noisy samples overflows: {e}") from e
     except ValueError as e:
         raise ValueError(f"pca_d = {config.pca_d} with {len(fields)} conditions"
                          f" x pca_samples = {config.pca_samples}: {e}") from e
     coeffs = project(basis, fields)          # snapshot means, reduced
-    pooled_c = project(basis, pooled)
     scaler = AffineScaler.from_bounds(pooled_c.min(axis=0), pooled_c.max(axis=0))
     normalizer = _build_normalizer(config, conditions)
     snaps = []
@@ -214,6 +244,8 @@ def prepare_field_dataset(config: RunConfig, conditions, fields, seed):
         t = normalizer.normalize(cond)
         mu_n = scaler.forward(mu)
         dens = ReducedGaussianDensity(mu_n, config.reduced_sigma)
+        _check_density_scale("reduced_sigma", config.reduced_sigma, dens,
+                             config.reduced_sigma, mu_n)
         snaps.append(Snapshot(t, dens, mu_n[None, :]))
     return SnapshotDataset(snaps), normalizer, scaler, basis
 

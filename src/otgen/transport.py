@@ -162,7 +162,14 @@ class DisplacementField:
                      self.output_scales)
         u = out[0]
         if wrt == "space":
-            return u, ad.stack_last([out[1 + j] for j in range(k)])
+            # du/dX[:, :, b] is tangent stream 1 + b: one node moves the
+            # streams to the last axis
+            def vjp(g):
+                full = np.zeros_like(out.value)
+                full[1:] = np.moveaxis(g, -1, 0)
+                return full
+
+            return u, ad.node(np.moveaxis(out.value[1:], 0, -1), (out,), vjp)
         d2u = out[1 + k]
         if not laplacian:
             return u, d2u
@@ -421,19 +428,94 @@ def _jet_values(fieldo: DisplacementField, X, t):
 
 
 def eom_residual_t(model: TransportModel, X, t, dropout_seed=None) -> ad.Tensor:
-    """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t) on tape.
+    """Equation-of-motion residual d2u/dt2 - G lap(u) - F_b(X+u, t), one
+    tape node over the time jet's d2u/dt2, F_b and, when G != 0, lap(u).
 
     Both networks run in the dtype of X (float32 or float64); the residual
     is float64 either way.
     """
     X = np.atleast_2d(ad.as_array(X))
     G = model.config.shear_modulus
-    u0, r, *lap = model.displacement.jet(X, t, "time", laplacian=G != 0.0)
-    if lap:
-        r = ad.sub(r, ad.mul(lap[0], G))
-    mapped = ad.add(ad.constant(X), u0)
-    fb = model.body_force.force(ad.cast(mapped, X.dtype), t, dropout_seed)
-    return ad.sub(r, fb)
+    u0, d2u, *lap = model.displacement.jet(X, t, "time", laplacian=G != 0.0)
+    mapped = ad.node((X + u0.value).astype(X.dtype, copy=False), (u0,),
+                     lambda g: g)
+    fb = model.body_force.force(mapped, t, dropout_seed)
+    r = d2u.value - G * lap[0].value if lap else d2u.value
+    return ad.node(r - fb.value, (d2u, fb, *lap),
+                   lambda g: g, lambda g: -g, lambda g: -G * g)
+
+
+def _det(F) -> np.ndarray:
+    """det F over the trailing two axes: F00 F11 - F01 F10 for 2 x 2
+    matrices, `np.linalg.det` for any other size."""
+    if F.shape[-1] == 2:
+        return F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    return np.linalg.det(F)
+
+
+def _det_grad(F, J) -> np.ndarray:
+    """dJ/dF = J F^{-T} (Jacobi's formula) for J = _det(F): the 2 x 2
+    cofactor matrix, and J inv(F)^T for any other size."""
+    if F.shape[-1] == 2:
+        return np.stack([F[..., 1, ::-1] * [1.0, -1.0],
+                         F[..., 0, ::-1] * [-1.0, 1.0]], axis=-2)
+    return J[..., None, None] * np.swapaxes(np.linalg.inv(F), -1, -2)
+
+
+def _density_term(u0: ad.Tensor, jac: ad.Tensor, X, rho0, densities):
+    """(L1 as one tape node over the density jet's u0 and du/dX, count of
+    folded rows).
+
+    Row block i of u0 [N, d] and du/dX [N, d, d] maps the batch X [n, d]
+    (reference density rho0 [n]) to the time of `densities[i]`. A row
+    whose J = det(I + du/dX) is at most J_MIN is folded: its F is swapped
+    for the identity, so J and J F^{-T} stay finite, and it weighs 0. L1
+    is the mean over snapshots of each one's mean over its kept rows,
+    that is one `math.fsum` mean over all rows, each kept row of snapshot
+    i weighing n / kept_i.
+
+    The backward is closed-form: with e = 2 w (rho0 / J - rho) / N,
+    dL1/du0 = -e grad(rho) and dL1/d(du/dX) = -e (rho0 / J) / J dJ/dF.
+    It keeps e, grad(rho), F, J and rho0 / J.
+    """
+    n_snap, (n, d) = len(densities), X.shape
+    F = jac.value + np.eye(d)
+    J = _det(F)
+    mask = J > J_MIN
+    dropped = int(mask.size - np.count_nonzero(mask))
+    if dropped:
+        F[~mask] = np.eye(d)
+        J = _det(F)
+    kept = mask.reshape(n_snap, n).sum(axis=1)
+    if not kept.all():
+        raise TrainingDivergence("every sample was dropped from the density term")
+    x = np.tile(X, (n_snap, 1)) + u0.value
+    rho, grad_rho = np.empty(len(x)), np.empty_like(x)
+    for i, dens in enumerate(densities):
+        rows = slice(i * n, (i + 1) * n)
+        rho[rows], grad_rho[rows] = dens.pdf_and_grad(x[rows])
+    ratio = np.tile(rho0, n_snap) / J
+    w = mask * np.repeat(n / kept, n)
+    diff = ratio - rho
+    L1 = np.float64(math.fsum((diff * diff * w).tolist()) / len(x))
+    e = (2.0 / len(x)) * w * diff
+    return ad.node(
+        L1, (u0, jac),
+        lambda g: (-g * e)[:, None] * grad_rho,
+        lambda g: (-g * e * ratio / J)[:, None, None] * _det_grad(F, J),
+    ), dropped
+
+
+def _mean_square(v: ad.Tensor, r, scale=1.0) -> ad.Tensor:
+    """scale times the mean over rows of ||r||^2, one tape node over `v`.
+
+    r [m, d] is v's value plus a constant, so dr/dv is the identity; the
+    mean is a `math.fsum`, so the row order does not change it. The
+    backward keeps r.
+    """
+    value = np.float64(math.fsum((r * r).sum(axis=-1).tolist()) / len(r))
+    return ad.node(value * scale, (v,),
+                   lambda g: (g * scale / len(r) * 2.0) * r)
 
 
 # -- loss -----------------------------------------------------------------------
@@ -462,50 +544,31 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     and dynamics jets; everything outside the networks stays float64.
 
     Each term is one mean over rows stacked across snapshots or collocation
-    times; only the snapshot densities run per snapshot, and the anchors of
-    every anchored snapshot take one float64 displacement pass.
+    times, and one fused tape node after the networks, with a closed-form
+    backward that keeps only what it reads:
+    - L1, `_density_term` over the density jet's u0 and du/dX: it keeps
+      the deformation gradients F, their J, the density gradients and the
+      per-row residual weights;
+    - L2, `_mean_square` over the anchors' displacement: it keeps the
+      anchor residuals;
+    - L3, `_mean_square` over the node `eom_residual_t` makes of d2u/dt2,
+      lap u and F_b: it keeps the residuals.
+    Their weighted sum is one node more.
     """
     config = config or model.config
     net_dtype = np.float32 if train_mode else np.float64
     fieldo = model.displacement
     ref = dataset.reference.density
     n_snap = len(dataset)
-    dim = dataset.dim
     n = config.n_samples
-
-    X = ref.sample(n, seed=_combine(config.seed, epoch_seed, 1))
-    rho0 = ref.pdf(X)
 
     # all snapshots share the batch; stack them so the density term is a
     # single wide jet pass
-    Xs = np.tile(X, (n_snap, 1))
-    ts = np.repeat([s.t_norm for s in dataset.snapshots], n)
-    u0, jac = fieldo.jet(Xs.astype(net_dtype, copy=False), ts)
-    eye = np.eye(dim)
-    F_raw = ad.add(jac, eye)
-    J = ad.det(F_raw)
-    mask = (J.value > J_MIN).astype(np.float64)
-    dropped = int(len(mask) - mask.sum())
-    if dropped:
-        # swap degenerate rows for the identity so det/inv stay finite;
-        # the mask removes their contribution
-        m3 = mask[:, None, None]
-        J = ad.det(ad.add(ad.mul(F_raw, ad.Tensor(m3)),
-                          ad.Tensor((1.0 - m3) * eye)))
-    mapped = ad.add(ad.constant(Xs), u0)
-    ratio = ad.div(ad.Tensor(np.tile(rho0, n_snap)), J)
-
-    # L1 is the mean over snapshots of each snapshot's mean over its kept
-    # rows: one mean over all rows, each kept row of snapshot i weighing
-    # n / kept_i and each dropped row 0
-    kept = mask.reshape(n_snap, n).sum(axis=1)
-    if not kept.all():
-        raise TrainingDivergence("every sample was dropped from the density term")
-    rho = ad.concat(
-        [s.density.pdf_t(ad.getitem(mapped, slice(i * n, (i + 1) * n)))
-         for i, s in enumerate(dataset.snapshots)], axis=0)
-    L1 = ad.stable_mean(ad.mul(ad.square(ad.sub(ratio, rho)),
-                               ad.Tensor(mask * np.repeat(n / kept, n))))
+    X = ref.sample(n, seed=_combine(config.seed, epoch_seed, 1))
+    Xs = np.tile(X, (n_snap, 1)).astype(net_dtype, copy=False)
+    u0, jac = fieldo.jet(Xs, np.repeat([s.t_norm for s in dataset.snapshots], n))
+    L1, dropped = _density_term(u0, jac, X, ref.pdf(X),
+                                [s.density for s in dataset.snapshots])
 
     # L2 is the sum over anchored snapshots of their mean over anchors,
     # divided by all n_snap: every anchored snapshot has the reference's
@@ -516,10 +579,8 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
         src_b = dataset.reference.anchors
         bX = np.tile(src_b, (len(anchored), 1))
         ub = fieldo.u(bX, np.repeat([s.t_norm for s in anchored], len(src_b)))
-        bdiff = ad.sub(ad.add(ad.constant(bX), ub),
-                       ad.Tensor(np.concatenate([s.anchors for s in anchored])))
-        L2 = ad.mul(ad.stable_mean(ad.tsum(ad.square(bdiff), axis=-1)),
-                    len(anchored) / n_snap)
+        L2 = _mean_square(ub, bX + ub.value - np.concatenate(
+            [s.anchors for s in anchored]), len(anchored) / n_snap)
     else:
         L2 = ad.constant(0.0)
 
@@ -532,16 +593,19 @@ def compute_loss(model: TransportModel, dataset: SnapshotDataset,
     r = eom_residual_t(model, X3s.astype(net_dtype, copy=False), t3s,
                        _combine(config.seed, epoch_seed, 3)
                        if train_mode else None)
-    L3 = ad.stable_mean(ad.tsum(ad.square(r), axis=-1))
-    return _weighted_loss((L1, L2, L3), config, dropped / len(mask))
+    L3 = _mean_square(r, r.value)
+    return _weighted_loss((L1, L2, L3), config, dropped / (n_snap * n))
 
 
 def _weighted_loss(terms, config: TrainConfig,
                    dropped_fraction: float) -> LossResult:
-    """w1 L1 + w2 L2 + w3 L3 over the term tensors, checked to be finite."""
+    """w1 L1 + w2 L2 + w3 L3 as one tape node over the term tensors,
+    checked to be finite."""
+    weights = (config.w1, config.w2, config.w3)
     L1, L2, L3 = terms
-    total = ad.add(ad.add(ad.mul(L1, config.w1), ad.mul(L2, config.w2)),
-                   ad.mul(L3, config.w3))
+    total = ad.node(L1.value * weights[0] + L2.value * weights[1]
+                    + L3.value * weights[2], terms,
+                    *(lambda g, w=w: g * w for w in weights))
     if not np.isfinite(total.value):
         raise TrainingDivergence("non-finite loss")
     return LossResult(

@@ -941,6 +941,34 @@ class TestInputValidation:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("task,key,value", [
+        ("curves", "sigma_frac", 1e300),
+        ("fields", "field_sigma_frac", 1e300),
+        ("fields", "reduced_sigma", 1e-300),
+        ("fields", "reduced_sigma", 1e300),
+    ])
+    def test_overflowing_density_scale_exits_before_training(
+            self, tmp_path, capsys, task, key, value):
+        # a noise scale whose density over- or underflows, or whose samples
+        # leave float32, is a bad input, not a divergence: it exits 2
+        # before training, with no numpy warning and no output directory
+        paths = synth_fixture(task, tmp_path / "fx", seed=0, taus=[0.0, 0.5],
+                              params={"D": 40} if task == "fields" else None)
+        extra = {"task": task, key: value}
+        if task == "fields":
+            extra.update(pca_d=3, pca_samples=16)
+        cfg_path = write_run_config(tmp_path / "cfg.json", paths["train"],
+                                    extra)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--config", cfg_path)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert f"stage 'prepare' failed: {key} = {value!r}" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["run", "--config"], "{path}: run config is not JSON"),
         (["generate", "--target", "1.0", "--model"],

@@ -79,8 +79,8 @@ class PermutedDensity:
     def pdf(self, x):
         return self.inner.pdf(x)
 
-    def pdf_t(self, x):
-        return self.inner.pdf_t(x)
+    def pdf_and_grad(self, x):
+        return self.inner.pdf_and_grad(x)
 
 
 @pytest.mark.parametrize("perm_seed", range(10))

@@ -74,8 +74,9 @@ class RiggedForce:
 class NanDensity(ReducedGaussianDensity):
     """A Gaussian whose density evaluates to NaN everywhere."""
 
-    def pdf_t(self, x):
-        return ad.mul(super().pdf_t(x), np.nan)
+    def pdf_and_grad(self, x):
+        rho, grad = super().pdf_and_grad(x)
+        return rho * np.nan, grad
 
 
 def rigged_transport_model(dim, u_fn, f_fn=None, reference=None, **cfg_kw):
